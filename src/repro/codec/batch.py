@@ -12,15 +12,16 @@ When the compiled kernel from :mod:`repro.recovery.ckernel` is available,
 :meth:`BatchReconstructor.recover_batch_into` hands the whole batch to
 ``xor_batch`` instead: one C call fuses every equation of every stripe in
 a single cache-friendly pass, where the numpy fold pays one full memory
-sweep (and one interpreter dispatch) per equation source.  The fallback
-numpy path is kept verbatim and the kernel computes the exact same XORs,
+sweep (and one interpreter dispatch) per equation source.  Given stripe
+ids, the same call gathers its stripes straight out of a whole store.  The
+fallback numpy path is kept verbatim and the kernel computes the exact same XORs,
 so outputs are byte-identical with or without a C compiler
 (``REPRO_PURE_PYTHON=1`` forces the numpy path).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -70,6 +71,11 @@ class BatchReconstructor:
         self._src_off = np.ascontiguousarray(offs, dtype=np.int64)
         self._src_ids = np.ascontiguousarray(ids, dtype=np.int32)
 
+    @property
+    def source_eids(self) -> np.ndarray:
+        """Distinct surviving elements the compiled plan reads, ascending."""
+        return np.unique(self._src_ids[self._src_ids >= 0]).astype(np.int64)
+
     def recover_batch(self, stripes: np.ndarray) -> Dict[int, np.ndarray]:
         """Rebuild the failed elements of every stripe in the batch.
 
@@ -109,7 +115,12 @@ class BatchReconstructor:
             out[f] = acc
         return out
 
-    def recover_batch_into(self, stripes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def recover_batch_into(
+        self,
+        stripes: np.ndarray,
+        out: np.ndarray,
+        stripe_ids: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Zero-allocation variant: XOR straight into a caller buffer.
 
         ``out`` must have shape ``(n_stripes, n_failed, element_size)``;
@@ -117,6 +128,13 @@ class BatchReconstructor:
         The output slices themselves are the accumulators — nothing is
         allocated, which is what lets pipeline workers XOR views of a
         shared-memory arena in place.  Returns ``out``.
+
+        With ``stripe_ids`` (a 1-D integer array, any order, repeats
+        allowed) ``stripes`` is a whole store and output row ``j`` is
+        rebuilt from stripe ``stripe_ids[j]``: the kernel reads the store
+        in place, so a caller holding a store never copies a batch out of
+        it.  An id outside ``[0, len(stripes))`` raises
+        :class:`IndexError`.
         """
         if stripes.ndim != 3:
             raise ValueError(
@@ -127,11 +145,24 @@ class BatchReconstructor:
                 f"stripe width {stripes.shape[1]} != layout "
                 f"{self.scheme.layout.n_elements}"
             )
-        want = (stripes.shape[0], len(self._plan), stripes.shape[2])
+        n_rows = stripes.shape[0]
+        if stripe_ids is not None:
+            stripe_ids = np.asarray(stripe_ids)
+            if stripe_ids.ndim != 1 or stripe_ids.dtype.kind not in "iu":
+                raise IndexError(
+                    f"stripe_ids must be a 1-D integer array, got "
+                    f"{stripe_ids.dtype} of shape {stripe_ids.shape}"
+                )
+            ckernel.check_stripe_ids(stripe_ids, n_rows)
+            stripe_ids = np.ascontiguousarray(stripe_ids, dtype=np.int64)
+            n_rows = len(stripe_ids)
+        want = (n_rows, len(self._plan), stripes.shape[2])
         if out.shape != want:
             raise ValueError(f"out shape {out.shape} != {want}")
-        if ckernel.xor_batch(stripes, out, self._src_off, self._src_ids):
+        if ckernel.xor_batch(stripes, out, self._src_off, self._src_ids, stripe_ids):
             return out
+        if stripe_ids is not None:
+            stripes = stripes[stripe_ids]
         return self._recover_into_numpy(stripes, out)
 
     def _recover_into_numpy(self, stripes: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -23,16 +23,21 @@ the lexicographic max-per-{uplink, NIC, disk} load.  The executed billing
 must match the planner's analytic loads exactly (``read_loads`` /
 ``link_read_loads``); the benchmarks enforce that contract.
 
-Every recovered row is verified byte-identical against the store before
-the result is returned — a placement bug surfaces as a mismatch count,
-never as silent corruption.
+Each chunk is reconstructed straight out of the store: the kernel is
+handed the whole ``(n_stripes, n_elements, esz)`` store plus the chunk's
+stripe ids and gathers the sources in place, so no batch is copied.  The
+dead rows are therefore readable, and every compiled plan is checked
+statically to read none of them (:func:`_check_plan`).  Every recovered
+row is verified byte-identical against the store before the result is
+returned — a placement bug surfaces as a mismatch count, never as silent
+corruption.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -70,6 +75,45 @@ class PoolRebuildResult:
         """max / mean-over-busy-disks (1.0 = perfectly even fan-out)."""
         busy = self.reads_per_disk[self.reads_per_disk > 0]
         return float(self.max_read_load / busy.mean()) if busy.size else 1.0
+
+
+class _GroupPlan(NamedTuple):
+    """One scheme compiled for a pool rebuild: kernel plan plus billing."""
+
+    recon: BatchReconstructor
+    logicals: np.ndarray   #: logical disks the plan reads, ascending
+    loads: np.ndarray      #: elements read from each per stripe (float64,
+                           #: the weights of one ``np.bincount``)
+
+
+def _check_plan(recon: BatchReconstructor, role: int) -> None:
+    """Refuse a plan that reads the dead role or misstates its loads.
+
+    The rebuild gathers survivors straight out of the store, where the
+    dead role's rows are still intact, so a plan that read one would pass
+    byte verification silently.  Checked statically instead, once per
+    compiled plan: no surviving source may lie in the dead rows, and the
+    distinct sources per logical disk must equal ``scheme.loads`` (the
+    quantity billed).  Raises :class:`ValueError`.
+    """
+    scheme = recon.scheme
+    k = scheme.layout.k_rows
+    src = recon.source_eids
+    dead = src[(src >= role * k) & (src < (role + 1) * k)]
+    if dead.size:
+        raise ValueError(
+            f"scheme for role {role} reads element {int(dead[0])} of the "
+            f"dead role (rows {role * k}..{(role + 1) * k - 1})"
+        )
+    per_disk = np.bincount(src // k, minlength=scheme.layout.n_disks)
+    loads = np.asarray(scheme.loads, dtype=np.int64)
+    if not np.array_equal(per_disk, loads):
+        d = int(np.flatnonzero(per_disk != loads)[0])
+        raise ValueError(
+            f"scheme for role {role} reads {int(per_disk[d])} elements of "
+            f"logical disk {d} (first element {d * k}), but its loads "
+            f"say {int(loads[d])}"
+        )
 
 
 class PoolRebuild:
@@ -116,6 +160,7 @@ class PoolRebuild:
             # fail fast on a planner/placement topology mismatch
             store.placement.require_leaf_of_disk(topo_planner.topology)
         self.topo_planner = topo_planner
+        self._plans: Dict[Tuple, _GroupPlan] = {}
 
     # ------------------------------------------------------------------
     def stripe_groups(
@@ -152,69 +197,86 @@ class PoolRebuild:
         return link_loads(self.store.placement, self.read_loads(dead_disk))
 
     # ------------------------------------------------------------------
+    def _compile(self, role: int, scheme: RecoveryScheme) -> _GroupPlan:
+        """The compiled, checked plan for rebuilding ``role`` with ``scheme``.
+
+        Memoised on the plan's full semantics, so a rebuild compiles and
+        checks each distinct scheme once per engine, not once per call.
+        """
+        key = (role, scheme.failed_mask, tuple(scheme.equations), scheme.read_mask)
+        plan = self._plans.get(key)
+        if plan is None:
+            recon = BatchReconstructor(scheme)
+            _check_plan(recon, role)
+            loads = np.asarray(scheme.loads, dtype=np.int64)
+            logicals = np.flatnonzero(loads)
+            plan = _GroupPlan(recon, logicals, loads[logicals].astype(np.float64))
+            self._plans[key] = plan
+        return plan
+
     def rebuild(self, dead_disk: int) -> PoolRebuildResult:
         """Recover every row the dead disk held, billing reads per disk."""
         store = self.store
         placement = store.placement
         if store.stripes is None:
             raise RuntimeError("pool store is empty — call encode_random() first")
-        all_stripes, _ = placement.roles_of_disk(dead_disk)
-        all_stripes = np.sort(all_stripes)
-        pos_of_stripe = {int(s): i for i, s in enumerate(all_stripes)}
+        t0 = time.perf_counter()
+        groups = [
+            (role, ids, self._compile(role, scheme))
+            for role, ids, scheme in self.stripe_groups(dead_disk)
+        ]
+        all_stripes = np.sort(
+            np.concatenate([ids for _, ids, _ in groups] or [np.empty(0, np.int64)])
+        )
         k, esz = store.k_rows, store.element_size
         lay = store.code.layout
 
         rows = np.empty((len(all_stripes), k, esz), dtype=np.uint8)
-        loadmap = obs.DiskLoadMap(placement.n_pool)
-        linkmap = None
-        leaf = None
-        if placement.topology is not None:
-            linkmap = obs.LinkLoadMap(placement.topology)
-            leaf = placement.leaf_of_disk
+        reads = np.zeros(placement.n_pool, dtype=np.int64)
         mismatches = 0
         n_chunks = 0
-        n_groups = 0
-        t0 = time.perf_counter()
         with obs.span(
             "placement.rebuild",
             placement=placement.name,
             pool=placement.n_pool,
             affected=len(all_stripes),
         ):
-            for role, group_ids, scheme in self.stripe_groups(dead_disk):
-                n_groups += 1
-                recon = BatchReconstructor(scheme)
-                failed_lo, failed_hi = role * k, (role + 1) * k
+            for role, group_ids, plan in groups:
+                lo_row, hi_row = role * k, (role + 1) * k
                 for lo in range(0, len(group_ids), self.chunk_stripes):
                     chunk_ids = group_ids[lo : lo + self.chunk_stripes]
                     if self.throttle is not None:
                         self.throttle(chunk_ids)
-                    batch = store.stripes[chunk_ids].copy()
-                    # poison the dead rows: any scheme that accidentally
-                    # reads them fails verification instead of passing
-                    batch[:, failed_lo:failed_hi] = 0xAA
+                    # gathered straight out of the store: no batch copy
                     out = np.empty((len(chunk_ids), k, esz), dtype=np.uint8)
-                    recon.recover_batch_into(batch, out)
-                    idx = np.asarray(
-                        [pos_of_stripe[int(s)] for s in chunk_ids],
-                        dtype=np.int64,
+                    plan.recon.recover_batch_into(
+                        store.stripes, out, stripe_ids=chunk_ids
                     )
-                    rows[idx] = out
-                    truth = store.role_rows(chunk_ids, role)
-                    bad = ~np.all(out == truth, axis=(1, 2))
-                    mismatches += int(bad.sum())
-                    for logical, load in enumerate(scheme.loads):
-                        if load and logical != role:
-                            hosts = placement.disk_of_role(chunk_ids, logical)
-                            loadmap.add_many(hosts, load)
-                            if linkmap is not None:
-                                linkmap.add_many(leaf[hosts], load)
+                    rows[np.searchsorted(all_stripes, chunk_ids)] = out
+                    truth = store.stripes[chunk_ids, lo_row:hi_row]
+                    bad = (out != truth).reshape(len(chunk_ids), -1).any(axis=1)
+                    mismatches += int(np.count_nonzero(bad))
+                    # pool disk hosting each logical disk the plan reads,
+                    # per stripe: one table lookup, one weighted count
+                    hosts = placement.disk_of_role(chunk_ids[:, None], plan.logicals)
+                    reads += np.bincount(
+                        hosts.reshape(-1),
+                        weights=np.broadcast_to(plan.loads, hosts.shape).reshape(-1),
+                        minlength=placement.n_pool,
+                    ).astype(np.int64)
                     n_chunks += 1
                     obs.count("placement.chunks")
         wall_s = time.perf_counter() - t0
 
+        loadmap = obs.DiskLoadMap(placement.n_pool)
+        loadmap.add_vector(reads)
         loadmap.publish("placement.rebuild_reads")
-        if linkmap is not None:
+        linkmap = None
+        if placement.topology is not None:
+            linkmap = obs.LinkLoadMap(placement.topology)
+            per_leaf = np.zeros(placement.topology.n_disks, dtype=np.int64)
+            per_leaf[placement.leaf_of_disk] = reads
+            linkmap.add_vector(per_leaf)
             linkmap.publish("placement.rebuild_links")
         obs.count("placement.rebuilds")
         obs.count("placement.stripes", len(all_stripes))
@@ -224,7 +286,7 @@ class PoolRebuild:
             "n_pool": placement.n_pool,
             "width": lay.n_disks,
             "affected_stripes": int(len(all_stripes)),
-            "groups": n_groups,
+            "groups": len(groups),
             "chunks": n_chunks,
             "chunk_stripes": self.chunk_stripes,
             "rebuilt_bytes": int(rebuilt_bytes),

@@ -387,13 +387,15 @@ static void xor_into(uint8_t *restrict dst, const uint8_t *restrict src,
 /* Reconstruct every failed element of every stripe in one call.
  *
  * Mirrors BatchReconstructor.recover_batch_into exactly: `stripes` is the
- * C-contiguous (n_stripes, n_elements, esz) input batch, `out` the
- * (n_stripes, n_slots, esz) output block whose slot i is the i-th failed
- * element of the compiled plan.  The flattened plan lives in
- * (src_off, src_ids): slot i's sources are src_ids[src_off[i] ..
- * src_off[i+1]); an id >= 0 names a surviving element of the stripe, an
- * id < 0 names the earlier output slot -(id + 1) (Greenan-style
- * iteration, already in dependency order).  XOR is commutative, so the
+ * C-contiguous (*, n_elements, esz) input, `out` the (n_stripes, n_slots,
+ * esz) output block whose slot i is the i-th failed element of the
+ * compiled plan.  Output row s is rebuilt from input stripe sid[s] when
+ * `sid` is given (a gather straight out of a whole store, no staging
+ * copy), else from input stripe s; the Python wrapper bounds-checks sid.
+ * The flattened plan lives in (src_off, src_ids): slot i's sources are
+ * src_ids[src_off[i] .. src_off[i+1]); an id >= 0 names a surviving
+ * element of the stripe, an id < 0 names the earlier output slot
+ * -(id + 1) (Greenan-style iteration, already in dependency order).  XOR is commutative, so the
  * result is byte-identical to the numpy fold regardless of source order.
  *
  * Stripe-major loop order keeps the working set to one stripe (input row
@@ -404,12 +406,12 @@ static void xor_into(uint8_t *restrict dst, const uint8_t *restrict src,
 int64_t xor_batch(const uint8_t *stripes, int64_t n_stripes,
                   int64_t n_elements, int64_t esz,
                   uint8_t *out, int64_t n_slots,
-                  const int64_t *src_off, const int32_t *src_ids)
+                  const int64_t *src_off, const int32_t *src_ids,
+                  const int64_t *sid)
 {
     int64_t s, i, j;
-    (void)n_elements;
     for (s = 0; s < n_stripes; s++) {
-        const uint8_t *in_base = stripes + s * n_elements * esz;
+        const uint8_t *in_base = stripes + (sid ? sid[s] : s) * n_elements * esz;
         uint8_t *out_base = out + s * n_slots * esz;
         for (i = 0; i < n_slots; i++) {
             uint8_t *dst = out_base + i * esz;

@@ -12,7 +12,8 @@ Two kernels share one shared object compiled from ``_ucs.c``:
   caller's output buffer (see
   :meth:`repro.codec.batch.BatchReconstructor.recover_batch_into`),
   fusing what the numpy path does in one dispatched pass per equation
-  source.  Exposed here through :func:`xor_batch`.
+  source.  Given stripe ids, it reads the batch straight out of a whole
+  store instead.  Exposed here through :func:`xor_batch`.
 
 This module compiles ``_ucs.c`` with the system C compiler the first time
 it is needed, caches the shared object under ``$XDG_CACHE_HOME/repro-ckernel``
@@ -121,6 +122,7 @@ def load() -> Optional[ctypes.CDLL]:
             ctypes.c_int64,                    # n_slots
             ctypes.POINTER(ctypes.c_int64),    # src_off (n_slots + 1)
             ctypes.POINTER(ctypes.c_int32),    # src_ids
+            ctypes.POINTER(ctypes.c_int64),    # stripe ids (n,) or NULL
         ]
         _lib = lib
     except Exception as exc:
@@ -210,7 +212,22 @@ def xor_available() -> bool:
     return lib is not None and hasattr(lib, "xor_batch")
 
 
-def xor_batch(stripes, out, src_off, src_ids) -> bool:
+def check_stripe_ids(stripe_ids, n_stripes: int) -> None:
+    """Raise :class:`IndexError` unless every id lies in ``[0, n_stripes)``.
+
+    Checked before any gather, on the kernel and the numpy path alike:
+    numpy's negative indexing would otherwise silently read the store's
+    last stripes, and the kernel would read outside the store.
+    """
+    if stripe_ids.size == 0:
+        return
+    lo, hi = int(stripe_ids.min()), int(stripe_ids.max())
+    if lo < 0 or hi >= n_stripes:
+        bad = lo if lo < 0 else hi
+        raise IndexError(f"stripe id {bad} out of range [0, {n_stripes})")
+
+
+def xor_batch(stripes, out, src_off, src_ids, stripe_ids=None) -> bool:
     """Run the batched-XOR kernel; ``False`` means "use the numpy path".
 
     Parameters mirror
@@ -219,12 +236,18 @@ def xor_batch(stripes, out, src_off, src_ids) -> bool:
     ``out`` the ``(n_stripes, n_slots, esz)`` output block, both uint8;
     ``src_off`` (int64, ``n_slots + 1``) and ``src_ids`` (int32) are the
     flattened source plan (ids ``>= 0`` name stripe elements, ``< 0`` name
-    earlier output slots as ``-(slot + 1)``).  The caller owns shape
-    agreement between the plan and the buffers; this wrapper only refuses
-    what the kernel cannot address — no kernel, non-contiguous or
-    non-uint8 buffers — by returning ``False`` so the numpy fold (which
-    handles any layout) runs instead.  Output bytes are identical either
-    way.
+    earlier output slots as ``-(slot + 1)``).  With ``stripe_ids`` (int64,
+    one per output row) ``stripes`` is a whole store and output row ``j``
+    is rebuilt from stripe ``stripe_ids[j]``, read in place.
+
+    The caller owns shape agreement between the plan and the buffers;
+    this wrapper refuses what the kernel cannot address — no kernel,
+    non-contiguous or non-uint8 buffers, stripe ids that are not
+    C-contiguous int64 — by returning ``False`` so the numpy fold (which
+    handles any layout) runs instead.  A stripe id outside the store
+    raises :class:`IndexError` before the kernel runs, and a ``stripe_ids``
+    whose length is not ``out``'s row count raises :class:`ValueError`.
+    Output bytes are identical either way.
     """
     lib = load()
     if lib is None or not hasattr(lib, "xor_batch"):
@@ -236,6 +259,17 @@ def xor_batch(stripes, out, src_off, src_ids) -> bool:
         return False
     n_stripes, n_elements, esz = stripes.shape
     n_slots = out.shape[1]
+    sid = None
+    if stripe_ids is not None:
+        if stripe_ids.dtype.str[1:] != "i8" or not stripe_ids.flags.c_contiguous:
+            return False
+        if stripe_ids.shape != (out.shape[0],):
+            raise ValueError(
+                f"stripe_ids shape {stripe_ids.shape} != ({out.shape[0]},)"
+            )
+        check_stripe_ids(stripe_ids, n_stripes)
+        n_stripes = out.shape[0]
+        sid = stripe_ids.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
     if n_stripes == 0 or n_slots == 0 or esz == 0:
         return True  # nothing to XOR; the zero-fill contract is vacuous
     lib.xor_batch(
@@ -247,5 +281,6 @@ def xor_batch(stripes, out, src_off, src_ids) -> bool:
         ctypes.c_int64(n_slots),
         src_off.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
         src_ids.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
+        sid,
     )
     return True

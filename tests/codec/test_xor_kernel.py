@@ -7,7 +7,14 @@ including the degenerate cases the dispatch logic special-cases: empty
 batches, single elements, zero-source slots, and the pure-Python
 fallback leg (``REPRO_PURE_PYTHON=1`` / no compiler), which must produce
 the same bytes through ``recover_batch_into`` without the kernel.
+
+The gathered form (``stripe_ids=``: rows rebuilt straight out of a whole
+store by index) is pinned the same way, on both legs, together with the
+wrapper's refusals: ids outside the store raise before the kernel runs,
+ids or stores it cannot address fall back to numpy.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -164,3 +171,167 @@ class TestPurePythonFallback:
         off = np.asarray([0, 1], dtype=np.int64)
         ids = np.asarray([0], dtype=np.int32)
         assert ckernel.xor_batch(stripes, out, off, ids) is False
+
+
+@contextmanager
+def pure_python():
+    """The ``REPRO_PURE_PYTHON`` leg, inside a Hypothesis example."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_PURE_PYTHON", "1")
+        mp.setattr(ckernel, "_lib", None)
+        mp.setattr(ckernel, "_load_attempted", True)
+        yield
+
+
+@st.composite
+def gather_case(draw):
+    code, disk = draw(code_and_any_disk())
+    element_size = draw(st.sampled_from([1, 7, 16, 64]))
+    n_store = draw(st.integers(1, 8))
+    stripe_id = st.integers(0, n_store - 1)
+    ids = draw(
+        st.one_of(
+            st.just([]),
+            stripe_id.map(lambda i: [i]),
+            # unsorted, usually with repeats
+            st.lists(stripe_id, min_size=2, max_size=12),
+        )
+    )
+    seed = draw(st.integers(0, 2**16))
+    ids = np.asarray(ids, dtype=np.int64)
+    return code, disk, element_size, n_store, ids, seed
+
+
+LEGS = [
+    pytest.param("kernel", marks=kernel),
+    pytest.param("pure"),
+]
+
+
+@contextmanager
+def leg_context(leg):
+    if leg == "pure":
+        with pure_python():
+            assert not ckernel.xor_available()
+            yield
+    else:
+        yield
+
+
+def rdp_store():
+    """(reconstructor, 5-stripe store of 16-byte elements, scheme)."""
+    from repro.codes import make_code
+
+    code = make_code("rdp", 7)
+    scheme = scheme_for_disk(code, 3, algorithm="u", depth=1)
+    store = encode_batch(code, 16, 5, seed=11)
+    return BatchReconstructor(scheme), store, scheme
+
+
+class TestGatheredKernel:
+    @pytest.mark.parametrize("leg", LEGS)
+    @settings(max_examples=60, deadline=None)
+    @given(case=gather_case())
+    def test_gathered_matches_copied_numpy_and_per_element(self, leg, case):
+        code, disk, element_size, n_store, ids, seed = case
+        scheme = scheme_for_disk(code, disk, algorithm="u", depth=1)
+        store = encode_batch(code, element_size, n_store, seed)
+        recon = BatchReconstructor(scheme)
+        shape = (len(ids), len(scheme.failed_eids), element_size)
+        gathered, copied, folded = (np.empty(shape, np.uint8) for _ in range(3))
+        with leg_context(leg):
+            got = recon.recover_batch_into(store, gathered, stripe_ids=ids)
+            assert got is gathered
+            recon.recover_batch_into(np.ascontiguousarray(store[ids]), copied)
+        recon._recover_into_numpy(store[ids], folded)
+        assert np.array_equal(gathered, copied)
+        assert np.array_equal(gathered, folded)
+        for j, s in enumerate(ids):
+            per_element = execute_scheme(scheme, store[s])
+            for slot, eid in enumerate(scheme.failed_eids):
+                assert np.array_equal(gathered[j, slot], per_element[eid])
+
+    @pytest.mark.parametrize("leg", LEGS)
+    @pytest.mark.parametrize("bad", [-1, 5, 2**40])
+    def test_out_of_range_id_raises_on_both_legs(self, leg, bad):
+        recon, store, _ = rdp_store()
+        ids = np.asarray([0, bad], dtype=np.int64)
+        out = np.empty((2, len(recon.scheme.failed_eids), 16), dtype=np.uint8)
+        with leg_context(leg), pytest.raises(IndexError, match="out of range"):
+            recon.recover_batch_into(store, out, stripe_ids=ids)
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_non_integer_ids_rejected(self, leg):
+        recon, store, _ = rdp_store()
+        out = np.empty((1, len(recon.scheme.failed_eids), 16), dtype=np.uint8)
+        with leg_context(leg), pytest.raises(IndexError, match="integer"):
+            recon.recover_batch_into(store, out, stripe_ids=np.asarray([1.0]))
+
+
+
+class TestGatheredWrapper:
+    """``ckernel.xor_batch`` on its own: what it runs, refuses and raises."""
+
+    def _call(self, store, ids, n_rows=None):
+        recon, _, scheme = rdp_store()
+        n_rows = len(ids) if n_rows is None else n_rows
+        out = np.empty((n_rows, len(scheme.failed_eids), store.shape[2]), np.uint8)
+        ran = ckernel.xor_batch(store, out, recon._src_off, recon._src_ids, ids)
+        return ran, out, recon
+
+    @kernel
+    def test_valid_ids_run_the_kernel(self):
+        _, store, _ = rdp_store()
+        ids = np.asarray([4, 0, 4, 2], dtype=np.int64)
+        ran, out, recon = self._call(store, ids)
+        assert ran is True
+        ref = np.empty_like(out)
+        recon._recover_into_numpy(store[ids], ref)
+        assert np.array_equal(out, ref)
+
+    @kernel
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_out_of_range_id_raises_before_the_kernel(self, bad):
+        _, store, _ = rdp_store()
+        with pytest.raises(IndexError, match=f"stripe id {bad} out of range"):
+            self._call(store, np.asarray([1, bad], dtype=np.int64))
+
+    @kernel
+    def test_wrong_length_ids_raise(self):
+        _, store, _ = rdp_store()
+        with pytest.raises(ValueError, match="stripe_ids shape"):
+            self._call(store, np.asarray([0, 1], dtype=np.int64), n_rows=3)
+
+    @kernel
+    def test_int32_ids_refused(self):
+        _, store, _ = rdp_store()
+        ran, _, _ = self._call(store, np.asarray([0, 1], dtype=np.int32))
+        assert ran is False
+
+    @kernel
+    def test_non_contiguous_ids_refused(self):
+        _, store, _ = rdp_store()
+        ids = np.asarray([0, 9, 1, 9, 2, 9], dtype=np.int64)[::2]
+        assert not ids.flags.c_contiguous
+        ran, _, _ = self._call(store, ids)
+        assert ran is False
+
+    @kernel
+    def test_non_contiguous_store_refused_and_dispatch_still_serves(self):
+        recon, store, scheme = rdp_store()
+        strided = np.ascontiguousarray(np.repeat(store, 2, axis=2))[:, :, ::2]
+        assert not strided.flags.c_contiguous
+        ids = np.asarray([3, 1, 3], dtype=np.int64)
+        ran, _, _ = self._call(strided, ids)
+        assert ran is False
+        got = np.empty((3, len(scheme.failed_eids), 16), dtype=np.uint8)
+        ref = np.empty_like(got)
+        recon.recover_batch_into(strided, got, stripe_ids=ids)
+        recon._recover_into_numpy(store[ids], ref)
+        assert np.array_equal(got, ref)
+
+    def test_pure_python_leg_reports_fallback(self):
+        _, store, _ = rdp_store()
+        with pure_python():
+            ran, _, _ = self._call(store, np.asarray([0], dtype=np.int64))
+        assert ran is False

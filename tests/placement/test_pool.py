@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.codec import execute_scheme
 from repro.codec.encoder import StripeCodec
 from repro.codes import CauchyRSCode, EvenOddCode, RdpCode
 from repro.pipeline import PoolRebuild, compare_placements, rebuild_pool_disk
 from repro.placement import FlatPlacement, PoolStore, make_placement
+from repro.recovery import RecoveryPlanner, RecoveryScheme
+from repro.topology import Topology, TopologyAwarePlanner
 
 
 def build_store(name="declustered", code=None, n_pool=40, n_stripes=300,
@@ -130,3 +135,179 @@ class TestPoolRebuild:
             assert key in res.stats
         assert res.stats["placement"] == "random"
         assert res.stats["read_load"]["max_per_disk"] == res.max_read_load
+
+
+class _FixedPlanner:
+    """Serves one doctored scheme for ``role``, real schemes elsewhere."""
+
+    def __init__(self, code, role, scheme):
+        self.real = RecoveryPlanner(code, "u", depth=1)
+        self.role = role
+        self.scheme = scheme
+
+    def scheme_for_disk(self, disk):
+        return self.scheme if disk == self.role else self.real.scheme_for_disk(disk)
+
+
+def _disk_playing(store, role):
+    """A pool disk that plays logical ``role`` in some stripe."""
+    return next(
+        d for d in range(store.placement.n_pool)
+        if role in store.placement.roles_of_disk(d)[1]
+    )
+
+
+class TestStaticDeadRowGuard:
+    """The rebuild reads the live store, so a plan that reads the dead
+    role's rows would verify clean; the guard refuses it up front."""
+
+    def _real(self, store, role):
+        return RecoveryPlanner(store.code, "u", depth=1).scheme_for_disk(role)
+
+    def test_equation_reading_a_dead_row_raises(self):
+        store = build_store("declustered", n_pool=20, n_stripes=120)
+        k, role = store.k_rows, 1
+        real = self._real(store, role)
+        dead_row = role * k + k - 1
+        # drop the last dead row from the failed set and fold its equation
+        # into the first: the plan now reads that row as a "survivor"
+        keep = [i for i, f in enumerate(real.failed_eids) if f != dead_row]
+        last = real.failed_eids.index(dead_row)
+        eqs = [real.equations[i] for i in keep]
+        eqs[0] ^= real.equations[last]
+        failed_mask = real.failed_mask & ~(1 << dead_row)
+        read_mask = 0
+        for eq in eqs:
+            read_mask |= eq & ~failed_mask
+        assert (read_mask >> dead_row) & 1
+        doctored = RecoveryScheme(
+            layout=real.layout,
+            failed_mask=failed_mask,
+            failed_eids=[real.failed_eids[i] for i in keep],
+            equations=eqs,
+            read_mask=read_mask,
+        )
+        engine = PoolRebuild(
+            store, planner=_FixedPlanner(store.code, role, doctored)
+        )
+        with pytest.raises(
+            ValueError, match=f"role {role} reads element {dead_row} "
+        ):
+            engine.rebuild(_disk_playing(store, role))
+
+    def test_loads_disagreeing_with_the_plan_raise(self):
+        store = build_store("d3", n_pool=20, n_stripes=120)
+        role = 0
+        real = self._real(store, role)
+        unread = next(
+            e for e in range(store.k_rows, real.layout.n_elements)
+            if not (real.read_mask >> e) & 1
+        )
+        doctored = RecoveryScheme(
+            layout=real.layout,
+            failed_mask=real.failed_mask,
+            failed_eids=list(real.failed_eids),
+            equations=list(real.equations),
+            read_mask=real.read_mask | (1 << unread),
+        )
+        engine = PoolRebuild(
+            store, planner=_FixedPlanner(store.code, role, doctored)
+        )
+        logical = unread // store.k_rows
+        with pytest.raises(
+            ValueError, match=f"role {role} reads .* logical disk {logical}"
+        ):
+            engine.rebuild(_disk_playing(store, role))
+
+    def test_plans_are_compiled_once_per_engine(self):
+        store = build_store("declustered", n_pool=20, n_stripes=120)
+        engine = PoolRebuild(store)
+        engine.rebuild(3)
+        n_plans = len(engine._plans)
+        assert n_plans == len(list(engine.stripe_groups(3)))
+        engine.rebuild(3)
+        assert len(engine._plans) == n_plans
+
+
+#: 3 racks x 2 machines x 2 disks: 12 leaves
+_TOPO = Topology(racks=3, machines_per_rack=2, disks_per_machine=2)
+
+
+@st.composite
+def pool_case(draw):
+    code = draw(st.sampled_from([RdpCode(5), EvenOddCode(5)]))
+    width = code.layout.n_disks
+    name = draw(
+        st.sampled_from(["flat", "declustered", "d3", "random", "rack_aware"])
+    )
+    with_topology = name == "rack_aware" or draw(st.booleans())
+    n_pool = _TOPO.n_disks if with_topology else draw(st.integers(width, 16))
+    return {
+        "code": code,
+        "name": name,
+        "n_pool": n_pool,
+        "topology": _TOPO if with_topology else None,
+        "aware": with_topology and draw(st.booleans()),
+        "n_stripes": draw(st.integers(1, 40)),
+        "element_size": draw(st.sampled_from([1, 8, 24])),
+        "chunk": draw(st.sampled_from([1, 7, 256])),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def naive_rows(engine, dead_disk):
+    """Per-stripe reference: ``execute_scheme`` on each stored stripe."""
+    store = engine.store
+    k = store.k_rows
+    rows = {}
+    for role, ids, scheme in engine.stripe_groups(dead_disk):
+        for s in ids:
+            rec = execute_scheme(scheme, store.stripes[s])
+            rows[int(s)] = np.stack([rec[role * k + r] for r in range(k)])
+    return rows
+
+
+class TestPoolRebuildOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(pool_case())
+    def test_every_dead_disk_matches_the_per_stripe_reference(self, case):
+        code = case["code"]
+        pm = make_placement(
+            case["name"], case["n_pool"], case["n_stripes"], code.layout.n_disks,
+            seed=case["seed"], topology=case["topology"],
+        )
+        store = PoolStore(code, pm, element_size=case["element_size"])
+        store.encode_random(np.random.default_rng(case["seed"]))
+        seen = []
+        engine = PoolRebuild(
+            store,
+            chunk_stripes=case["chunk"],
+            topo_planner=(
+                TopologyAwarePlanner(code, case["topology"])
+                if case["aware"]
+                else None
+            ),
+            throttle=seen.append,
+        )
+        for dead in range(pm.n_pool):
+            seen.clear()
+            res = engine.rebuild(dead)
+            ref = naive_rows(engine, dead)
+            assert res.mismatches == 0
+            assert np.array_equal(res.stripe_ids, sorted(ref))
+            for j, s in enumerate(res.stripe_ids):
+                assert np.array_equal(res.rows[j], ref[int(s)]), (dead, int(s))
+            assert np.array_equal(res.reads_per_disk, engine.read_loads(dead))
+            if case["topology"] is not None:
+                planned = engine.link_read_loads(dead)
+                for level in ("disk_reads", "machine_reads", "rack_reads"):
+                    assert np.array_equal(
+                        getattr(res.link_loads, level), getattr(planned, level)
+                    ), level
+            else:
+                assert res.link_loads is None
+            # the throttle saw every chunk exactly once
+            assert len(seen) == res.stats["chunks"]
+            assert all(1 <= len(c) <= case["chunk"] for c in seen)
+            thrown = np.concatenate(seen) if seen else np.empty(0, np.int64)
+            assert np.array_equal(np.sort(thrown), res.stripe_ids)
