@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Rebuild-throughput benchmark for the shared-memory stripe pipeline.
+"""Rebuild-throughput benchmark for the zero-copy stripe pipeline.
 
 Rebuilds a failed physical disk of a rotated array image three ways and
 records MB/s for each:
@@ -9,7 +9,7 @@ records MB/s for each:
   ``execute_scheme``, patch);
 * ``batch`` — the single-process chunked
   :class:`~repro.codec.batch.BatchReconstructor` path (``workers=1``);
-* ``pipeline`` — the multi-process shared-memory pipeline at each worker
+* ``pipeline`` — the forked multi-process pipeline at each worker
   count in ``--workers``.
 
 Every grid point is verified byte-identical against the original disk

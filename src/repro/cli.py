@@ -21,7 +21,7 @@ Subcommands
 ``rebuild``
     High-throughput whole-disk rebuild through :mod:`repro.pipeline`:
     encode a rotated multi-stripe array image, fail a physical disk,
-    rebuild it with the shared-memory stripe pipeline (``--workers``,
+    rebuild it with the zero-copy stripe pipeline (``--workers``,
     ``--chunk-stripes``) and verify byte-identity.  ``--plan-cache PATH``
     persists recovery plans so repeat runs skip the scheme search.
 ``serve``

@@ -12,16 +12,17 @@ When the compiled kernel from :mod:`repro.recovery.ckernel` is available,
 :meth:`BatchReconstructor.recover_batch_into` hands the whole batch to
 ``xor_batch`` instead: one C call fuses every equation of every stripe in
 a single cache-friendly pass, where the numpy fold pays one full memory
-sweep (and one interpreter dispatch) per equation source.  Given stripe
-ids, the same call gathers its stripes straight out of a whole store.  The
-fallback numpy path is kept verbatim and the kernel computes the exact same XORs,
-so outputs are byte-identical with or without a C compiler
-(``REPRO_PURE_PYTHON=1`` forces the numpy path).
+sweep (and one interpreter dispatch) per equation source.  The batch may
+arrive as per-column views of a disk image, and given stripe ids the same
+call gathers its stripes straight out of a whole store, so no caller ever
+stages a copy.  The fallback numpy path folds the same views and the
+kernel computes the exact same XORs, so outputs are byte-identical with
+or without a C compiler (``REPRO_PURE_PYTHON=1`` forces the numpy path).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -117,35 +118,31 @@ class BatchReconstructor:
 
     def recover_batch_into(
         self,
-        stripes: np.ndarray,
+        stripes: Union[np.ndarray, Sequence[np.ndarray]],
         out: np.ndarray,
         stripe_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Zero-allocation variant: XOR straight into a caller buffer.
 
-        ``out`` must have shape ``(n_stripes, n_failed, element_size)``;
-        slot ``i`` along axis 1 receives the element ``failed_eids[i]``.
-        The output slices themselves are the accumulators — nothing is
-        allocated, which is what lets pipeline workers XOR views of a
-        shared-memory arena in place.  Returns ``out``.
+        ``stripes`` is the ``(n_stripes, n_elements, element_size)`` batch,
+        or the same batch as a sequence of column views, each
+        ``(n_stripes, k, element_size)``, whose concatenation along axis 1
+        is that batch — one view per logical disk of a disk image, for
+        instance, so a rotated stripe is read where it lies.  ``out`` must
+        have shape ``(n_stripes, n_failed, element_size)``; slot ``i``
+        along axis 1 receives the element ``failed_eids[i]``.  Inputs and
+        ``out`` may be strided views (rebuilt rows land straight in the
+        image they belong to) and the output slices themselves are the
+        accumulators, so nothing is allocated or copied.  Returns ``out``.
 
         With ``stripe_ids`` (a 1-D integer array, any order, repeats
-        allowed) ``stripes`` is a whole store and output row ``j`` is
+        allowed) ``stripes`` holds a whole store and output row ``j`` is
         rebuilt from stripe ``stripe_ids[j]``: the kernel reads the store
         in place, so a caller holding a store never copies a batch out of
-        it.  An id outside ``[0, len(stripes))`` raises
-        :class:`IndexError`.
+        it.  An id outside ``[0, n_stripes)`` raises :class:`IndexError`.
         """
-        if stripes.ndim != 3:
-            raise ValueError(
-                f"expected (n_stripes, n_elements, element_size), got {stripes.shape}"
-            )
-        if stripes.shape[1] != self.scheme.layout.n_elements:
-            raise ValueError(
-                f"stripe width {stripes.shape[1]} != layout "
-                f"{self.scheme.layout.n_elements}"
-            )
-        n_rows = stripes.shape[0]
+        cols = self._columns(stripes)
+        n_rows = cols[0].shape[0]
         if stripe_ids is not None:
             stripe_ids = np.asarray(stripe_ids)
             if stripe_ids.ndim != 1 or stripe_ids.dtype.kind not in "iu":
@@ -156,23 +153,63 @@ class BatchReconstructor:
             ckernel.check_stripe_ids(stripe_ids, n_rows)
             stripe_ids = np.ascontiguousarray(stripe_ids, dtype=np.int64)
             n_rows = len(stripe_ids)
-        want = (n_rows, len(self._plan), stripes.shape[2])
+        want = (n_rows, len(self._plan), cols[0].shape[2])
         if out.shape != want:
             raise ValueError(f"out shape {out.shape} != {want}")
-        if ckernel.xor_batch(stripes, out, self._src_off, self._src_ids, stripe_ids):
+        if ckernel.xor_batch(cols, out, self._src_off, self._src_ids, stripe_ids):
             return out
-        if stripe_ids is not None:
-            stripes = stripes[stripe_ids]
-        return self._recover_into_numpy(stripes, out)
+        return self._recover_into_numpy(cols, out, stripe_ids)
 
-    def _recover_into_numpy(self, stripes: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Pure-numpy fold; reference semantics for the C kernel."""
+    def _columns(
+        self, stripes: Union[np.ndarray, Sequence[np.ndarray]]
+    ) -> List[np.ndarray]:
+        """``stripes`` as a list of equal-shape 3-D column views."""
+        if isinstance(stripes, np.ndarray):
+            cols = [stripes]
+        else:
+            cols = list(stripes)
+            shapes = {c.shape for c in cols}
+            if len(shapes) > 1:
+                raise ValueError(
+                    f"column views differ in shape: {[c.shape for c in cols]}"
+                )
+        if not cols or cols[0].ndim != 3:
+            raise ValueError(
+                f"expected (n_stripes, n_elements, element_size) or column "
+                f"views, got {[c.shape for c in cols]}"
+            )
+        width = len(cols) * cols[0].shape[1]
+        if width != self.scheme.layout.n_elements:
+            raise ValueError(
+                f"stripe width {width} != layout {self.scheme.layout.n_elements}"
+            )
+        return cols
+
+    def _recover_into_numpy(
+        self,
+        stripes: Union[np.ndarray, Sequence[np.ndarray]],
+        out: np.ndarray,
+        stripe_ids: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Pure-numpy fold; reference semantics for the C kernel.
+
+        Takes the same inputs as :meth:`recover_batch_into` and folds the
+        same views: each source is one row of one column, gathered by
+        ``stripe_ids`` when given.
+        """
+        cols = self._columns(stripes)
+        k = cols[0].shape[1]
+
+        def source(eid: int) -> np.ndarray:
+            rows = cols[eid // k][:, eid % k, :]
+            return rows if stripe_ids is None else rows[stripe_ids]
+
         for i, (f, surviving, recovered_refs) in enumerate(self._plan):
             acc = out[:, i, :]
             if surviving:
-                np.copyto(acc, stripes[:, surviving[0], :])
+                np.copyto(acc, source(surviving[0]))
                 for eid in surviving[1:]:
-                    np.bitwise_xor(acc, stripes[:, eid, :], out=acc)
+                    np.bitwise_xor(acc, source(eid), out=acc)
             else:
                 acc[...] = 0
             for eid in recovered_refs:
@@ -186,4 +223,36 @@ class BatchReconstructor:
         return all(
             np.array_equal(stripes[:, eid, :], data)
             for eid, data in recovered.items()
+        )
+
+
+def check_plan(recon: BatchReconstructor, role: int) -> None:
+    """Refuse a plan that reads the dead role or misstates its loads.
+
+    Both rebuild engines read survivors in place — the pool rebuild out
+    of the store, the array rebuild out of the disk image — where the dead
+    role's rows are still addressable (and, in a test image, intact), so a
+    plan that read one could pass byte verification silently.  Checked
+    statically instead, once per compiled plan: no surviving source may
+    lie in the dead rows, and the distinct sources per logical disk must
+    equal ``scheme.loads`` (the quantity billed).  Raises
+    :class:`ValueError`.
+    """
+    scheme = recon.scheme
+    k = scheme.layout.k_rows
+    src = recon.source_eids
+    dead = src[(src >= role * k) & (src < (role + 1) * k)]
+    if dead.size:
+        raise ValueError(
+            f"scheme for role {role} reads element {int(dead[0])} of the "
+            f"dead role (rows {role * k}..{(role + 1) * k - 1})"
+        )
+    per_disk = np.bincount(src // k, minlength=scheme.layout.n_disks)
+    loads = np.asarray(scheme.loads, dtype=np.int64)
+    if not np.array_equal(per_disk, loads):
+        d = int(np.flatnonzero(per_disk != loads)[0])
+        raise ValueError(
+            f"scheme for role {role} reads {int(per_disk[d])} elements of "
+            f"logical disk {d} (first element {d * k}), but its loads "
+            f"say {int(loads[d])}"
         )

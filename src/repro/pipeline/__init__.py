@@ -1,17 +1,18 @@
 """``repro.pipeline`` — high-throughput whole-disk rebuild engine.
 
 The streaming data plane for single-disk recovery: chunked stripe
-iteration (:mod:`repro.pipeline.chunks`), a double-buffered
-``multiprocessing.shared_memory`` arena (:mod:`repro.pipeline.arena`) and
-the multi-process pipeline itself (:mod:`repro.pipeline.engine`), wired to
-the persistent :class:`~repro.recovery.plancache.SchemePlanCache` so
-repeated rebuilds skip scheme search entirely.  Pool-scale rebuild — one
+iteration (:mod:`repro.pipeline.chunks`) and the zero-copy pipeline
+itself (:mod:`repro.pipeline.engine`), whose inline path and forked
+workers read survivors in place from the disk image and XOR recovered
+rows in place into the rebuilt image — no staging copy, no named shared
+memory.  It is wired to the persistent
+:class:`~repro.recovery.plancache.SchemePlanCache` so repeated rebuilds
+skip scheme search entirely.  Pool-scale rebuild — one
 dead disk of a placed fleet, reads declustered across hundreds of disks —
 lives in :mod:`repro.pipeline.pool`.  See the "Rebuild throughput" section
 of ``docs/performance.md`` and ``docs/placement.md``.
 """
 
-from repro.pipeline.arena import ArenaSpec, SharedArena
 from repro.pipeline.chunks import StripeChunk, iter_chunks, rotation_classes
 from repro.pipeline.engine import RebuildPipeline, RebuildResult, rebuild_disk
 from repro.pipeline.pool import (
@@ -22,12 +23,10 @@ from repro.pipeline.pool import (
 )
 
 __all__ = [
-    "ArenaSpec",
     "PoolRebuild",
     "PoolRebuildResult",
     "RebuildPipeline",
     "RebuildResult",
-    "SharedArena",
     "StripeChunk",
     "compare_placements",
     "iter_chunks",

@@ -1,4 +1,4 @@
-"""High-throughput rebuild engine: shared-memory parallel stripe pipeline.
+"""High-throughput rebuild engine: zero-copy parallel stripe pipeline.
 
 ``repro.pipeline`` is the data-plane counterpart of the planning layer: it
 takes a code, a failed physical disk and an array image and drives the
@@ -6,24 +6,32 @@ whole rebuild as a streaming pipeline —
 
 1. :func:`~repro.pipeline.chunks.iter_chunks` slices the stripe space into
    homogeneous batches (one logical failed role, one compiled plan each);
-2. the parent gathers each chunk's surviving elements into a slot of a
-   :class:`~repro.pipeline.arena.SharedArena` (vectorised, one fancy-index
-   copy per disk) and pushes a tiny descriptor to the task queue — stripe
-   bytes are never pickled;
-3. workers XOR views of the shared slot straight into the output block via
-   :meth:`~repro.codec.batch.BatchReconstructor.recover_batch_into`, each
-   reusing one compiled plan per logical role for its whole lifetime;
-4. an ordered collector patches finished chunks back into the rebuilt disk
-   image in chunk order; the finite slot pool is the backpressure — at
-   most ``2 x workers`` chunks are ever in flight.
+2. every chunk is one
+   :meth:`~repro.codec.batch.BatchReconstructor.recover_batch_into` call
+   that reads the survivors **in place** — one strided view per logical
+   disk of the disk image, rotated to the chunk's rotation class — and
+   XORs the recovered rows **in place** into a strided view of the rebuilt
+   image.  No stripe byte is gathered, staged or patched back; only the
+   elements the plan names are ever touched;
+3. with ``workers >= 2`` the chunks are spread over worker processes
+   forked for the call: they inherit the disk image read-only through
+   ``fork`` and write into a rebuilt image allocated as an anonymous
+   shared mapping, so only ``(chunk_id, rotation, start, n_stripes,
+   logical_disk)`` descriptors cross the pipes.  The parent keeps
+   throttle admission, the in-flight bound (two chunks per worker), the
+   ordered ``on_chunk`` delivery and the read billing.
 
-With ``workers <= 1`` the same chunked batch path runs inline (no arena,
-no subprocesses) — that is the single-process baseline the benchmark
-harness compares against, and the output is byte-identical by
-construction.  ``use_batch=False`` additionally drops to the per-stripe
-:class:`~repro.codec.reconstructor.Reconstructor` path (zero-copy in-place
-patching via ``recover_and_patch(..., out=...)``), which is the engine the
-repo had before this module existed — kept as the equivalence oracle.
+With ``workers <= 1`` (or fewer than two chunks, or no ``fork`` on the
+platform) the same per-chunk calls run inline, and the output is
+byte-identical by construction.  ``use_batch=False`` additionally drops
+to the per-stripe :class:`~repro.codec.reconstructor.Reconstructor` path
+(zero-copy in-place patching via ``recover_and_patch(..., out=...)``),
+which is the engine the repo had before this module existed — kept as
+the equivalence oracle.
+
+Reading in place makes the failed disk's rows addressable, so every
+compiled plan is checked once, statically, to read none of them
+(:func:`~repro.codec.batch.check_plan`).
 
 Planning is delegated to :class:`~repro.recovery.planner.RecoveryPlanner`,
 optionally backed by a persistent
@@ -33,30 +41,29 @@ the same code skip the C/U search entirely.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from multiprocessing import connection
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.codec.batch import BatchReconstructor
+from repro.codec.batch import BatchReconstructor, check_plan
 from repro.codec.image import ArrayImageCodec
 from repro.codec.reconstructor import Reconstructor
-from repro.pipeline.arena import ArenaSpec, SharedArena
 from repro.pipeline.chunks import StripeChunk, iter_chunks
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.scheme import RecoveryScheme
 
-
-def _mp_context():
-    """Fork where available (cheap, inherits nothing it shouldn't via the
-    arena's named attach); spawn elsewhere."""
-    methods = mp.get_all_start_methods()
-    return mp.get_context("fork" if "fork" in methods else "spawn")
+#: workers inherit the disk image through fork; without it they run inline
+_FORK = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else None
+#: chunks a worker holds at once: one running, one queued behind it
+_PER_WORKER = 2
 
 
 @dataclass
@@ -72,47 +79,86 @@ class RebuildResult:
         return self.stats.get("rebuilt_mb_s", 0.0)
 
 
+def _chunk_views(
+    disks4: np.ndarray,
+    rebuilt3: np.ndarray,
+    rotation: int,
+    start: int,
+    n_stripes: int,
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """A chunk's input columns and output rows, as views (nothing copied).
+
+    ``disks4`` is the image as ``(n_disks, n_stripes, k, esz)`` and
+    ``rebuilt3`` the rebuilt disk as ``(n_stripes, k, esz)``.  A chunk is
+    ``n_stripes`` stripes of one rotation class, ``start, start + n, ...``
+    for ``n`` disks, so logical disk ``l`` of every stripe in it lives on
+    physical disk ``(l + rotation) % n``.
+    """
+    n = disks4.shape[0]
+    rows = slice(start, start + n * n_stripes, n)
+    cols = [disks4[(logical + rotation) % n, rows] for logical in range(n)]
+    return cols, rebuilt3[rows]
+
+
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
 def _worker_main(
     worker_id: int,
-    spec: ArenaSpec,
-    schemes: Dict[int, RecoveryScheme],
-    task_q,
-    result_q,
+    conn,
+    inherited,
+    disks4: np.ndarray,
+    rebuilt3: np.ndarray,
+    compiled: Dict[int, BatchReconstructor],
 ) -> None:
-    """Pipeline worker: recover chunks in shared memory until poisoned.
+    """Pipeline worker: recover chunks in place until poisoned.
 
-    ``schemes`` (logical disk -> plan) is pickled to the worker exactly
-    once at spawn; each plan is compiled into a
-    :class:`BatchReconstructor` on first use and reused for every chunk of
-    that logical role thereafter.
+    Everything arrives through ``fork``: the image it reads, the shared
+    rebuilt image it writes, and the compiled, checked plans (logical disk
+    -> :class:`BatchReconstructor`).  Only descriptors arrive on ``conn``.
+    ``inherited`` are the parent's ends of every pipe forked so far; they
+    are closed here so that the parent's death reaches ``conn`` as EOF.
     """
-    arena = SharedArena.attach(spec)
-    compiled: Dict[int, BatchReconstructor] = {}
-    try:
-        while True:
-            task = task_q.get()
-            if task is None:
-                break
-            chunk_id, slot, n_stripes, logical_disk = task
-            try:
-                recon = compiled.get(logical_disk)
-                if recon is None:
-                    recon = compiled[logical_disk] = BatchReconstructor(
-                        schemes[logical_disk]
-                    )
-                recon.recover_batch_into(
-                    arena.input_view(slot, n_stripes),
-                    arena.output_view(slot, n_stripes),
-                )
-            except Exception as exc:  # surface, don't hang the parent
-                result_q.put(("error", worker_id, chunk_id, repr(exc)))
-                break
-            result_q.put(("done", worker_id, chunk_id, slot))
-    finally:
-        arena.close()
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        if task is None:
+            return
+        chunk_id, rotation, start, n_stripes, logical_disk = task
+        try:
+            cols, rows = _chunk_views(disks4, rebuilt3, rotation, start, n_stripes)
+            compiled[logical_disk].recover_batch_into(cols, rows)
+        except Exception as exc:  # surface, don't hang the parent
+            # and stay up until told to stop: exiting here could make the
+            # parent's next send fail before it reads this report
+            conn.send(("error", worker_id, chunk_id, repr(exc)))
+            continue
+        conn.send(("done", worker_id, chunk_id))
+
+
+def _raise_dead(worker_id: int, proc) -> NoReturn:
+    """Report a worker that exited without being told to."""
+    proc.join(timeout=5)
+    raise RuntimeError(
+        f"pipeline worker {worker_id} (pid {proc.pid}) died with exit code "
+        f"{proc.exitcode}"
+    )
+
+
+def _shared_empty(shape: Tuple[int, ...]) -> np.ndarray:
+    """A uint8 array in an anonymous shared mapping.
+
+    Written by forked workers, visible to the parent: no name, nothing to
+    unlink, nothing for a resource tracker to track.  The mapping lives
+    as long as the array does.
+    """
+    nbytes = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(1, nbytes))  # MAP_SHARED | MAP_ANONYMOUS
+    return np.frombuffer(buf, dtype=np.uint8, count=nbytes).reshape(shape)
 
 
 # ----------------------------------------------------------------------
@@ -137,15 +183,15 @@ class RebuildPipeline:
         Scheme search configuration when no planner is supplied.
     throttle:
         Optional hook called with each :class:`StripeChunk` *before* it is
-        gathered and dispatched.  Blocking inside the hook delays rebuild
+        recovered or dispatched.  Blocking inside the hook delays rebuild
         work without touching anything else — this is the admission-control
         point the QoS scheduler in :mod:`repro.serving` plugs into.
         Applies to the chunked paths (``use_batch=True``).
     on_chunk:
-        Optional hook called after each chunk's recovered rows have been
-        patched into the rebuilt image, with ``(chunk, rows)`` where
-        ``rows`` is a ``(n_stripes, k_rows, element_size)`` view valid
-        only for the duration of the callback (copy to keep).  Chunks are
+        Optional hook called after each chunk's recovered rows have landed
+        in the rebuilt image, with ``(chunk, rows)`` where ``rows`` is a
+        ``(n_stripes, k_rows, element_size)`` view valid only for the
+        duration of the callback (copy to keep).  Chunks are
         delivered in chunk-id order.  Applies to the chunked paths.
     """
 
@@ -173,6 +219,7 @@ class RebuildPipeline:
         self.planner = planner or RecoveryPlanner(
             codec.code, algorithm=algorithm, depth=depth, plan_cache=plan_cache
         )
+        self._plans: Dict[Tuple, BatchReconstructor] = {}
 
     # ------------------------------------------------------------------
     # planning
@@ -187,36 +234,19 @@ class RebuildPipeline:
         with obs.span("pipeline.plan", roles=len(needed)):
             return {d: self.planner.scheme_for_disk(d) for d in sorted(needed)}
 
-    # ------------------------------------------------------------------
-    # gather / patch-back primitives (parent side)
-    # ------------------------------------------------------------------
-    def _gather_chunk(
-        self, disks: np.ndarray, chunk: StripeChunk, out: np.ndarray
-    ) -> None:
-        """Copy a chunk's stripes into ``out`` in logical element order.
+    def _compile(self, role: int, scheme: RecoveryScheme) -> BatchReconstructor:
+        """The compiled, checked plan for rebuilding ``role`` with ``scheme``.
 
-        One fancy-index copy per surviving disk; the failed logical disk's
-        rows are left stale on purpose — no scheme may read them, so any
-        accidental dependence shows up as a byte mismatch, not silence.
+        Memoised on the plan's full semantics, so each distinct scheme is
+        compiled and checked once per engine, not once per rebuild.
         """
-        lay = self.codec.code.layout
-        k = lay.k_rows
-        row_idx = chunk.stripe_ids[:, None] * k + np.arange(k, dtype=np.int64)
-        for logical in range(lay.n_disks):
-            if logical == chunk.logical_disk:
-                continue
-            phys = (logical + chunk.rotation) % lay.n_disks
-            out[:, logical * k : (logical + 1) * k, :] = disks[phys][row_idx]
-
-    def _patch_chunk(
-        self, rebuilt: np.ndarray, chunk: StripeChunk, recovered: np.ndarray
-    ) -> None:
-        """Scatter a chunk's recovered rows into the rebuilt disk image."""
-        k = self.codec.code.layout.k_rows
-        row_idx = (
-            chunk.stripe_ids[:, None] * k + np.arange(k, dtype=np.int64)
-        ).reshape(-1)
-        rebuilt[row_idx] = recovered.reshape(-1, self.codec.element_size)
+        key = (role, scheme.failed_mask, tuple(scheme.equations), scheme.read_mask)
+        recon = self._plans.get(key)
+        if recon is None:
+            recon = BatchReconstructor(scheme)
+            check_plan(recon, role)
+            self._plans[key] = recon
+        return recon
 
     def _bill_reads(
         self,
@@ -247,36 +277,43 @@ class RebuildPipeline:
         (hot-spare semantics).
         """
         lay = self.codec.code.layout
-        if not 0 <= failed_physical < lay.n_disks:
+        n, k = lay.n_disks, lay.k_rows
+        ns, esz = self.codec.n_stripes, self.codec.element_size
+        if not 0 <= failed_physical < n:
             raise IndexError(f"physical disk {failed_physical} out of range")
-        expect = (lay.n_disks, self.codec.n_stripes * lay.k_rows, self.codec.element_size)
-        if disks.shape != expect:
-            raise ValueError(f"disks shape {disks.shape} != {expect}")
+        if disks.shape != (n, ns * k, esz):
+            raise ValueError(f"disks shape {disks.shape} != {(n, ns * k, esz)}")
+        if disks.dtype != np.uint8:
+            raise ValueError(f"disks dtype {disks.dtype} != uint8")
 
         schemes = self._schemes_for(failed_physical)
-        chunks = list(
-            iter_chunks(
-                self.codec.n_stripes, lay.n_disks, failed_physical,
-                self.chunk_stripes,
-            )
-        )
-        rebuilt = np.zeros(
-            (self.codec.n_stripes * lay.k_rows, self.codec.element_size),
-            dtype=np.uint8,
-        )
-        reads_per_disk = [0] * lay.n_disks
-
-        t0 = time.perf_counter()
+        compiled = {d: self._compile(d, s) for d, s in schemes.items()}
+        chunks = list(iter_chunks(ns, n, failed_physical, self.chunk_stripes))
         if not use_batch:
             mode = "stripe-loop"
-            self._rebuild_per_stripe(disks, failed_physical, schemes, rebuilt,
-                                     reads_per_disk)
-        elif self.workers <= 1 or len(chunks) < 2:
+        elif self.workers <= 1 or len(chunks) < 2 or _FORK is None:
             mode = "inline-batch"
-            self._rebuild_inline(disks, schemes, chunks, rebuilt, reads_per_disk)
         else:
             mode = "pipeline"
-            self._rebuild_parallel(disks, schemes, chunks, rebuilt, reads_per_disk)
+        # forked workers must write where the parent can see it
+        shape = (ns * k, esz)
+        if mode == "pipeline":
+            rebuilt = _shared_empty(shape)
+        else:
+            rebuilt = np.empty(shape, dtype=np.uint8)
+        reads_per_disk = [0] * n
+
+        t0 = time.perf_counter()
+        if mode == "stripe-loop":
+            self._rebuild_per_stripe(disks, failed_physical, schemes, rebuilt,
+                                     reads_per_disk)
+        else:
+            # views only: a C-contiguous image reshapes without a copy
+            disks4 = disks.reshape(n, ns, k, esz)
+            rebuilt3 = rebuilt.reshape(ns, k, esz)
+            run = (self._rebuild_inline if mode == "inline-batch"
+                   else self._rebuild_parallel)
+            run(disks4, compiled, schemes, chunks, rebuilt3, reads_per_disk)
         wall_s = time.perf_counter() - t0
 
         if patch:
@@ -343,35 +380,25 @@ class RebuildPipeline:
 
     def _rebuild_inline(
         self,
-        disks: np.ndarray,
+        disks4: np.ndarray,
+        compiled: Dict[int, BatchReconstructor],
         schemes: Dict[int, RecoveryScheme],
         chunks: List[StripeChunk],
-        rebuilt: np.ndarray,
+        rebuilt3: np.ndarray,
         reads_per_disk: List[int],
     ) -> None:
         """Chunked batch path in this process (the workers<=1 fallback)."""
-        lay = self.codec.code.layout
-        compiled = {d: BatchReconstructor(s) for d, s in schemes.items()}
-        in_buf = np.empty(
-            (self.chunk_stripes, lay.n_elements, self.codec.element_size),
-            dtype=np.uint8,
-        )
-        out_buf = np.empty(
-            (self.chunk_stripes, lay.k_rows, self.codec.element_size),
-            dtype=np.uint8,
-        )
         for chunk in chunks:
             if self.throttle is not None:
                 self.throttle(chunk)
-            n = chunk.n_stripes
-            self._gather_chunk(disks, chunk, in_buf[:n])
-            compiled[chunk.logical_disk].recover_batch_into(
-                in_buf[:n], out_buf[:n]
+            cols, rows = _chunk_views(
+                disks4, rebuilt3, chunk.rotation, int(chunk.stripe_ids[0]),
+                chunk.n_stripes,
             )
-            self._patch_chunk(rebuilt, chunk, out_buf[:n])
+            compiled[chunk.logical_disk].recover_batch_into(cols, rows)
             self._bill_reads(reads_per_disk, chunk, schemes[chunk.logical_disk])
             if self.on_chunk is not None:
-                self.on_chunk(chunk, out_buf[:n])
+                self.on_chunk(chunk, rows)
             obs.count("pipeline.chunks")
 
     # ------------------------------------------------------------------
@@ -379,107 +406,99 @@ class RebuildPipeline:
     # ------------------------------------------------------------------
     def _rebuild_parallel(
         self,
-        disks: np.ndarray,
+        disks4: np.ndarray,
+        compiled: Dict[int, BatchReconstructor],
         schemes: Dict[int, RecoveryScheme],
         chunks: List[StripeChunk],
-        rebuilt: np.ndarray,
+        rebuilt3: np.ndarray,
         reads_per_disk: List[int],
     ) -> None:
-        lay = self.codec.code.layout
-        ctx = _mp_context()
         n_workers = min(self.workers, len(chunks))
-        n_slots = 2 * n_workers  # double buffering == the in-flight bound
-        arena = SharedArena(
-            n_slots=n_slots,
-            chunk_stripes=self.chunk_stripes,
-            n_elements=lay.n_elements,
-            k_rows=lay.k_rows,
-            element_size=self.codec.element_size,
-        )
-        task_q = ctx.Queue()
-        result_q = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=_worker_main,
-                args=(w, arena.spec, schemes, task_q, result_q),
-                daemon=True,
-            )
-            for w in range(n_workers)
-        ]
-        for p in procs:
-            p.start()
-
-        pending = deque(chunks)
-        free_slots = list(range(n_slots))
-        inflight: Dict[int, StripeChunk] = {}
-        slot_of: Dict[int, int] = {}
-        finished: Dict[int, int] = {}  # chunk_id -> slot, awaiting ordered patch
-        next_patch = 0
+        conns: List[connection.Connection] = []
+        procs = []
         try:
+            for w in range(n_workers):
+                ours, theirs = _FORK.Pipe()
+                conns.append(ours)
+                proc = _FORK.Process(
+                    target=_worker_main,
+                    args=(w, theirs, list(conns), disks4, rebuilt3, compiled),
+                    daemon=True,
+                )
+                proc.start()
+                theirs.close()
+                procs.append(proc)
+            sentinels = [p.sentinel for p in procs]
+
+            pending = deque(chunks)
+            held = [0] * n_workers       # chunks dispatched to each worker
+            finished = set()
+            next_done = 0
             with obs.span(
                 "pipeline.parallel", workers=n_workers, chunks=len(chunks)
             ):
-                while next_patch < len(chunks):
-                    # keep the arena full: gather + dispatch while slots last
-                    while free_slots and pending:
-                        chunk = pending.popleft()
-                        if self.throttle is not None:
-                            self.throttle(chunk)
-                        slot = free_slots.pop()
-                        self._gather_chunk(
-                            disks, chunk, arena.input_view(slot, chunk.n_stripes)
-                        )
-                        inflight[chunk.chunk_id] = chunk
-                        slot_of[chunk.chunk_id] = slot
-                        task_q.put(
-                            (chunk.chunk_id, slot, chunk.n_stripes,
-                             chunk.logical_disk)
-                        )
-                        obs.gauge("pipeline.inflight", len(inflight))
-                    msg = result_q.get()
-                    if msg[0] == "error":
-                        _, worker_id, chunk_id, detail = msg
-                        raise RuntimeError(
-                            f"pipeline worker {worker_id} failed on chunk "
-                            f"{chunk_id}: {detail}"
-                        )
-                    _, _worker_id, chunk_id, slot = msg
-                    finished[chunk_id] = slot
-                    # ordered collector: patch back strictly by chunk id.
-                    # Chunks are dispatched in id order, so the lowest
-                    # unfinished id always holds a slot — the buffer can
-                    # never fill with out-of-order results and stall.
-                    while next_patch in finished:
-                        pslot = finished.pop(next_patch)
-                        chunk = inflight.pop(next_patch)
-                        del slot_of[next_patch]
-                        self._patch_chunk(
-                            rebuilt, chunk,
-                            arena.output_view(pslot, chunk.n_stripes),
-                        )
+                while next_done < len(chunks):
+                    for w in range(n_workers):
+                        while pending and held[w] < _PER_WORKER:
+                            chunk = pending.popleft()
+                            if self.throttle is not None:
+                                self.throttle(chunk)
+                            try:
+                                conns[w].send((
+                                    chunk.chunk_id, chunk.rotation,
+                                    int(chunk.stripe_ids[0]), chunk.n_stripes,
+                                    chunk.logical_disk,
+                                ))
+                            except OSError:
+                                _raise_dead(w, procs[w])
+                            held[w] += 1
+                            obs.gauge("pipeline.inflight", sum(held))
+                    ready = connection.wait(conns + sentinels)
+                    for w in range(n_workers):
+                        if conns[w] not in ready and sentinels[w] not in ready:
+                            continue
+                        # a worker that exited has closed its end, so this
+                        # returns a message it left behind or fails at once
+                        try:
+                            msg = conns[w].recv()
+                        except (EOFError, OSError):
+                            _raise_dead(w, procs[w])
+                        if msg[0] == "error":
+                            _, _, chunk_id, detail = msg
+                            raise RuntimeError(
+                                f"pipeline worker {w} failed on chunk "
+                                f"{chunk_id}: {detail}"
+                            )
+                        held[w] -= 1
+                        finished.add(msg[2])
+                    # ordered delivery: chunks are dispatched in id order,
+                    # so the lowest unfinished id is always in flight and
+                    # results can never pile up out of order and stall
+                    while next_done in finished:
+                        finished.remove(next_done)
+                        chunk = chunks[next_done]
                         self._bill_reads(
                             reads_per_disk, chunk, schemes[chunk.logical_disk]
                         )
                         if self.on_chunk is not None:
-                            self.on_chunk(
-                                chunk,
-                                arena.output_view(pslot, chunk.n_stripes),
+                            _, rows = _chunk_views(
+                                disks4, rebuilt3, chunk.rotation,
+                                int(chunk.stripe_ids[0]), chunk.n_stripes,
                             )
-                        free_slots.append(pslot)
-                        next_patch += 1
+                            self.on_chunk(chunk, rows)
+                        next_done += 1
                         obs.count("pipeline.chunks")
-            for _ in procs:
-                task_q.put(None)
+            for conn in conns:
+                conn.send(None)
             for p in procs:
                 p.join(timeout=30)
         finally:
             for p in procs:
-                if p.is_alive():  # pragma: no cover - error unwind only
+                if p.is_alive():  # error unwind only
                     p.terminate()
                     p.join(timeout=5)
-            arena.close()
-            task_q.close()
-            result_q.close()
+            for conn in conns:
+                conn.close()
 
 
 # ----------------------------------------------------------------------

@@ -27,10 +27,10 @@ Each chunk is reconstructed straight out of the store: the kernel is
 handed the whole ``(n_stripes, n_elements, esz)`` store plus the chunk's
 stripe ids and gathers the sources in place, so no batch is copied.  The
 dead rows are therefore readable, and every compiled plan is checked
-statically to read none of them (:func:`_check_plan`).  Every recovered
-row is verified byte-identical against the store before the result is
-returned — a placement bug surfaces as a mismatch count, never as silent
-corruption.
+statically to read none of them (:func:`~repro.codec.batch.check_plan`).
+Every recovered row is verified byte-identical against the store before
+the result is returned — a placement bug surfaces as a mismatch count,
+never as silent corruption.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tu
 import numpy as np
 
 from repro import obs
-from repro.codec.batch import BatchReconstructor
+from repro.codec.batch import BatchReconstructor, check_plan
 from repro.placement.pool import PoolStore
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
@@ -84,36 +84,6 @@ class _GroupPlan(NamedTuple):
     logicals: np.ndarray   #: logical disks the plan reads, ascending
     loads: np.ndarray      #: elements read from each per stripe (float64,
                            #: the weights of one ``np.bincount``)
-
-
-def _check_plan(recon: BatchReconstructor, role: int) -> None:
-    """Refuse a plan that reads the dead role or misstates its loads.
-
-    The rebuild gathers survivors straight out of the store, where the
-    dead role's rows are still intact, so a plan that read one would pass
-    byte verification silently.  Checked statically instead, once per
-    compiled plan: no surviving source may lie in the dead rows, and the
-    distinct sources per logical disk must equal ``scheme.loads`` (the
-    quantity billed).  Raises :class:`ValueError`.
-    """
-    scheme = recon.scheme
-    k = scheme.layout.k_rows
-    src = recon.source_eids
-    dead = src[(src >= role * k) & (src < (role + 1) * k)]
-    if dead.size:
-        raise ValueError(
-            f"scheme for role {role} reads element {int(dead[0])} of the "
-            f"dead role (rows {role * k}..{(role + 1) * k - 1})"
-        )
-    per_disk = np.bincount(src // k, minlength=scheme.layout.n_disks)
-    loads = np.asarray(scheme.loads, dtype=np.int64)
-    if not np.array_equal(per_disk, loads):
-        d = int(np.flatnonzero(per_disk != loads)[0])
-        raise ValueError(
-            f"scheme for role {role} reads {int(per_disk[d])} elements of "
-            f"logical disk {d} (first element {d * k}), but its loads "
-            f"say {int(loads[d])}"
-        )
 
 
 class PoolRebuild:
@@ -207,7 +177,7 @@ class PoolRebuild:
         plan = self._plans.get(key)
         if plan is None:
             recon = BatchReconstructor(scheme)
-            _check_plan(recon, role)
+            check_plan(recon, role)
             loads = np.asarray(scheme.loads, dtype=np.int64)
             logicals = np.flatnonzero(loads)
             plan = _GroupPlan(recon, logicals, loads[logicals].astype(np.float64))

@@ -386,51 +386,66 @@ static void xor_into(uint8_t *restrict dst, const uint8_t *restrict src,
 
 /* Reconstruct every failed element of every stripe in one call.
  *
- * Mirrors BatchReconstructor.recover_batch_into exactly: `stripes` is the
- * C-contiguous (*, n_elements, esz) input, `out` the (n_stripes, n_slots,
- * esz) output block whose slot i is the i-th failed element of the
- * compiled plan.  Output row s is rebuilt from input stripe sid[s] when
- * `sid` is given (a gather straight out of a whole store, no staging
- * copy), else from input stripe s; the Python wrapper bounds-checks sid.
- * The flattened plan lives in (src_off, src_ids): slot i's sources are
- * src_ids[src_off[i] .. src_off[i+1]); an id >= 0 names a surviving
- * element of the stripe, an id < 0 names the earlier output slot
- * -(id + 1) (Greenan-style iteration, already in dependency order).  XOR is commutative, so the
- * result is byte-identical to the numpy fold regardless of source order.
+ * Mirrors BatchReconstructor.recover_batch_into exactly.  The input is
+ * addressed as columns: cols[c] is the base of column c, a (*, k_rows,
+ * esz) block whose rows are esz bytes apart, and every column shares one
+ * stripe stride.  Element e of a stripe is row e % k_rows of column
+ * e / k_rows, so a contiguous (*, n_elements, esz) batch is a single
+ * column with k_rows = n_elements, while per-logical-disk views of a disk
+ * image (one column per disk, k_rows rows each) are read in place.
+ * `out` is the (n_stripes, n_slots, esz) output block, slot i the i-th
+ * failed element of the compiled plan, slots esz bytes apart and output
+ * rows out_stride bytes apart.  Output row s is rebuilt from input
+ * stripe sid[s] when `sid` is given (a gather straight out of a whole
+ * store, no staging copy), else from input stripe s; the Python wrapper
+ * bounds-checks sid.  The flattened plan lives in (src_off, src_ids):
+ * slot i's sources are src_ids[src_off[i] .. src_off[i+1]); an id >= 0
+ * names a surviving element of the stripe, an id < 0 names the earlier
+ * output slot -(id + 1) (Greenan-style iteration, already in dependency
+ * order).  XOR is commutative, so the result is byte-identical to the
+ * numpy fold regardless of source order.
  *
- * Stripe-major loop order keeps the working set to one stripe (input row
- * plus its output block), so big chunks stream through cache instead of
- * thrashing it.  Returns 0; there is nothing to fail at this layer —
+ * Stripe-major loop order keeps the working set to one stripe (its
+ * sources plus its output block), so big chunks stream through cache
+ * instead of thrashing it.  Returns 0, or -1 when the per-call source
+ * table cannot be allocated (the caller then takes the numpy path);
  * shape validation happens in the Python wrapper.
  */
-int64_t xor_batch(const uint8_t *stripes, int64_t n_stripes,
-                  int64_t n_elements, int64_t esz,
-                  uint8_t *out, int64_t n_slots,
-                  const int64_t *src_off, const int32_t *src_ids,
-                  const int64_t *sid)
+int64_t xor_batch(const uint8_t *const *cols, int64_t k_rows,
+                  int64_t stripe_stride, const int64_t *sid,
+                  int64_t n_stripes, int64_t esz,
+                  uint8_t *out, int64_t out_stride, int64_t n_slots,
+                  const int64_t *src_off, const int32_t *src_ids)
 {
-    int64_t s, i, j;
+    int64_t s, i, j, n_src = src_off[n_slots];
+    /* each surviving source's address in stripe 0, resolved once */
+    const uint8_t **base = malloc((size_t)(n_src ? n_src : 1) * sizeof *base);
+    if (!base)
+        return -1;
+    for (j = 0; j < n_src; j++)
+        if (src_ids[j] >= 0)
+            base[j] = cols[src_ids[j] / k_rows] + (src_ids[j] % k_rows) * esz;
     for (s = 0; s < n_stripes; s++) {
-        const uint8_t *in_base = stripes + (sid ? sid[s] : s) * n_elements * esz;
-        uint8_t *out_base = out + s * n_slots * esz;
+        int64_t in_off = (sid ? sid[s] : s) * stripe_stride;
+        uint8_t *out_base = out + s * out_stride;
         for (i = 0; i < n_slots; i++) {
             uint8_t *dst = out_base + i * esz;
             int64_t a = src_off[i], b = src_off[i + 1];
-            const uint8_t *src;
             if (a == b) {
                 memset(dst, 0, (size_t)esz);
                 continue;
             }
-            src = src_ids[a] >= 0 ? in_base + (int64_t)src_ids[a] * esz
-                                  : out_base + (int64_t)(-src_ids[a] - 1) * esz;
-            memcpy(dst, src, (size_t)esz);
-            for (j = a + 1; j < b; j++) {
-                src = src_ids[j] >= 0
-                          ? in_base + (int64_t)src_ids[j] * esz
-                          : out_base + (int64_t)(-src_ids[j] - 1) * esz;
-                xor_into(dst, src, esz);
+            for (j = a; j < b; j++) {
+                const uint8_t *src = src_ids[j] >= 0
+                                         ? base[j] + in_off
+                                         : out_base + (int64_t)(-src_ids[j] - 1) * esz;
+                if (j == a)
+                    memcpy(dst, src, (size_t)esz);
+                else
+                    xor_into(dst, src, esz);
             }
         }
     }
+    free(base);
     return 0;
 }

@@ -12,8 +12,10 @@ Two kernels share one shared object compiled from ``_ucs.c``:
   caller's output buffer (see
   :meth:`repro.codec.batch.BatchReconstructor.recover_batch_into`),
   fusing what the numpy path does in one dispatched pass per equation
-  source.  Given stripe ids, it reads the batch straight out of a whole
-  store instead.  Exposed here through :func:`xor_batch`.
+  source.  The batch may be handed over as per-column views (one per
+  logical disk of a disk image, say), and given stripe ids it reads the
+  batch straight out of a whole store; either way nothing is staged.
+  Exposed here through :func:`xor_batch`.
 
 This module compiles ``_ucs.c`` with the system C compiler the first time
 it is needed, caches the shared object under ``$XDG_CACHE_HOME/repro-ckernel``
@@ -114,15 +116,17 @@ def load() -> Optional[ctypes.CDLL]:
         ]
         lib.xor_batch.restype = ctypes.c_int64
         lib.xor_batch.argtypes = [
-            ctypes.c_void_p,                   # stripes (n, n_elements, esz)
-            ctypes.c_int64,                    # n_stripes
-            ctypes.c_int64,                    # n_elements
+            ctypes.POINTER(ctypes.c_void_p),   # column bases
+            ctypes.c_int64,                    # rows per column
+            ctypes.c_int64,                    # stripe stride (bytes)
+            ctypes.POINTER(ctypes.c_int64),    # stripe ids (n,) or NULL
+            ctypes.c_int64,                    # n_stripes (output rows)
             ctypes.c_int64,                    # element_size
             ctypes.c_void_p,                   # out (n, n_slots, esz)
+            ctypes.c_int64,                    # out row stride (bytes)
             ctypes.c_int64,                    # n_slots
             ctypes.POINTER(ctypes.c_int64),    # src_off (n_slots + 1)
             ctypes.POINTER(ctypes.c_int32),    # src_ids
-            ctypes.POINTER(ctypes.c_int64),    # stripe ids (n,) or NULL
         ]
         _lib = lib
     except Exception as exc:
@@ -227,37 +231,57 @@ def check_stripe_ids(stripe_ids, n_stripes: int) -> None:
         raise IndexError(f"stripe id {bad} out of range [0, {n_stripes})")
 
 
+def _rows_packed(arr, esz: int) -> bool:
+    """uint8 with each stripe's rows packed ``esz`` bytes apart."""
+    return arr.dtype.char == "B" and arr.strides[1:] == (esz, 1)
+
+
 def xor_batch(stripes, out, src_off, src_ids, stripe_ids=None) -> bool:
     """Run the batched-XOR kernel; ``False`` means "use the numpy path".
 
     Parameters mirror
     :meth:`repro.codec.batch.BatchReconstructor.recover_batch_into`:
-    ``stripes`` is the ``(n_stripes, n_elements, esz)`` input batch and
-    ``out`` the ``(n_stripes, n_slots, esz)`` output block, both uint8;
-    ``src_off`` (int64, ``n_slots + 1``) and ``src_ids`` (int32) are the
-    flattened source plan (ids ``>= 0`` name stripe elements, ``< 0`` name
-    earlier output slots as ``-(slot + 1)``).  With ``stripe_ids`` (int64,
-    one per output row) ``stripes`` is a whole store and output row ``j``
-    is rebuilt from stripe ``stripe_ids[j]``, read in place.
+    ``stripes`` is either the ``(n_stripes, n_elements, esz)`` input batch
+    or a sequence of column views, each ``(n_stripes, k_rows, esz)``,
+    whose concatenation along axis 1 is that batch (element ``e`` is row
+    ``e % k_rows`` of column ``e // k_rows``); ``out`` is the
+    ``(n_stripes, n_slots, esz)`` output block.  ``src_off`` (int64,
+    ``n_slots + 1``) and ``src_ids`` (int32) are the flattened source
+    plan (ids ``>= 0`` name stripe elements, ``< 0`` name earlier output
+    slots as ``-(slot + 1)``).  With ``stripe_ids`` (int64, one per
+    output row) the input holds a whole store and output row ``j`` is
+    rebuilt from stripe ``stripe_ids[j]``, read in place.
 
-    The caller owns shape agreement between the plan and the buffers;
-    this wrapper refuses what the kernel cannot address — no kernel,
-    non-contiguous or non-uint8 buffers, stripe ids that are not
-    C-contiguous int64 — by returning ``False`` so the numpy fold (which
-    handles any layout) runs instead.  A stripe id outside the store
-    raises :class:`IndexError` before the kernel runs, and a ``stripe_ids``
-    whose length is not ``out``'s row count raises :class:`ValueError`.
-    Output bytes are identical either way.
+    Nothing is copied: columns may sit anywhere in memory and stripes and
+    output rows may be any number of bytes apart, as long as every column
+    shares one stripe stride and, in every buffer, a stripe's rows are
+    packed.  The caller owns shape agreement between the plan and the
+    buffers; this wrapper refuses what the kernel cannot address — no
+    kernel, non-uint8 buffers, unpacked rows, columns with different
+    shapes or stripe strides, a read-only ``out``, stripe ids that are
+    not C-contiguous int64 — by returning ``False`` so the numpy fold
+    (which handles any layout) runs instead.  A stripe id outside the
+    store raises :class:`IndexError` before the kernel runs, and a
+    ``stripe_ids`` whose length is not ``out``'s row count raises
+    :class:`ValueError`.  Output bytes are identical either way.
     """
     lib = load()
     if lib is None or not hasattr(lib, "xor_batch"):
         return False
-    for arr in (stripes, out):
-        if not arr.flags.c_contiguous or arr.dtype.str[1:] != "u1":
+    cols = (stripes,) if hasattr(stripes, "shape") else tuple(stripes)
+    if not cols:
+        return False
+    n_stripes, k_rows, esz = cols[0].shape
+    stride = cols[0].strides[0]
+    for col in cols:
+        if col.shape != cols[0].shape or col.strides[0] != stride:
             return False
+        if not _rows_packed(col, esz):
+            return False
+    if not (_rows_packed(out, esz) and out.flags.writeable):
+        return False
     if not (src_off.flags.c_contiguous and src_ids.flags.c_contiguous):
         return False
-    n_stripes, n_elements, esz = stripes.shape
     n_slots = out.shape[1]
     sid = None
     if stripe_ids is not None:
@@ -272,15 +296,18 @@ def xor_batch(stripes, out, src_off, src_ids, stripe_ids=None) -> bool:
         sid = stripe_ids.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
     if n_stripes == 0 or n_slots == 0 or esz == 0:
         return True  # nothing to XOR; the zero-fill contract is vacuous
-    lib.xor_batch(
-        ctypes.c_void_p(stripes.ctypes.data),
+    bases = (ctypes.c_void_p * len(cols))(*[col.ctypes.data for col in cols])
+    rc = lib.xor_batch(
+        bases,
+        ctypes.c_int64(k_rows),
+        ctypes.c_int64(stride),
+        sid,
         ctypes.c_int64(n_stripes),
-        ctypes.c_int64(n_elements),
         ctypes.c_int64(esz),
         ctypes.c_void_p(out.ctypes.data),
+        ctypes.c_int64(out.strides[0]),
         ctypes.c_int64(n_slots),
         src_off.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
         src_ids.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
-        sid,
     )
-    return True
+    return rc == 0

@@ -42,6 +42,7 @@ fewer shards.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import queue as queue_mod
 import time
 import threading
@@ -54,7 +55,7 @@ import numpy as np
 from repro import obs
 from repro.codec.image import ArrayImageCodec
 from repro.disksim.workload import Request
-from repro.pipeline.engine import RebuildPipeline, RebuildResult, _mp_context
+from repro.pipeline.engine import RebuildPipeline, RebuildResult
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
 from repro.serving.frontend import partition_trace, shard_bounds, trace_arrays
@@ -670,7 +671,8 @@ class ShardedServingEngine:
         )
         lay = self.codec.code.layout
         warmed_plans = None
-        ctx = _mp_context()
+        methods = mp.get_all_start_methods()
+        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         if ctx.get_start_method() == "fork":
             self.warm_plans()
             warmed_plans = self.plans

@@ -5,9 +5,9 @@ single-flight table, patched image and rebuild frontier as ordinary
 process memory guarded by locks.  Sharding the engine across worker
 processes replaces that with three named ``multiprocessing.shared_memory``
 blocks plus a picklable :class:`ServingStateSpec` that workers attach by
-name (the same ownership discipline as the rebuild pipeline's
-:class:`~repro.pipeline.arena.SharedArena` — the creator unlinks, workers
-only close):
+name — the creator unlinks, workers only close.  (The rebuild pipeline
+needs none of this: its workers are forked per rebuild and share an
+anonymous mapping, so there is no name to attach or unlink.)  The blocks:
 
 * **disks** — the pristine encoded per-disk images,
   ``n_disks x total_rows x element_size`` bytes, written once by the

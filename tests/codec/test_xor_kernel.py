@@ -12,6 +12,11 @@ The gathered form (``stripe_ids=``: rows rebuilt straight out of a whole
 store by index) is pinned the same way, on both legs, together with the
 wrapper's refusals: ids outside the store raise before the kernel runs,
 ids or stores it cannot address fall back to numpy.
+
+So is the column form the array rebuild uses: one strided view per
+logical disk of a rotated disk image, read in place, with the output a
+strided view of the rebuilt image.  It must equal the contiguous 3-D
+form, the numpy fold and the per-element executor byte for byte.
 """
 
 from contextlib import contextmanager
@@ -335,3 +340,99 @@ class TestGatheredWrapper:
         with pure_python():
             ran, _, _ = self._call(store, np.asarray([0], dtype=np.int64))
         assert ran is False
+
+
+@st.composite
+def column_case(draw):
+    """A rotated disk image and one chunk of it, as the rebuild slices it.
+
+    The chunk is ``count`` stripes ``start, start + step, ...`` (or, with
+    ``gather``, arbitrary stripe ids) of an image of ``total`` stripes;
+    logical disk ``l`` lives on physical disk ``(l + rotation) % n``.
+    """
+    code, disk = draw(code_and_any_disk())
+    n = code.layout.n_disks
+    element_size = draw(st.sampled_from([1, 7, 13, 16, 64]))
+    count = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 6)))
+    step = draw(st.integers(1, 4))
+    start = draw(st.integers(0, 5))
+    total = start + step * max(count - 1, 0) + 1 + draw(st.integers(0, 3))
+    rotation = draw(st.integers(0, n - 1))
+    out_step = draw(st.integers(1, 3))
+    gather = draw(st.booleans())
+    ids = draw(st.lists(st.integers(0, total - 1), min_size=count,
+                        max_size=count))
+    seed = draw(st.integers(0, 2**16))
+    return (code, disk, element_size, count, step, start, total, rotation,
+            out_step, np.asarray(ids, dtype=np.int64) if gather else None, seed)
+
+
+class TestColumnForm:
+    @pytest.mark.parametrize("leg", LEGS)
+    @settings(max_examples=60, deadline=None)
+    @given(case=column_case())
+    def test_columns_match_contiguous_numpy_and_per_element(self, leg, case):
+        (code, disk, element_size, count, step, start, total, rotation,
+         out_step, ids, seed) = case
+        lay = code.layout
+        n, k = lay.n_disks, lay.k_rows
+        scheme = scheme_for_disk(code, disk, algorithm="u", depth=1)
+        recon = BatchReconstructor(scheme)
+        rng = np.random.default_rng(seed)
+        disks4 = rng.integers(0, 256, size=(n, total, k, element_size),
+                              dtype=np.uint8)
+        if ids is None:
+            rows = slice(start, start + step * count, step)
+            stripe_of = np.arange(total)[rows]
+        else:
+            rows, stripe_of = slice(None), ids
+        cols = [disks4[(l + rotation) % n, rows] for l in range(n)]
+        n_failed = len(scheme.failed_eids)
+        backing = np.zeros((count * out_step, n_failed, element_size), np.uint8)
+        strided = backing[::out_step]
+        contiguous, folded = (
+            np.empty((count, n_failed, element_size), np.uint8) for _ in range(2)
+        )
+        # the same chunk as one contiguous (count, n_elements, esz) batch
+        batch = np.ascontiguousarray(
+            np.concatenate(cols, axis=1)[stripe_of if ids is not None else slice(None)]
+        )
+        with leg_context(leg):
+            got = recon.recover_batch_into(cols, strided, stripe_ids=ids)
+            assert got is strided
+            recon.recover_batch_into(batch, contiguous)
+        recon._recover_into_numpy(cols, folded, ids)
+        assert np.array_equal(strided, contiguous)
+        assert np.array_equal(strided, folded)
+        for j in range(count):
+            per_element = execute_scheme(scheme, batch[j])
+            for slot, eid in enumerate(scheme.failed_eids):
+                assert np.array_equal(strided[j, slot], per_element[eid])
+
+    @staticmethod
+    def _columns(store, layout):
+        """One view per logical disk of a ``(n, n_elements, esz)`` store."""
+        split = store.reshape(len(store), layout.n_disks, layout.k_rows, -1)
+        return list(split.transpose(1, 0, 2, 3))
+
+    def test_columns_of_the_wrong_width_raise(self):
+        recon, store, scheme = rdp_store()
+        cols = self._columns(store, scheme.layout)
+        out = np.empty((5, len(recon.scheme.failed_eids), 16), np.uint8)
+        with pytest.raises(ValueError, match="stripe width"):
+            recon.recover_batch_into(cols[:-1], out)
+        with pytest.raises(ValueError, match="differ in shape"):
+            recon.recover_batch_into([c[:4] for c in cols[:-1]] + [cols[-1]], out)
+
+    @kernel
+    def test_columns_with_unequal_strides_fall_back_to_numpy(self):
+        recon, store, scheme = rdp_store()
+        cols = self._columns(store, scheme.layout)
+        cols[3] = np.ascontiguousarray(cols[3])  # its own stripe stride
+        assert cols[3].strides[0] != cols[0].strides[0]
+        out = np.empty((5, len(recon.scheme.failed_eids), 16), np.uint8)
+        assert not ckernel.xor_batch(cols, out, recon._src_off, recon._src_ids)
+        ref = np.empty_like(out)
+        recon.recover_batch_into(cols, out)
+        recon._recover_into_numpy(store, ref)
+        assert np.array_equal(out, ref)

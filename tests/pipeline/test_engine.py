@@ -1,13 +1,24 @@
 """Rebuild-engine correctness: every path byte-identical to the legacy
 per-stripe rebuild, reads accounting preserved, failures surfaced."""
 
+import multiprocessing
+import os
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.codec import ArrayImageCodec
+from repro.codec import ArrayImageCodec, BatchReconstructor
 from repro.codes import make_code
 from repro.pipeline import RebuildPipeline, rebuild_disk
 from repro.recovery import RecoveryPlanner, SchemePlanCache
+
+from tests.doctored import (
+    FixedPlanner,
+    scheme_misstating_loads,
+    scheme_reading_dead_row,
+)
 
 
 def build_image(family="rdp", n_disks=7, element_size=32, n_stripes=23, seed=1):
@@ -83,6 +94,8 @@ class TestInlinePaths:
             pipe.rebuild(disks, 99)
         with pytest.raises(ValueError):
             pipe.rebuild(disks[:, :-1], 0)
+        with pytest.raises(ValueError, match="dtype"):
+            pipe.rebuild(disks.astype(np.uint16), 0)
         with pytest.raises(ValueError):
             RebuildPipeline(codec, workers=-1)
         with pytest.raises(ValueError):
@@ -120,14 +133,84 @@ class TestParallelPipeline:
     def test_worker_failure_surfaces(self, monkeypatch):
         codec, disks = build_image(element_size=16, n_stripes=21)
         pipe = RebuildPipeline(codec, workers=2, chunk_stripes=2)
-        # poison the schemes so every worker chunk blows up
-        broken = pipe._schemes_for(0)
-        monkeypatch.setattr(
-            RebuildPipeline, "_schemes_for",
-            lambda self, f: {d: None for d in broken},
-        )
-        with pytest.raises(RuntimeError, match="pipeline worker"):
+
+        def broken(self, stripes, out, stripe_ids=None):
+            raise ValueError("poisoned plan")
+
+        # plans compile in the parent; the forked workers inherit the patch
+        monkeypatch.setattr(BatchReconstructor, "recover_batch_into", broken)
+        with pytest.raises(RuntimeError, match="pipeline worker .*poisoned plan"):
             pipe.rebuild(disks, 0)
+
+
+    @pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="needs /dev/shm")
+    def test_worker_death_raises_instead_of_hanging(self, monkeypatch):
+        codec, disks = build_image(element_size=16, n_stripes=21)
+        pipe = RebuildPipeline(codec, workers=2, chunk_stripes=2)
+        shm_before = sorted(os.listdir("/dev/shm"))
+
+        def die(self, stripes, out, stripe_ids=None):
+            os._exit(9)  # no message, no cleanup: what SIGKILL leaves
+
+        monkeypatch.setattr(BatchReconstructor, "recover_batch_into", die)
+        raised = []
+
+        def run():
+            try:
+                pipe.rebuild(disks, 0)
+            except BaseException as exc:  # inspected below
+                raised.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "rebuild hung on a dead worker"
+        assert len(raised) == 1 and isinstance(raised[0], RuntimeError)
+        assert "exit code 9" in str(raised[0])
+        assert multiprocessing.active_children() == []
+        assert sorted(os.listdir("/dev/shm")) == shm_before
+
+
+class TestDeadRoleGuard:
+    """Survivors are read in place, where the dead role's rows are still
+    addressable: a plan that reads one, or misstates its loads, is refused
+    before any chunk runs, inline and pipelined alike."""
+
+    ROLE = 2
+
+    def _engine(self, codec, doctored, workers):
+        planner = FixedPlanner(codec.code, self.ROLE, doctored)
+        return RebuildPipeline(codec, workers=workers, chunk_stripes=4,
+                               planner=planner)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_equation_reading_a_dead_row_raises(self, workers):
+        codec, disks = build_image()
+        real = RecoveryPlanner(codec.code, "u", depth=1).scheme_for_disk(self.ROLE)
+        doctored, dead_row = scheme_reading_dead_row(real, self.ROLE)
+        with pytest.raises(
+            ValueError, match=f"role {self.ROLE} reads element {dead_row} "
+        ):
+            self._engine(codec, doctored, workers).rebuild(disks, 0)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_loads_disagreeing_with_the_plan_raise(self, workers):
+        codec, disks = build_image()
+        real = RecoveryPlanner(codec.code, "u", depth=1).scheme_for_disk(self.ROLE)
+        doctored, logical = scheme_misstating_loads(real)
+        with pytest.raises(
+            ValueError, match=f"role {self.ROLE} reads .* logical disk {logical}"
+        ):
+            self._engine(codec, doctored, workers).rebuild(disks, 0)
+
+    def test_plans_are_compiled_once_per_engine(self):
+        codec, disks = build_image()
+        pipe = RebuildPipeline(codec, workers=1, chunk_stripes=4)
+        pipe.rebuild(disks, 0)
+        n_plans = len(pipe._plans)
+        assert n_plans == codec.code.layout.n_disks
+        pipe.rebuild(disks, 3)
+        assert len(pipe._plans) == n_plans
 
 
 class TestConvenienceAndPlanCache:

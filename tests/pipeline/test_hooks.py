@@ -54,6 +54,27 @@ def test_hooks_fire_once_per_chunk_in_order(workers):
             assert np.array_equal(rows[i], want), int(s)
 
 
+def test_on_chunk_rows_and_order_match_between_inline_and_pipeline():
+    codec, disks = build_image()
+
+    def deliveries(workers):
+        seen = []
+
+        def on_chunk(chunk, rows):
+            seen.append((chunk.chunk_id, chunk.stripe_ids.tolist(), rows.copy()))
+
+        pipe = RebuildPipeline(codec, workers=workers, chunk_stripes=4,
+                               on_chunk=on_chunk)
+        mode = pipe.rebuild(disks, 3).stats["mode"]
+        return mode, seen
+
+    (inline_mode, inline), (piped_mode, piped) = deliveries(0), deliveries(2)
+    assert (inline_mode, piped_mode) == ("inline-batch", "pipeline")
+    assert [c[:2] for c in inline] == [c[:2] for c in piped]
+    for (_, _, a), (_, _, b) in zip(inline, piped):
+        assert np.array_equal(a, b)
+
+
 def test_throttle_exception_aborts_rebuild():
     codec, disks = build_image(n_stripes=8)
 

@@ -10,8 +10,14 @@ from repro.codec.encoder import StripeCodec
 from repro.codes import CauchyRSCode, EvenOddCode, RdpCode
 from repro.pipeline import PoolRebuild, compare_placements, rebuild_pool_disk
 from repro.placement import FlatPlacement, PoolStore, make_placement
-from repro.recovery import RecoveryPlanner, RecoveryScheme
+from repro.recovery import RecoveryPlanner
 from repro.topology import Topology, TopologyAwarePlanner
+
+from tests.doctored import (
+    FixedPlanner,
+    scheme_misstating_loads,
+    scheme_reading_dead_row,
+)
 
 
 def build_store(name="declustered", code=None, n_pool=40, n_stripes=300,
@@ -137,18 +143,6 @@ class TestPoolRebuild:
         assert res.stats["read_load"]["max_per_disk"] == res.max_read_load
 
 
-class _FixedPlanner:
-    """Serves one doctored scheme for ``role``, real schemes elsewhere."""
-
-    def __init__(self, code, role, scheme):
-        self.real = RecoveryPlanner(code, "u", depth=1)
-        self.role = role
-        self.scheme = scheme
-
-    def scheme_for_disk(self, disk):
-        return self.scheme if disk == self.role else self.real.scheme_for_disk(disk)
-
-
 def _disk_playing(store, role):
     """A pool disk that plays logical ``role`` in some stripe."""
     return next(
@@ -166,29 +160,10 @@ class TestStaticDeadRowGuard:
 
     def test_equation_reading_a_dead_row_raises(self):
         store = build_store("declustered", n_pool=20, n_stripes=120)
-        k, role = store.k_rows, 1
-        real = self._real(store, role)
-        dead_row = role * k + k - 1
-        # drop the last dead row from the failed set and fold its equation
-        # into the first: the plan now reads that row as a "survivor"
-        keep = [i for i, f in enumerate(real.failed_eids) if f != dead_row]
-        last = real.failed_eids.index(dead_row)
-        eqs = [real.equations[i] for i in keep]
-        eqs[0] ^= real.equations[last]
-        failed_mask = real.failed_mask & ~(1 << dead_row)
-        read_mask = 0
-        for eq in eqs:
-            read_mask |= eq & ~failed_mask
-        assert (read_mask >> dead_row) & 1
-        doctored = RecoveryScheme(
-            layout=real.layout,
-            failed_mask=failed_mask,
-            failed_eids=[real.failed_eids[i] for i in keep],
-            equations=eqs,
-            read_mask=read_mask,
-        )
+        role = 1
+        doctored, dead_row = scheme_reading_dead_row(self._real(store, role), role)
         engine = PoolRebuild(
-            store, planner=_FixedPlanner(store.code, role, doctored)
+            store, planner=FixedPlanner(store.code, role, doctored)
         )
         with pytest.raises(
             ValueError, match=f"role {role} reads element {dead_row} "
@@ -198,22 +173,10 @@ class TestStaticDeadRowGuard:
     def test_loads_disagreeing_with_the_plan_raise(self):
         store = build_store("d3", n_pool=20, n_stripes=120)
         role = 0
-        real = self._real(store, role)
-        unread = next(
-            e for e in range(store.k_rows, real.layout.n_elements)
-            if not (real.read_mask >> e) & 1
-        )
-        doctored = RecoveryScheme(
-            layout=real.layout,
-            failed_mask=real.failed_mask,
-            failed_eids=list(real.failed_eids),
-            equations=list(real.equations),
-            read_mask=real.read_mask | (1 << unread),
-        )
+        doctored, logical = scheme_misstating_loads(self._real(store, role))
         engine = PoolRebuild(
-            store, planner=_FixedPlanner(store.code, role, doctored)
+            store, planner=FixedPlanner(store.code, role, doctored)
         )
-        logical = unread // store.k_rows
         with pytest.raises(
             ValueError, match=f"role {role} reads .* logical disk {logical}"
         ):
