@@ -4,9 +4,9 @@
 Rebuilds a failed physical disk of a rotated array image three ways and
 records MB/s for each:
 
-* ``stripe_loop`` — the per-stripe single-process engine the repo shipped
-  before :mod:`repro.pipeline` existed (gather one stripe,
-  ``execute_scheme``, patch);
+* ``stripe_loop`` — the per-stripe oracle
+  :meth:`~repro.codec.image.ArrayImageCodec.recover_disk` (gather one
+  stripe, ``execute_scheme``, copy the rebuilt rows out);
 * ``batch`` — the single-process chunked
   :class:`~repro.codec.batch.BatchReconstructor` path (``workers=1``);
 * ``pipeline`` — the forked multi-process pipeline at each worker
@@ -118,17 +118,27 @@ def measure_point(
     planner = RecoveryPlanner(code, algorithm="u", depth=1)
     planner.all_disk_schemes()  # plan once up front; we time the data plane
 
-    def run(w: int, use_batch: bool = True) -> float:
+    def check(image: np.ndarray, engine: str) -> None:
+        if not np.array_equal(image, original):
+            raise AssertionError(
+                f"rebuild mismatch: {family}@{n_disks} esz={element_size} "
+                f"{engine}"
+            )
+
+    def run(w: int) -> float:
         pipe = RebuildPipeline(
             codec, workers=w, chunk_stripes=chunk_stripes, planner=planner
         )
-        result = pipe.rebuild(disks, failed_disk, use_batch=use_batch)
-        if not np.array_equal(result.image, original):
-            raise AssertionError(
-                f"rebuild mismatch: {family}@{n_disks} esz={element_size} "
-                f"workers={w} use_batch={use_batch}"
-            )
+        result = pipe.rebuild(disks, failed_disk)
+        check(result.image, f"workers={w}")
         return result.stats["rebuilt_mb_s"]
+
+    def stripe_loop() -> float:
+        t0 = time.perf_counter()
+        image = codec.recover_disk(disks, failed_disk, planner)["image"]
+        wall_s = time.perf_counter() - t0
+        check(image, "stripe loop")
+        return (image.nbytes / 2**20) / wall_s
 
     point = {
         "family": family,
@@ -137,7 +147,7 @@ def measure_point(
         "n_stripes": n_stripes,
         "failed_disk": failed_disk,
         "disk_mb": original.nbytes / 2**20,
-        "stripe_loop_mb_s": _best_of(lambda: run(1, use_batch=False), repeats),
+        "stripe_loop_mb_s": _best_of(stripe_loop, repeats),
         "batch_mb_s": _best_of(lambda: run(1), repeats),
         "pipeline_mb_s": {
             str(w): _best_of(lambda: run(w), repeats) for w in workers

@@ -13,7 +13,7 @@ baseline:
   changed and the baseline file was not regenerated.
 * **Throughput ratios get a tolerance band.**  Wall-clock numbers are
   machine-dependent, so the rebuild gate checks relative speedups (batch
-  vs stripe-loop) against the committed ratio with a wide ``--tolerance``
+  vs the per-stripe loop) against the committed ratio with a wide ``--tolerance``
   band, plus the hard invariants: byte-identical rebuilds and a
   warm plan cache that runs zero searches.
 

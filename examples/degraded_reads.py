@@ -13,11 +13,11 @@ Run:  python examples/degraded_reads.py
 import numpy as np
 
 from repro import StripeCodec, make_code
+from repro.codec import execute_scheme
 from repro.disksim import EventDrivenArray, PoissonWorkload
 from repro.recovery import (
     build_degraded_plans,
     degraded_read_scheme,
-    serve_degraded_read,
     u_scheme,
 )
 
@@ -35,7 +35,7 @@ def main() -> None:
 
     codec = StripeCodec(code, element_size=512)
     stripe = codec.encode(codec.random_data(np.random.default_rng(7)))
-    out = serve_degraded_read(code, plan, stripe)
+    out = execute_scheme(plan, stripe)
     for row in (1, 4):
         eid = lay.eid(failed, row)
         assert np.array_equal(out[eid], stripe[eid])

@@ -33,7 +33,7 @@ from repro.analysis import (
     figure3_series,
     figure4_series,
 )
-from repro.codec import Reconstructor, StripeCodec, verify_scheme_on_random_data
+from repro.codec import StripeCodec, verify_scheme_on_random_data
 from repro.codes import (
     CodeLayout,
     ErasureCode,
@@ -69,7 +69,6 @@ __all__ = [
     "ErasureCode",
     "FaultPlan",
     "FaultyStripeStore",
-    "Reconstructor",
     "RecoveryPlanner",
     "RecoveryScheme",
     "ResilientExecutor",

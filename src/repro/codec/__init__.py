@@ -10,7 +10,7 @@ next to disk reads.
 from repro.codec.batch import BatchReconstructor
 from repro.codec.encoder import StripeCodec
 from repro.codec.image import ArrayImageCodec
-from repro.codec.reconstructor import Reconstructor, execute_scheme
+from repro.codec.reconstructor import execute_scheme
 from repro.codec.verify import (
     element_checksum,
     stripe_checksums,
@@ -21,7 +21,6 @@ from repro.codec.verify import (
 __all__ = [
     "ArrayImageCodec",
     "BatchReconstructor",
-    "Reconstructor",
     "StripeCodec",
     "element_checksum",
     "execute_scheme",

@@ -35,10 +35,14 @@ class BatchReconstructor:
 
     The equation plan is compiled once (per failed element: index arrays of
     surviving sources plus references to earlier recovered outputs) and then
-    applied to ``(n_stripes, n_elements, element_size)`` arrays.
+    applied to ``(n_stripes, n_elements, element_size)`` arrays; a single
+    stripe is a batch of 1.  A plan that cannot run in list order is
+    refused here with :class:`ValueError`
+    (:meth:`~repro.recovery.scheme.RecoveryScheme.check_order`).
     """
 
     def __init__(self, scheme: RecoveryScheme) -> None:
+        scheme.check_order()
         self.scheme = scheme
         failed_mask = scheme.failed_mask
         #: per slot: (surviving source eids, earlier-recovered source eids)
@@ -76,45 +80,6 @@ class BatchReconstructor:
     def source_eids(self) -> np.ndarray:
         """Distinct surviving elements the compiled plan reads, ascending."""
         return np.unique(self._src_ids[self._src_ids >= 0]).astype(np.int64)
-
-    def recover_batch(self, stripes: np.ndarray) -> Dict[int, np.ndarray]:
-        """Rebuild the failed elements of every stripe in the batch.
-
-        Parameters
-        ----------
-        stripes:
-            Array of shape ``(n_stripes, n_elements, element_size)``; the
-            failed elements' stored rows are never read.
-
-        Returns
-        -------
-        dict mapping failed eid -> ``(n_stripes, element_size)`` array.
-        """
-        if stripes.ndim != 3:
-            raise ValueError(
-                f"expected (n_stripes, n_elements, element_size), got {stripes.shape}"
-            )
-        if stripes.shape[1] != self.scheme.layout.n_elements:
-            raise ValueError(
-                f"stripe width {stripes.shape[1]} != layout "
-                f"{self.scheme.layout.n_elements}"
-            )
-        out: Dict[int, np.ndarray] = {}
-        acc_shape = (stripes.shape[0], stripes.shape[2])
-        for f, surviving, recovered_refs in self._plan:
-            # fold sources into the slot's accumulator in place; each
-            # stripes[:, eid, :] is a view, so the only allocation per
-            # failed element is its output buffer
-            if surviving:
-                acc = stripes[:, surviving[0], :].copy()
-                for eid in surviving[1:]:
-                    np.bitwise_xor(acc, stripes[:, eid, :], out=acc)
-            else:
-                acc = np.zeros(acc_shape, dtype=stripes.dtype)
-            for eid in recovered_refs:
-                np.bitwise_xor(acc, out[eid], out=acc)
-            out[f] = acc
-        return out
 
     def recover_batch_into(
         self,
@@ -215,15 +180,6 @@ class BatchReconstructor:
             for eid in recovered_refs:
                 np.bitwise_xor(acc, out[:, self._slot_of[eid], :], out=acc)
         return out
-
-    def verify_batch(self, stripes: np.ndarray) -> bool:
-        """Recover every stripe from survivors and compare with the stored
-        bytes of the failed elements."""
-        recovered = self.recover_batch(stripes)
-        return all(
-            np.array_equal(stripes[:, eid, :], data)
-            for eid, data in recovered.items()
-        )
 
 
 def check_plan(recon: BatchReconstructor, role: int) -> None:

@@ -132,13 +132,20 @@ class ArrayImageCodec:
 
     # ------------------------------------------------------------------
     def _logical_stripe(self, disks: np.ndarray, s: int) -> np.ndarray:
-        """Assemble stripe ``s`` in logical element order."""
+        """Assemble stripe ``s`` in logical element order.
+
+        One slice per logical disk: stripe ``s`` occupies rows
+        ``s*k .. s*k + k - 1`` of every physical disk, and logical disk
+        ``l`` lives on physical disk ``(l + rotation) % n_disks``.
+        """
         lay = self.code.layout
+        n, k = lay.n_disks, lay.k_rows
+        rot = self.rotation_of_stripe(s)
         stripe = np.empty((lay.n_elements, self.element_size), dtype=np.uint8)
-        for logical in range(lay.n_disks):
-            phys = self.physical_disk(logical, s)
-            for row in range(lay.k_rows):
-                stripe[lay.eid(logical, row)] = disks[phys, s * lay.k_rows + row]
+        for logical in range(n):
+            stripe[logical * k : (logical + 1) * k] = disks[
+                (logical + rot) % n, s * k : (s + 1) * k
+            ]
         return stripe
 
     def recover_disk(
@@ -147,32 +154,38 @@ class ArrayImageCodec:
         failed_physical: int,
         planner: Optional[RecoveryPlanner] = None,
     ) -> Dict[str, object]:
-        """Rebuild a failed physical disk from the survivors.
+        """Rebuild a failed physical disk from the survivors, stripe by stripe.
 
+        The per-stripe oracle the batched engines are checked against: each
+        stripe is gathered in logical order and run through the scalar
+        :func:`~repro.codec.reconstructor.execute_scheme`.
         ``disks[failed_physical]`` is never read; the rebuilt image is
-        returned together with per-physical-disk element read counts, so the
-        load balance of the chosen scheme family is observable end to end.
+        returned together with per-physical-disk element read counts, billed
+        from each scheme's ``loads``, so the load balance of the chosen
+        scheme family is observable end to end.
         """
         lay = self.code.layout
-        if not 0 <= failed_physical < lay.n_disks:
+        n, k = lay.n_disks, lay.k_rows
+        if not 0 <= failed_physical < n:
             raise IndexError(f"physical disk {failed_physical} out of range")
         planner = planner or RecoveryPlanner(self.code, algorithm="u", depth=1)
 
-        rebuilt = np.zeros(
-            (self.n_stripes * lay.k_rows, self.element_size), dtype=np.uint8
-        )
-        reads_per_disk = [0] * lay.n_disks
+        rebuilt = np.zeros((self.n_stripes * k, self.element_size), dtype=np.uint8)
+        reads_per_disk = [0] * n
+        plans = {}  # logical failed role -> (scheme, its per-disk loads)
         for s in range(self.n_stripes):
-            logical_failed = self.logical_role(failed_physical, s)
-            scheme = planner.scheme_for_disk(logical_failed)
-            stripe = self._logical_stripe(disks, s)
+            rot = self.rotation_of_stripe(s)
+            role = (failed_physical - rot) % n
+            if role not in plans:
+                scheme = planner.scheme_for_disk(role)
+                plans[role] = (scheme, scheme.loads)
+            scheme, loads = plans[role]
             # account reads against *physical* disks
-            for ldisk, _row in lay.iter_elements(scheme.read_mask):
-                reads_per_disk[self.physical_disk(ldisk, s)] += 1
-            recovered = execute_scheme(scheme, stripe)
+            for logical, load in enumerate(loads):
+                reads_per_disk[(logical + rot) % n] += load
+            recovered = execute_scheme(scheme, self._logical_stripe(disks, s))
             for eid, payload in recovered.items():
-                row = lay.row_of(eid)
-                rebuilt[s * lay.k_rows + row] = payload
+                rebuilt[s * k + eid % k] = payload
         return {"image": rebuilt, "reads_per_disk": reads_per_disk}
 
     def verify_recovery(

@@ -6,11 +6,16 @@ the failed element equals the XOR of every *other* member of its equation —
 surviving elements read from disk plus failed elements recovered by earlier
 equations (the iteration of Greenan et al. [10], at zero additional read
 cost).
+
+:func:`execute_scheme` is the scalar reference: one stripe, one element at
+a time.  Every production path runs the compiled
+:meth:`~repro.codec.batch.BatchReconstructor.recover_batch_into` instead,
+and the identity suites pin it to this function byte for byte.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -23,7 +28,9 @@ def execute_scheme(scheme: RecoveryScheme, stripe: np.ndarray) -> Dict[int, np.n
     Parameters
     ----------
     scheme:
-        The recovery plan.
+        The recovery plan.  A plan whose slot uses a failed element no
+        earlier slot recovers raises :class:`ValueError`
+        (:meth:`~repro.recovery.scheme.RecoveryScheme.check_order`).
     stripe:
         Full stripe array ``(n_elements, element_size)``.  Failed elements'
         rows are treated as unreadable — their stored content is never
@@ -50,59 +57,11 @@ def execute_scheme(scheme: RecoveryScheme, stripe: np.ndarray) -> Dict[int, np.n
             eid = low.bit_length() - 1
             m ^= low
             if (failed_mask >> eid) & 1:
-                source = recovered[eid]  # guaranteed by recovery order
+                if eid not in recovered:
+                    scheme.check_order()  # raises, naming this slot
+                source = recovered[eid]
             else:
                 source = stripe[eid]
             np.bitwise_xor(acc, source, out=acc)
         recovered[f] = acc
     return recovered
-
-
-class Reconstructor:
-    """Multi-stripe recovery driver.
-
-    Wraps :func:`execute_scheme` with the bookkeeping a rebuild loop needs:
-    count of elements read, verification against the original, and an
-    in-place patch mode that writes recovered bytes back into the stripe
-    (hot-spare semantics).
-    """
-
-    def __init__(self, scheme: RecoveryScheme) -> None:
-        self.scheme = scheme
-        self.stripes_recovered = 0
-        self.elements_read = 0
-
-    def recover_stripe(self, stripe: np.ndarray) -> Dict[int, np.ndarray]:
-        """Rebuild one stripe's failed elements; updates counters."""
-        out = execute_scheme(self.scheme, stripe)
-        self.stripes_recovered += 1
-        self.elements_read += self.scheme.total_reads
-        return out
-
-    def recover_and_patch(
-        self, stripe: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Rebuild failed elements and write them into a patched stripe.
-
-        With ``out=None`` (the default) the input is never touched and a
-        patched *copy* is returned — the original API.  Passing ``out=``
-        writes the patched stripe there instead; ``out=stripe`` patches the
-        caller's buffer in place with zero copies, which is what the
-        rebuild pipeline's patch-back stage uses.
-        """
-        recovered = self.recover_stripe(stripe)
-        if out is None:
-            out = stripe.copy()
-        elif out is not stripe:
-            if out.shape != stripe.shape:
-                raise ValueError(f"out shape {out.shape} != {stripe.shape}")
-            np.copyto(out, stripe)
-        for eid, data in recovered.items():
-            out[eid] = data
-        return out
-
-    def verify_stripe(self, stripe: np.ndarray) -> bool:
-        """Recover from survivors and compare with the original bytes —
-        the paper's post-recovery correctness check (Sec. VI-A)."""
-        recovered = self.recover_stripe(stripe)
-        return all(np.array_equal(stripe[eid], data) for eid, data in recovered.items())

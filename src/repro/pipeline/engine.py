@@ -23,11 +23,8 @@ whole rebuild as a streaming pipeline —
 
 With ``workers <= 1`` (or fewer than two chunks, or no ``fork`` on the
 platform) the same per-chunk calls run inline, and the output is
-byte-identical by construction.  ``use_batch=False`` additionally drops
-to the per-stripe :class:`~repro.codec.reconstructor.Reconstructor` path
-(zero-copy in-place patching via ``recover_and_patch(..., out=...)``),
-which is the engine the repo had before this module existed — kept as
-the equivalence oracle.
+byte-identical by construction.  The per-stripe oracle both paths are
+checked against is :meth:`~repro.codec.image.ArrayImageCodec.recover_disk`.
 
 Reading in place makes the failed disk's rows addressable, so every
 compiled plan is checked once, statically, to read none of them
@@ -54,7 +51,6 @@ import numpy as np
 from repro import obs
 from repro.codec.batch import BatchReconstructor, check_plan
 from repro.codec.image import ArrayImageCodec
-from repro.codec.reconstructor import Reconstructor
 from repro.pipeline.chunks import StripeChunk, iter_chunks
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
@@ -186,13 +182,12 @@ class RebuildPipeline:
         recovered or dispatched.  Blocking inside the hook delays rebuild
         work without touching anything else — this is the admission-control
         point the QoS scheduler in :mod:`repro.serving` plugs into.
-        Applies to the chunked paths (``use_batch=True``).
     on_chunk:
         Optional hook called after each chunk's recovered rows have landed
         in the rebuilt image, with ``(chunk, rows)`` where ``rows`` is a
         ``(n_stripes, k_rows, element_size)`` view valid only for the
         duration of the callback (copy to keep).  Chunks are
-        delivered in chunk-id order.  Applies to the chunked paths.
+        delivered in chunk-id order.
     """
 
     def __init__(
@@ -267,7 +262,6 @@ class RebuildPipeline:
         self,
         disks: np.ndarray,
         failed_physical: int,
-        use_batch: bool = True,
         patch: bool = False,
     ) -> RebuildResult:
         """Rebuild ``disks[failed_physical]`` from the survivors.
@@ -289,31 +283,20 @@ class RebuildPipeline:
         schemes = self._schemes_for(failed_physical)
         compiled = {d: self._compile(d, s) for d, s in schemes.items()}
         chunks = list(iter_chunks(ns, n, failed_physical, self.chunk_stripes))
-        if not use_batch:
-            mode = "stripe-loop"
-        elif self.workers <= 1 or len(chunks) < 2 or _FORK is None:
-            mode = "inline-batch"
-        else:
-            mode = "pipeline"
-        # forked workers must write where the parent can see it
         shape = (ns * k, esz)
-        if mode == "pipeline":
-            rebuilt = _shared_empty(shape)
-        else:
+        if self.workers <= 1 or len(chunks) < 2 or _FORK is None:
+            mode, run = "inline-batch", self._rebuild_inline
             rebuilt = np.empty(shape, dtype=np.uint8)
+        else:
+            mode, run = "pipeline", self._rebuild_parallel
+            # forked workers must write where the parent can see it
+            rebuilt = _shared_empty(shape)
         reads_per_disk = [0] * n
 
         t0 = time.perf_counter()
-        if mode == "stripe-loop":
-            self._rebuild_per_stripe(disks, failed_physical, schemes, rebuilt,
-                                     reads_per_disk)
-        else:
-            # views only: a C-contiguous image reshapes without a copy
-            disks4 = disks.reshape(n, ns, k, esz)
-            rebuilt3 = rebuilt.reshape(ns, k, esz)
-            run = (self._rebuild_inline if mode == "inline-batch"
-                   else self._rebuild_parallel)
-            run(disks4, compiled, schemes, chunks, rebuilt3, reads_per_disk)
+        # views only: a C-contiguous image reshapes without a copy
+        run(disks.reshape(n, ns, k, esz), compiled, schemes, chunks,
+            rebuilt.reshape(ns, k, esz), reads_per_disk)
         wall_s = time.perf_counter() - t0
 
         if patch:
@@ -341,43 +324,8 @@ class RebuildPipeline:
                              stats=stats)
 
     # ------------------------------------------------------------------
-    # single-process paths
+    # single-process path
     # ------------------------------------------------------------------
-    def _rebuild_per_stripe(
-        self,
-        disks: np.ndarray,
-        failed_physical: int,
-        schemes: Dict[int, RecoveryScheme],
-        rebuilt: np.ndarray,
-        reads_per_disk: List[int],
-    ) -> None:
-        """Per-stripe oracle path (the pre-pipeline engine, kept honest).
-
-        Gathers one stripe at a time and patches it in place through
-        :meth:`Reconstructor.recover_and_patch` with ``out=`` — the
-        zero-copy variant — then copies only the failed rows out.
-        """
-        lay = self.codec.code.layout
-        k = lay.k_rows
-        recons = {d: Reconstructor(s) for d, s in schemes.items()}
-        stripe_buf = np.empty(
-            (lay.n_elements, self.codec.element_size), dtype=np.uint8
-        )
-        for s in range(self.codec.n_stripes):
-            rot = s % lay.n_disks
-            logical = (failed_physical - rot) % lay.n_disks
-            scheme = schemes[logical]
-            for ld in range(lay.n_disks):
-                phys = (ld + rot) % lay.n_disks
-                stripe_buf[ld * k : (ld + 1) * k] = disks[phys, s * k : (s + 1) * k]
-            recons[logical].recover_and_patch(stripe_buf, out=stripe_buf)
-            rebuilt[s * k : (s + 1) * k] = stripe_buf[
-                logical * k : (logical + 1) * k
-            ]
-            for ld, load in enumerate(scheme.loads):
-                if load:
-                    reads_per_disk[(ld + rot) % lay.n_disks] += load
-
     def _rebuild_inline(
         self,
         disks4: np.ndarray,

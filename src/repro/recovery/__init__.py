@@ -21,7 +21,6 @@ from repro.recovery.conventional import (
 from repro.recovery.degraded_read import (
     build_degraded_plans,
     degraded_read_scheme,
-    serve_degraded_read,
     slice_degraded_plan,
 )
 from repro.recovery.escalation import escalated_scheme, execute_escalated
@@ -91,7 +90,6 @@ __all__ = [
     "execute_escalated",
     "greedy_scheme",
     "greedy_scheme_for_mask",
-    "serve_degraded_read",
     "slice_degraded_plan",
     "conditional_cost",
     "generate_scheme",

@@ -17,9 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-import numpy as np
-
-from repro.codec.reconstructor import execute_scheme
 from repro.codes.base import ErasureCode
 from repro.equations.enumerate import get_recovery_equations
 from repro.recovery.planner import RecoveryPlanner
@@ -186,12 +183,3 @@ def build_degraded_plans(
         row: slice_degraded_plan(disk_scheme, [row])
         for row in range(code.layout.k_rows)
     }
-
-
-def serve_degraded_read(
-    code: ErasureCode,
-    scheme: RecoveryScheme,
-    stripe: np.ndarray,
-) -> Dict[int, np.ndarray]:
-    """Execute a degraded-read plan against one stripe's bytes."""
-    return execute_scheme(scheme, stripe)

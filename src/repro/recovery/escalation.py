@@ -11,15 +11,18 @@ free elements; this module plans the continuation properly:
   may lean on them exactly like the iteration algorithm leans on
   earlier-recovered elements;
 * the resulting scheme's sentinel slots are skipped at execution time and
-  their payloads taken from the caller's in-memory copies.
+  their payloads taken from the caller's in-memory copies, which the
+  remaining slots then read like surviving elements.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, Optional
 
 import numpy as np
 
+from repro.codec.batch import BatchReconstructor
 from repro.codes.base import ErasureCode
 from repro.equations.enumerate import (
     EquationOption,
@@ -100,68 +103,61 @@ def execute_escalated(
     """Execute an escalated plan against one stripe.
 
     ``in_memory`` maps already-recovered eids to their payloads; sentinel
-    slots are served from it, everything else XORs like a normal scheme.
+    slots are served from it, and the compiled executor reads those
+    payloads as ordinary sources of the remaining slots (a batch of 1).
 
-    Slots are resolved in *dependency* order, not list order: an equation
-    may reference a failed element whose slot appears later in
+    Slots run in *dependency* order, not list order: an equation may
+    reference a failed element whose slot appears later in
     ``failed_eids`` (e.g. a sentinel for a high eid feeding a low eid's
-    equation), which list-order execution would hit before it exists.  A
-    genuinely unsatisfiable plan — circular or missing dependencies —
-    raises :class:`ValueError` naming the stuck elements instead of a bare
-    ``KeyError``.
+    equation).  A genuinely unsatisfiable plan — circular or missing
+    dependencies — raises :class:`ValueError` naming the stuck elements.
     """
     failed_mask = scheme.failed_mask
     out: Dict[int, np.ndarray] = {}
-    done_mask = 0
-    pending = list(zip(scheme.failed_eids, scheme.equations))
+    sentinels = 0
+    pending = []
+    for f, eq in zip(scheme.failed_eids, scheme.equations):
+        if eq == 1 << f:  # sentinel: already recovered
+            if f not in in_memory:
+                raise KeyError(f"element {f} marked in-memory but not supplied")
+            out[f] = in_memory[f]
+            sentinels |= 1 << f
+        else:
+            pending.append((f, eq))
+    done, order = sentinels, []
     while pending:
-        progressed = False
-        still_pending = []
+        waiting = []
         for f, eq in pending:
-            if eq == 1 << f:  # sentinel: already recovered
-                if f not in in_memory:
-                    raise KeyError(
-                        f"element {f} marked in-memory but not supplied"
-                    )
-                out[f] = in_memory[f]
-                done_mask |= 1 << f
-                progressed = True
-                continue
-            deps = eq & failed_mask & ~(1 << f)
-            if deps & ~done_mask:  # some failed member not yet recovered
-                still_pending.append((f, eq))
-                continue
-            members = eq & ~(1 << f)
-            acc = np.zeros(stripe.shape[1], dtype=np.uint8)
-            m = members
-            while m:
-                low = m & -m
-                eid = low.bit_length() - 1
-                m ^= low
-                source = out[eid] if (failed_mask >> eid) & 1 else stripe[eid]
-                np.bitwise_xor(acc, source, out=acc)
-            out[f] = acc
-            done_mask |= 1 << f
-            progressed = True
-        if not progressed:
-            stuck = sorted(f for f, _ in still_pending)
-            missing = {
-                f: sorted(
-                    _bits((eq & failed_mask & ~(1 << f)) & ~done_mask)
-                )
-                for f, eq in still_pending
-            }
+            if eq & failed_mask & ~(done | (1 << f)):
+                waiting.append((f, eq))
+            else:
+                order.append((f, eq))
+                done |= 1 << f
+        if len(waiting) == len(pending):
+            missing = {}
+            for f, eq in waiting:
+                m = eq & failed_mask & ~(done | (1 << f))
+                missing[f] = [e for e in range(m.bit_length()) if m >> e & 1]
             raise ValueError(
-                f"escalated plan is not executable: elements {stuck} wait "
-                f"on failed elements that are never recovered before them "
-                f"({missing})"
+                f"escalated plan is not executable: elements "
+                f"{sorted(missing)} wait on failed elements that are never "
+                f"recovered before them ({missing})"
             )
-        pending = still_pending
+        pending = waiting
+
+    # the sentinels leave the failed mask and their payloads sit in the
+    # stripe buffer, so the compiled plan reads them like survivors
+    runnable = replace(
+        scheme,
+        failed_mask=failed_mask & ~sentinels,
+        failed_eids=[f for f, _ in order],
+        equations=[eq for _, eq in order],
+    )
+    buf = stripe.copy()
+    for f, payload in out.items():
+        buf[f] = payload
+    rows = np.empty((1, len(order), stripe.shape[1]), dtype=np.uint8)
+    BatchReconstructor(runnable).recover_batch_into(buf[None], rows)
+    for slot, (f, _) in enumerate(order):
+        out[f] = rows[0, slot]
     return out
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

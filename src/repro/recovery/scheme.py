@@ -89,6 +89,26 @@ class RecoveryScheme:
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
+    def check_order(self) -> None:
+        """Refuse a plan that cannot run in list order.
+
+        Every failed member of a slot's equation other than its own
+        element must be recovered by an *earlier* slot.  Plans can arrive
+        from outside (a plan store read back from disk), and executing an
+        out-of-order plan would XOR in bytes that do not exist yet.
+        Raises :class:`ValueError` naming the first such slot and element.
+        """
+        recovered = 0
+        for slot, (f, eq) in enumerate(zip(self.failed_eids, self.equations)):
+            early = eq & self.failed_mask & ~(recovered | (1 << f))
+            if early:
+                eid = (early & -early).bit_length() - 1
+                raise ValueError(
+                    f"scheme slot {slot} (element {f}) uses failed element "
+                    f"{eid}, which no earlier slot recovers"
+                )
+            recovered |= 1 << f
+
     def validate(self, code: ErasureCode) -> None:
         """Assert the plan is executable and internally consistent."""
         if len(self.equations) != len(self.failed_eids):

@@ -363,7 +363,6 @@ class ServingEngine:
         self,
         workers: int = 0,
         chunk_stripes: int = 64,
-        use_batch: bool = True,
     ) -> threading.Thread:
         """Kick off the background rebuild of the failed disk.
 
@@ -384,9 +383,7 @@ class ServingEngine:
         def _run() -> None:
             t0 = time.perf_counter()
             try:
-                self.rebuild_result = pipe.rebuild(
-                    self.disks, self.failed_disk, use_batch=use_batch
-                )
+                self.rebuild_result = pipe.rebuild(self.disks, self.failed_disk)
             except BaseException as exc:
                 self.rebuild_error = exc
             finally:

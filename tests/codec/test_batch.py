@@ -21,32 +21,47 @@ def batch(rdp5):
     return np.stack([codec.encode(codec.random_data(rng)) for _ in range(6)])
 
 
+def recover(recon, stripes):
+    """``recover_batch_into`` into a fresh ``(n, n_failed, esz)`` buffer."""
+    out = np.empty(
+        (stripes.shape[0], len(recon.scheme.failed_eids), stripes.shape[2]),
+        dtype=np.uint8,
+    )
+    return recon.recover_batch_into(stripes, out)
+
+
+def verifies(recon, stripes):
+    """Recovered bytes equal the stored bytes of every failed element."""
+    return np.array_equal(
+        recover(recon, stripes), stripes[:, recon.scheme.failed_eids]
+    )
+
+
 class TestBatchReconstructor:
     def test_matches_scalar_path(self, rdp5, batch):
         scheme = u_scheme(rdp5, 0, depth=1)
         recon = BatchReconstructor(scheme)
-        out = recon.recover_batch(batch)
+        out = recover(recon, batch)
         for s in range(batch.shape[0]):
             scalar = execute_scheme(scheme, batch[s])
-            for eid, data in scalar.items():
-                assert np.array_equal(out[eid][s], data)
+            for slot, eid in enumerate(scheme.failed_eids):
+                assert np.array_equal(out[s, slot], scalar[eid])
 
     def test_verify_batch(self, rdp5, batch):
-        assert BatchReconstructor(u_scheme(rdp5, 0, depth=1)).verify_batch(batch)
+        assert verifies(BatchReconstructor(u_scheme(rdp5, 0, depth=1)), batch)
 
     def test_detects_corruption(self, rdp5, batch):
         damaged = batch.copy()
         damaged[2, rdp5.layout.eid(1, 0), 0] ^= 0xFF  # corrupt a survivor
-        assert not BatchReconstructor(u_scheme(rdp5, 0, depth=1)).verify_batch(
-            damaged
-        )
+        assert not verifies(BatchReconstructor(u_scheme(rdp5, 0, depth=1)), damaged)
 
     def test_shape_validation(self, rdp5, batch):
         recon = BatchReconstructor(u_scheme(rdp5, 0, depth=1))
+        out = np.empty((6, len(recon.scheme.failed_eids), 32), dtype=np.uint8)
         with pytest.raises(ValueError):
-            recon.recover_batch(batch[0])
+            recon.recover_batch_into(batch[0], out)
         with pytest.raises(ValueError):
-            recon.recover_batch(batch[:, :3, :])
+            recon.recover_batch_into(batch[:, :3, :], out)
 
     def test_iteration_chains_vectorize(self):
         """Schemes whose equations feed on earlier recovered elements work
@@ -59,12 +74,12 @@ class TestBatchReconstructor:
         )
         for disk in range(4):
             scheme = u_scheme(code, disk, depth=1)
-            assert BatchReconstructor(scheme).verify_batch(stripes)
+            assert verifies(BatchReconstructor(scheme), stripes)
 
     def test_single_stripe_batch(self, rdp5):
         codec = StripeCodec(rdp5, element_size=8)
         stripes = codec.encode(codec.random_data(np.random.default_rng(5)))[None]
-        assert BatchReconstructor(u_scheme(rdp5, 1, depth=1)).verify_batch(stripes)
+        assert verifies(BatchReconstructor(u_scheme(rdp5, 1, depth=1)), stripes)
 
     def test_inplace_accumulator_matches_reference(self, rdp5):
         """The out=-accumulating fold equals a naive reduce on random bytes.
@@ -77,7 +92,7 @@ class TestBatchReconstructor:
             0, 256, size=(5, rdp5.layout.n_elements, 16), dtype=np.uint8
         )
         scheme = u_scheme(rdp5, 0, depth=1)
-        out = BatchReconstructor(scheme).recover_batch(stripes)
+        out = recover(BatchReconstructor(scheme), stripes)
         # reference: per failed element, XOR-reduce every equation member
         # (survivors from the stripes, earlier failed from the reference
         # outputs), exactly as the plan defines
@@ -92,6 +107,6 @@ class TestBatchReconstructor:
                 src = ref[eid] if (scheme.failed_mask >> eid) & 1 else stripes[:, eid, :]
                 acc = acc ^ src
             ref[f] = acc
-        assert set(out) == set(ref)
-        for eid in ref:
-            assert np.array_equal(out[eid], ref[eid])
+        assert set(scheme.failed_eids) == set(ref)
+        for slot, eid in enumerate(scheme.failed_eids):
+            assert np.array_equal(out[:, slot], ref[eid])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.codec import Reconstructor, StripeCodec, execute_scheme
+from repro.codec import StripeCodec, execute_scheme
 from repro.codec.verify import verify_scheme_on_random_data
 from repro.codes import EvenOddCode, RdpCode, StarCode, make_code
 from repro.recovery import c_scheme, khan_scheme, naive_scheme, u_scheme
@@ -45,93 +45,6 @@ class TestExecuteScheme:
         out = execute_scheme(scheme, blanked)
         for eid, data in out.items():
             assert np.array_equal(data, stripe[eid])
-
-
-class TestReconstructor:
-    def test_counters(self, rdp5, stripe_and_codec):
-        stripe, _ = stripe_and_codec
-        scheme = c_scheme(rdp5, 0)
-        recon = Reconstructor(scheme)
-        recon.recover_stripe(stripe)
-        recon.recover_stripe(stripe)
-        assert recon.stripes_recovered == 2
-        assert recon.elements_read == 2 * scheme.total_reads
-
-    def test_recover_and_patch(self, rdp5, stripe_and_codec):
-        stripe, codec = stripe_and_codec
-        scheme = u_scheme(rdp5, 2)
-        damaged = stripe.copy()
-        for eid in scheme.failed_eids:
-            damaged[eid] = 0xAA
-        recon = Reconstructor(scheme)
-        patched = recon.recover_and_patch(damaged)
-        assert np.array_equal(patched, stripe)
-        assert codec.check_stripe(patched)
-
-    def test_verify_stripe(self, rdp5, stripe_and_codec):
-        stripe, _ = stripe_and_codec
-        assert Reconstructor(u_scheme(rdp5, 0)).verify_stripe(stripe)
-
-
-class TestRecoverAndPatchOut:
-    """The ``out=`` in-place variant, and the copying default's contract."""
-
-    def _damaged(self, stripe, scheme, fill=0xAA):
-        damaged = stripe.copy()
-        for eid in scheme.failed_eids:
-            damaged[eid] = fill
-        return damaged
-
-    def test_default_still_copies(self, rdp5, stripe_and_codec):
-        """The original API: input untouched, fresh buffer returned."""
-        stripe, _ = stripe_and_codec
-        scheme = u_scheme(rdp5, 1)
-        damaged = self._damaged(stripe, scheme)
-        snapshot = damaged.copy()
-        patched = Reconstructor(scheme).recover_and_patch(damaged)
-        assert patched is not damaged
-        assert not np.shares_memory(patched, damaged)
-        assert np.array_equal(damaged, snapshot)  # input byte-untouched
-        assert np.array_equal(patched, stripe)
-
-    def test_out_is_stripe_patches_in_place(self, rdp5, stripe_and_codec):
-        stripe, _ = stripe_and_codec
-        scheme = u_scheme(rdp5, 3)
-        damaged = self._damaged(stripe, scheme)
-        returned = Reconstructor(scheme).recover_and_patch(damaged, out=damaged)
-        assert returned is damaged
-        assert np.array_equal(damaged, stripe)
-
-    def test_out_separate_buffer(self, rdp5, stripe_and_codec):
-        stripe, _ = stripe_and_codec
-        scheme = u_scheme(rdp5, 0)
-        damaged = self._damaged(stripe, scheme)
-        out = np.zeros_like(damaged)
-        returned = Reconstructor(scheme).recover_and_patch(damaged, out=out)
-        assert returned is out
-        assert np.array_equal(out, stripe)
-        # survivors were copied through, input untouched
-        assert np.array_equal(
-            damaged, self._damaged(stripe, scheme)
-        )
-
-    def test_out_and_default_agree(self, rdp5, stripe_and_codec):
-        stripe, _ = stripe_and_codec
-        scheme = u_scheme(rdp5, 2)
-        damaged = self._damaged(stripe, scheme)
-        copied = Reconstructor(scheme).recover_and_patch(damaged)
-        inplace = Reconstructor(scheme).recover_and_patch(
-            damaged.copy(), out=damaged.copy()
-        )
-        assert np.array_equal(copied, inplace)
-
-    def test_out_shape_mismatch(self, rdp5, stripe_and_codec):
-        stripe, _ = stripe_and_codec
-        scheme = u_scheme(rdp5, 0)
-        with pytest.raises(ValueError, match="out shape"):
-            Reconstructor(scheme).recover_and_patch(
-                stripe, out=np.zeros((2, 2), dtype=np.uint8)
-            )
 
 
 class TestVerifyHelper:

@@ -17,9 +17,12 @@ So is the column form the array rebuild uses: one strided view per
 logical disk of a rotated disk image, read in place, with the output a
 strided view of the rebuilt image.  It must equal the contiguous 3-D
 form, the numpy fold and the per-element executor byte for byte.
+
+A plan that cannot run in list order is refused when compiled, on both
+legs, with the same :class:`ValueError` the per-element executor raises.
 """
 
-from contextlib import contextmanager
+import dataclasses
 
 import numpy as np
 import pytest
@@ -27,13 +30,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codec import BatchReconstructor, StripeCodec, execute_scheme
-from repro.recovery import ckernel, scheme_for_disk
+from repro.codes import make_code
+from repro.recovery import ckernel, escalated_scheme, scheme_for_disk
 
+from tests.legs import LEGS, kernel, leg_context, pure_python
 from tests.strategies import code_and_any_disk
-
-kernel = pytest.mark.skipif(
-    not ckernel.xor_available(), reason="C kernel unavailable (no compiler?)"
-)
 
 
 @st.composite
@@ -105,8 +106,6 @@ class TestKernelByteIdentity:
 
     @kernel
     def test_empty_batch_and_single_element(self):
-        from repro.codes import make_code
-
         code = make_code("rdp", 5)
         scheme = scheme_for_disk(code, 0, algorithm="u", depth=1)
         recon = BatchReconstructor(scheme)
@@ -120,8 +119,6 @@ class TestKernelByteIdentity:
         """xor_batch on valid buffers returns True and fills out correctly;
         non-contiguous or non-uint8 buffers are refused (False), and the
         dispatch layer then serves them through numpy with equal bytes."""
-        from repro.codes import make_code
-
         code = make_code("rdp", 7)
         scheme = scheme_for_disk(code, 2, algorithm="u", depth=1)
         recon = BatchReconstructor(scheme)
@@ -155,8 +152,6 @@ class TestPurePythonFallback:
         # monkeypatch restores _lib/_load_attempted automatically
 
     def test_fallback_byte_identical(self, no_kernel):
-        from repro.codes import make_code
-
         assert not ckernel.xor_available()
         code = make_code("rdp", 7)
         scheme = scheme_for_disk(code, 1, algorithm="u", depth=1)
@@ -178,16 +173,6 @@ class TestPurePythonFallback:
         assert ckernel.xor_batch(stripes, out, off, ids) is False
 
 
-@contextmanager
-def pure_python():
-    """The ``REPRO_PURE_PYTHON`` leg, inside a Hypothesis example."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_PURE_PYTHON", "1")
-        mp.setattr(ckernel, "_lib", None)
-        mp.setattr(ckernel, "_load_attempted", True)
-        yield
-
-
 @st.composite
 def gather_case(draw):
     code, disk = draw(code_and_any_disk())
@@ -207,26 +192,8 @@ def gather_case(draw):
     return code, disk, element_size, n_store, ids, seed
 
 
-LEGS = [
-    pytest.param("kernel", marks=kernel),
-    pytest.param("pure"),
-]
-
-
-@contextmanager
-def leg_context(leg):
-    if leg == "pure":
-        with pure_python():
-            assert not ckernel.xor_available()
-            yield
-    else:
-        yield
-
-
 def rdp_store():
     """(reconstructor, 5-stripe store of 16-byte elements, scheme)."""
-    from repro.codes import make_code
-
     code = make_code("rdp", 7)
     scheme = scheme_for_disk(code, 3, algorithm="u", depth=1)
     store = encode_batch(code, 16, 5, seed=11)
@@ -436,3 +403,59 @@ class TestColumnForm:
         recon.recover_batch_into(cols, out)
         recon._recover_into_numpy(store, ref)
         assert np.array_equal(out, ref)
+
+
+class TestOutOfOrderPlans:
+    """A plan whose slot uses a failed element only a *later* slot recovers
+    is refused when compiled, on both legs, instead of XORing bytes that do
+    not exist yet; the scalar executor refuses it with the same error."""
+
+    @staticmethod
+    def _double_failure():
+        """A valid rdp-7 plan for disks 0 and 4, whose slots chain."""
+        code = make_code("rdp", 7)
+        return code, escalated_scheme(code, 0, [], 4)
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_compile_refuses_and_execute_scheme_agrees(self, leg):
+        code, scheme = self._double_failure()
+        backwards = dataclasses.replace(
+            scheme,
+            failed_eids=scheme.failed_eids[::-1],
+            equations=scheme.equations[::-1],
+        )
+        with leg_context(leg):
+            with pytest.raises(ValueError, match="no earlier slot") as compiled:
+                BatchReconstructor(backwards)
+        with pytest.raises(ValueError, match="no earlier slot") as scalar:
+            execute_scheme(backwards, encode_batch(code, 16, 1, seed=5)[0])
+        message = str(compiled.value)
+        assert message == str(scalar.value)
+        # names the first offending slot and the element it is missing
+        recovered = 0
+        for slot, (f, eq) in enumerate(
+            zip(backwards.failed_eids, backwards.equations)
+        ):
+            if eq & backwards.failed_mask & ~(recovered | (1 << f)):
+                break
+            recovered |= 1 << f
+        assert message.startswith(f"scheme slot {slot} (element {f}) uses")
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_element_no_slot_recovers_is_refused(self, leg):
+        """Dropping a slot leaves its element failed but never recovered."""
+        _, scheme = self._double_failure()
+        needed = next(
+            i for i, f in enumerate(scheme.failed_eids)
+            if any(eq >> f & 1 for eq in scheme.equations[i + 1:])
+        )
+        dropped = dataclasses.replace(
+            scheme,
+            failed_eids=scheme.failed_eids[:needed] + scheme.failed_eids[needed + 1:],
+            equations=scheme.equations[:needed] + scheme.equations[needed + 1:],
+        )
+        missing = scheme.failed_eids[needed]
+        with leg_context(leg), pytest.raises(
+            ValueError, match=f"uses failed element {missing},"
+        ):
+            BatchReconstructor(dropped)

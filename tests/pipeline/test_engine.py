@@ -46,15 +46,6 @@ class TestInlinePaths:
         assert np.array_equal(result.image, legacy["image"])
         assert result.reads_per_disk == legacy["reads_per_disk"]
 
-    def test_stripe_loop_oracle_matches_batch(self):
-        codec, disks = build_image(n_stripes=11)
-        pipe = RebuildPipeline(codec, workers=1, chunk_stripes=3)
-        batch = pipe.rebuild(disks, 4)
-        loop = pipe.rebuild(disks, 4, use_batch=False)
-        assert np.array_equal(batch.image, loop.image)
-        assert batch.reads_per_disk == loop.reads_per_disk
-        assert loop.stats["mode"] == "stripe-loop"
-
     def test_chunk_size_one(self):
         codec, disks = build_image(n_stripes=9)
         pipe = RebuildPipeline(codec, workers=1, chunk_stripes=1)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.codec import StripeCodec
+from repro.codec import StripeCodec, execute_scheme
 from repro.codes import EvenOddCode, RdpCode
-from repro.recovery import degraded_read_scheme, serve_degraded_read, u_scheme
+from repro.recovery import degraded_read_scheme, u_scheme
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ class TestService:
     def test_served_bytes_exact(self, rdp7, stripe):
         for rows in ([0], [2, 4], [0, 1, 5]):
             scheme = degraded_read_scheme(rdp7, 0, rows=rows)
-            out = serve_degraded_read(rdp7, scheme, stripe)
+            out = execute_scheme(scheme, stripe)
             for row in rows:
                 eid = rdp7.layout.eid(0, row)
                 assert np.array_equal(out[eid], stripe[eid])
@@ -64,7 +64,7 @@ class TestService:
         codec = StripeCodec(code, element_size=32)
         stripe = codec.encode(codec.random_data(np.random.default_rng(6)))
         scheme = degraded_read_scheme(code, 2, rows=[1, 3])
-        out = serve_degraded_read(code, scheme, stripe)
+        out = execute_scheme(scheme, stripe)
         for row in (1, 3):
             eid = code.layout.eid(2, row)
             assert np.array_equal(out[eid], stripe[eid])

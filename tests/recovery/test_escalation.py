@@ -1,13 +1,25 @@
-"""Tests for mid-recovery failure escalation."""
+"""Tests for mid-recovery failure escalation.
+
+:class:`TestExecution` runs on the default leg (the compiled kernel when a
+C compiler is available) and again, as :class:`TestExecutionPurePython`,
+on the numpy fold that ``REPRO_PURE_PYTHON=1`` selects; so does the
+randomised shuffled-order case.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codec import StripeCodec
-from repro.codes import RdpCode, StarCode
+from repro.codes import RdpCode, StarCode, make_code
 from repro.recovery.escalation import escalated_scheme, execute_escalated
 from repro.recovery.multifailure import UnrecoverableError, recover_failure
 from repro.recovery.scheme import RecoveryScheme
+
+from tests.legs import LEGS, leg_context
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +111,6 @@ class TestExecution:
         Reverse a real escalated plan so the sentinel slots other equations
         lean on come *last* — a list-order executor KeyErrors on the first
         equation referencing a not-yet-materialised sentinel."""
-        import dataclasses
-
         lay = rdp7.layout
         done_rows = [0, 1, 2]
         scheme = escalated_scheme(rdp7, 0, done_rows, 4)
@@ -156,3 +166,56 @@ class TestExecution:
         out = execute_escalated(scheme, stripe, in_memory)
         for f in scheme.failed_eids:
             assert np.array_equal(out[f], stripe[f])
+
+
+class TestExecutionPurePython(TestExecution):
+    """The same cases on the numpy fold, without the C kernel."""
+
+    @pytest.fixture(autouse=True)
+    def _pure_python(self):
+        with leg_context("pure"):
+            yield
+
+
+@pytest.mark.parametrize("leg", LEGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_escalations_in_random_slot_order(leg, data):
+    """Any primary/secondary pair, any rebuilt rows, any slot order:
+    the continuation reproduces the pristine stripe byte for byte, on
+    both legs."""
+    family, n_disks = data.draw(
+        st.sampled_from([("rdp", 8), ("evenodd", 7), ("star", 8)]),
+        label="code",
+    )
+    code = make_code(family, n_disks)
+    lay = code.layout
+    primary = data.draw(st.integers(0, lay.n_disks - 1), label="primary")
+    secondary = data.draw(
+        st.integers(0, lay.n_disks - 1).filter(lambda d: d != primary),
+        label="secondary",
+    )
+    done_rows = data.draw(
+        st.sets(st.integers(0, lay.k_rows - 1)), label="done_rows"
+    )
+    scheme = escalated_scheme(code, primary, done_rows, secondary)
+    order = data.draw(
+        st.permutations(range(len(scheme.failed_eids))), label="order"
+    )
+    shuffled = dataclasses.replace(
+        scheme,
+        failed_eids=[scheme.failed_eids[i] for i in order],
+        equations=[scheme.equations[i] for i in order],
+    )
+    codec = StripeCodec(code, element_size=16)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    stripe = codec.encode(codec.random_data(np.random.default_rng(seed)))
+    in_memory = {
+        lay.eid(primary, r): stripe[lay.eid(primary, r)].copy()
+        for r in done_rows
+    }
+    with leg_context(leg):
+        out = execute_escalated(shuffled, stripe, in_memory)
+    assert sorted(out) == sorted(scheme.failed_eids)
+    for f in scheme.failed_eids:
+        assert np.array_equal(out[f], stripe[f])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.codec import StripeCodec
+from repro.codec import StripeCodec, execute_scheme
 from repro.codes import RdpCode
-from repro.recovery import RecoveryPlanner, SchemePlanCache, serve_degraded_read
+from repro.recovery import RecoveryPlanner, SchemePlanCache
 from repro.serving import DegradedPlanCache
 
 
@@ -29,7 +29,7 @@ class TestPlanCorrectness:
                 masked = stripe.copy()
                 for _, lrow in lay.iter_elements(lay.disk_mask(disk)):
                     masked[lay.eid(disk, lrow)] = 0
-                out = serve_degraded_read(rdp7, plan, masked)
+                out = execute_scheme(plan, masked)
                 eid = lay.eid(disk, row)
                 assert np.array_equal(out[eid], stripe[eid])
 

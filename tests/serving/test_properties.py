@@ -8,9 +8,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.codec import ArrayImageCodec
+from repro.codec import ArrayImageCodec, execute_scheme
 from repro.codes import CauchyRSCode, EvenOddCode, RdpCode
-from repro.recovery import degraded_read_scheme, serve_degraded_read
+from repro.recovery import degraded_read_scheme
 from repro.serving import ServingEngine
 
 small_codes = st.sampled_from(
@@ -33,7 +33,7 @@ def build_engine(code, failed_disk, n_stripes=3, seed=5, **kw):
 @given(code=small_codes, data=st.data())
 @settings(**SETTINGS)
 def test_engine_matches_pristine_and_direct_plan(code, data):
-    """engine.read == pristine bytes == serve_degraded_read of a dedicated
+    """engine.read == pristine bytes == execute_scheme of a dedicated
     degraded-read scheme, for every element of the failed disk."""
     lay = code.layout
     failed = data.draw(st.integers(0, lay.n_disks - 1), label="failed_disk")
@@ -53,7 +53,7 @@ def test_engine_matches_pristine_and_direct_plan(code, data):
     masked = stripe.copy()
     for _, lrow in lay.iter_elements(lay.disk_mask(logical)):
         masked[lay.eid(logical, lrow)] = 0
-    out = serve_degraded_read(code, scheme, masked)
+    out = execute_scheme(scheme, masked)
     eid = lay.eid(logical, row)
     assert np.array_equal(out[eid], stripe[eid])
     assert np.array_equal(served, stripe[eid])
