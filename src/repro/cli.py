@@ -104,6 +104,7 @@ def _cmd_scheme(args) -> int:
         print(
             f"search: expanded={stats['expanded']} pushed={stats['pushed']} "
             f"pruned_closed={stats['pruned_closed']} "
+            f"pruned_bound={stats.get('pruned_bound', 0)} "
             f"pruned_dominated={stats['pruned_dominated']} "
             f"peak_frontier={stats['peak_frontier']} "
             f"wall={stats['wall_time_s'] * 1e3:.2f}ms"

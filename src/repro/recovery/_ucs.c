@@ -1,16 +1,22 @@
 /* Uniform-cost search kernel for single-failure recovery schemes.
  *
  * This is a line-for-line mirror of the pure-Python engine in search.py
- * (integer-key cost models, dominance disabled): same closed-set
- * semantics, same push order, same early-goal cutoff.  Heap entries are
- * (key << 32 | state id) packed into one uint64, and state ids are unique,
- * so the pop order is a total order — any correct binary heap reproduces
- * the Python engine's expansion sequence and therefore returns the
- * byte-identical scheme.
+ * (integer-key cost models, dominance disabled): same closed set, same
+ * incumbent bound, same push order, same early-goal cutoff, and therefore
+ * the same expansion sequence and the byte-identical scheme.
  *
- * Masks are fixed-width 512-bit vectors (W=8 words); the Python wrapper
- * falls back to the pure engine for anything wider, for weighted/opaque
- * cost keys, and when subset-dominance pruning is requested.
+ * The frontier is the paper's rec_list: one FIFO bucket per cost key.
+ * Keys are dense indices order-isomorphic to the Python key tuples, and a
+ * successor's key is never below its parent's (costs are monotone under
+ * set union), so popping the head of the first non-empty bucket at or
+ * after a cursor that only moves forward pops states in (key, push order)
+ * order — the order of the Python engine's (key, state id) heap.
+ *
+ * Masks are stored at the geometry's own width, ceil(n_elements / 64)
+ * words.  The Python wrapper caps geometries at 512 elements (MAX_W
+ * words) and falls back to the pure engine for anything wider, for
+ * weighted/opaque cost keys, and when subset-dominance pruning is
+ * requested.
  *
  * Compiled on demand by repro.recovery.ckernel via the system C compiler;
  * no build step, no third-party dependency.
@@ -20,12 +26,13 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define W 8 /* mask words: 8 * 64 = 512 element bits */
+#define MAX_W 8 /* mask words: 8 * 64 = 512 element bits */
 
 typedef struct {
     uint64_t expanded;
     uint64_t pushed;
     uint64_t pruned_closed;
+    uint64_t pruned_bound;
     uint64_t peak_frontier;
     int32_t status; /* 0 ok, 1 expansion budget exhausted */
 } ucs_stats;
@@ -34,11 +41,12 @@ typedef struct {
 /* state store (structure of arrays)                                   */
 /* ------------------------------------------------------------------ */
 typedef struct {
-    uint64_t *mask;   /* cap * W words */
+    uint64_t *mask;   /* cap * w words */
     uint32_t *parent;
+    uint32_t *next;   /* next state of the same key bucket, +1; 0 = last */
     int32_t *opt;     /* option index within the slot */
     uint16_t *slot;
-    size_t len, cap;
+    size_t len, cap, w;
 } states_t;
 
 static int states_reserve(states_t *s, size_t need)
@@ -47,15 +55,16 @@ static int states_reserve(states_t *s, size_t need)
     size_t ncap;
     if (need <= s->cap)
         return 0;
-    ncap = s->cap ? s->cap : 1024;
-    while (ncap < need)
-        ncap *= 2;
-    p = realloc(s->mask, ncap * W * sizeof(uint64_t));
+    ncap = s->cap ? s->cap * 2 : 1024;
+    p = realloc(s->mask, ncap * s->w * sizeof(uint64_t));
     if (!p) return -1;
     s->mask = p;
     p = realloc(s->parent, ncap * sizeof(uint32_t));
     if (!p) return -1;
     s->parent = p;
+    p = realloc(s->next, ncap * sizeof(uint32_t));
+    if (!p) return -1;
+    s->next = p;
     p = realloc(s->opt, ncap * sizeof(int32_t));
     if (!p) return -1;
     s->opt = p;
@@ -67,64 +76,13 @@ static int states_reserve(states_t *s, size_t need)
 }
 
 /* ------------------------------------------------------------------ */
-/* binary min-heap of packed (key << 32 | sid)                         */
+/* closed set: open-addressing table of the (slot, mask) pairs pushed  */
 /* ------------------------------------------------------------------ */
+/* Every key is a function of the mask, so a (slot, mask) is pushed at
+ * most once and membership is all the table records. */
 typedef struct {
-    uint64_t *a;
-    size_t len, cap;
-} heap_t;
-
-static int heap_push(heap_t *h, uint64_t v)
-{
-    size_t i;
-    if (h->len == h->cap) {
-        size_t nc = h->cap ? h->cap * 2 : 1024;
-        void *p = realloc(h->a, nc * sizeof(uint64_t));
-        if (!p)
-            return -1;
-        h->a = p;
-        h->cap = nc;
-    }
-    i = h->len++;
-    while (i) {
-        size_t par = (i - 1) / 2;
-        if (h->a[par] <= v)
-            break;
-        h->a[i] = h->a[par];
-        i = par;
-    }
-    h->a[i] = v;
-    return 0;
-}
-
-static uint64_t heap_pop(heap_t *h)
-{
-    uint64_t top = h->a[0];
-    uint64_t v = h->a[--h->len];
-    size_t i = 0, n = h->len;
-    for (;;) {
-        size_t c = 2 * i + 1;
-        if (c >= n)
-            break;
-        if (c + 1 < n && h->a[c + 1] < h->a[c])
-            c++;
-        if (h->a[c] >= v)
-            break;
-        h->a[i] = h->a[c];
-        i = c;
-    }
-    if (n)
-        h->a[i] = v;
-    return top;
-}
-
-/* ------------------------------------------------------------------ */
-/* closed set: open-addressing table keyed by (slot, mask)             */
-/* ------------------------------------------------------------------ */
-typedef struct {
-    uint64_t h;    /* 0 = empty */
-    uint32_t ref1; /* state id whose mask words back this entry, +1 */
-    uint32_t key;  /* best key pushed so far for this (slot, mask) */
+    uint32_t tag;  /* high hash bits, compared before the masks */
+    uint32_t ref1; /* state id holding this (slot, mask), +1; 0 = empty */
 } centry;
 
 typedef struct {
@@ -132,53 +90,53 @@ typedef struct {
     size_t cap, n;
 } table_t;
 
-static uint64_t mask_hash(const uint64_t *m, uint32_t slot)
+static uint64_t state_hash(const uint64_t *m, size_t w, uint32_t slot)
 {
-    uint64_t h = 1469598103934665603ULL ^ (slot * 0x9E3779B97F4A7C15ULL);
-    int i;
-    for (i = 0; i < W; i++) {
-        h ^= m[i];
-        h *= 1099511628211ULL;
+    uint64_t h = (slot + 1) * 0x9E3779B97F4A7C15ULL;
+    size_t i;
+    for (i = 0; i < w; i++) {
+        h = (h ^ m[i]) * 0xFF51AFD7ED558CCDULL;
+        h ^= h >> 32;
     }
-    h ^= h >> 29;
-    return h ? h : 1;
+    return h;
 }
 
-static centry *table_probe(table_t *t, uint64_t h, const uint64_t *m,
-                           uint32_t slot, const states_t *st)
+/* the entry holding (slot, m), or the empty entry where it would go */
+static centry *table_find(const table_t *t, uint64_t h, const uint64_t *m,
+                          uint32_t slot, const states_t *st)
 {
-    size_t mask = t->cap - 1;
-    size_t i = h & mask;
+    size_t cmask = t->cap - 1, i = h & cmask;
+    uint32_t tag = (uint32_t)(h >> 32);
     for (;;) {
         centry *e = &t->e[i];
-        if (!e->h)
-            return e; /* first empty slot: insertion point */
-        if (e->h == h) {
+        if (!e->ref1)
+            return e;
+        if (e->tag == tag) {
             uint32_t ref = e->ref1 - 1;
             if (st->slot[ref] == slot &&
-                !memcmp(&st->mask[(size_t)ref * W], m, W * sizeof(uint64_t)))
+                !memcmp(&st->mask[(size_t)ref * st->w], m,
+                        st->w * sizeof(uint64_t)))
                 return e;
         }
-        i = (i + 1) & mask;
+        i = (i + 1) & cmask;
     }
 }
 
-static int table_grow(table_t *t)
+/* Double the table.  Every state but the root is in it, so the entries
+ * are rebuilt from the state store in id order: sequential reads. */
+static int table_grow(table_t *t, const states_t *st)
 {
-    size_t ncap = t->cap * 2;
+    size_t ncap = t->cap * 2, sid;
     centry *ne = calloc(ncap, sizeof(centry));
-    size_t i;
     if (!ne)
         return -1;
-    for (i = 0; i < t->cap; i++) {
-        centry *e = &t->e[i];
-        size_t j;
-        if (!e->h)
-            continue;
-        j = e->h & (ncap - 1);
-        while (ne[j].h)
+    for (sid = 1; sid < st->len; sid++) {
+        uint64_t h = state_hash(&st->mask[sid * st->w], st->w, st->slot[sid]);
+        size_t j = h & (ncap - 1);
+        while (ne[j].ref1)
             j = (j + 1) & (ncap - 1);
-        ne[j] = *e;
+        ne[j].tag = (uint32_t)(h >> 32);
+        ne[j].ref1 = (uint32_t)sid + 1;
     }
     free(t->e);
     t->e = ne;
@@ -187,34 +145,65 @@ static int table_grow(table_t *t)
 }
 
 /* ------------------------------------------------------------------ */
-/* cost keys (packed lexicographic; order matches the Python models)   */
+/* cost keys                                                           */
 /* ------------------------------------------------------------------ */
-#define KEY_BITS 10 /* coordinates <= 512 elements < 1024 */
-
-static uint32_t key_of(const uint64_t *m, int n_disks, int k, int kind)
+/* Bit count without a libgcc call: the kernel is built without -march
+ * flags, and there __builtin_popcountll is an out-of-line table walk. */
+static inline uint32_t pop64(uint64_t x)
 {
-    uint32_t total = 0, mx = 0;
-    int i, d;
-    for (i = 0; i < W; i++)
-        total += (uint32_t)__builtin_popcountll(m[i]);
-    if (kind == 0)
-        return total; /* Khan: total reads only */
-    for (d = 0; d < n_disks; d++) {
-        int start = d * k;
-        int wi = start >> 6, sh = start & 63;
-        uint64_t lo = m[wi] >> sh;
-        uint32_t c;
-        if (sh && wi + 1 < W)
-            lo |= m[wi + 1] << (64 - sh);
-        if (k < 64)
-            lo &= ((1ULL << k) - 1);
-        c = (uint32_t)__builtin_popcountll(lo);
-        if (c > mx)
-            mx = c;
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return (uint32_t)((x * 0x0101010101010101ULL) >> 56);
+}
+
+/* Number of set bits among m's bits [start, start + len), len >= 1.  The
+ * word after the window's last one must be readable (the callers' masks
+ * carry one spare word). */
+static uint32_t window_pop(const uint64_t *m, uint32_t start, uint32_t len)
+{
+    const uint64_t *p = m + (start >> 6);
+    uint32_t sh = start & 63, c = 0;
+    /* p[1] << (64 - sh) without the undefined shift by 64 when sh == 0 */
+    for (; len > 64; len -= 64, p++) /* windows wider than a word */
+        c += pop64((p[0] >> sh) | ((p[1] << 1) << (63 - sh)));
+    return c + pop64(((p[0] >> sh) | ((p[1] << 1) << (63 - sh))) &
+                     (~0ULL >> (64 - len)));
+}
+
+/* Largest disk load among the disks the new bits `add` touch, at least mx.
+ * Untouched disks keep their load <= mx, so they need no recount.
+ * disk_of[e] is element e's disk (a lookup, not a division). */
+static uint32_t touched_max(const uint64_t *add, const uint64_t *newm,
+                            size_t w, uint32_t k, const uint16_t *disk_of,
+                            uint32_t mx)
+{
+    size_t i;
+    for (i = 0; i < w; i++) {
+        uint64_t a = add[i];
+        while (a) {
+            uint32_t d = disk_of[i * 64 + (uint32_t)__builtin_ctzll(a)];
+            uint32_t c = window_pop(newm, d * k, k);
+            uint32_t rest = (d + 1) * k - (uint32_t)(i * 64);
+            if (c > mx)
+                mx = c;
+            /* drop the rest of disk d's bits from this word */
+            a = rest >= 64 ? 0 : a & ~((1ULL << rest) - 1);
+        }
     }
+    return mx;
+}
+
+/* Dense key of a (total reads, max disk load) pair, in the lexicographic
+ * order of the Python key: Khan total; C (total, max); U (max, total). */
+static uint32_t key_index(int kind, uint32_t total, uint32_t mx,
+                          uint32_t n_el, uint32_t k)
+{
+    if (kind == 0)
+        return total;
     if (kind == 1)
-        return (total << KEY_BITS) | mx; /* C: (total, max_load) */
-    return (mx << KEY_BITS) | total;     /* U: (max_load, total) */
+        return total * (k + 1) + mx;
+    return mx * (n_el + 1) + total;
 }
 
 /* ------------------------------------------------------------------ */
@@ -222,61 +211,66 @@ static uint32_t key_of(const uint64_t *m, int n_disks, int k, int kind)
 /* ------------------------------------------------------------------ */
 int64_t ucs_search(int32_t n_slots,
                    const int64_t *opt_off,    /* n_slots+1 row offsets */
-                   const uint64_t *opt_masks, /* option read masks, W words each */
+                   const uint64_t *opt_masks, /* option read masks, w words each */
                    int32_t n_disks, int32_t k_rows, int32_t kind,
                    uint64_t max_expansions, /* 0 = unlimited */
                    int32_t *out_chain,      /* option index per slot */
-                   uint64_t *out_mask,      /* goal read mask, W words */
                    ucs_stats *st)
 {
+    const uint32_t k = (uint32_t)k_rows, n_el = (uint32_t)(n_disks * k_rows);
+    const size_t w = (n_el + 63) / 64;
+    const size_t n_keys = (size_t)(n_el + 1) * (kind ? k + 1 : 1);
     states_t S;
-    heap_t H;
     table_t T;
+    uint32_t *head = NULL, *tail; /* rec_list buckets: FIFO of state ids +1 */
+    size_t cur = 0, frontier = 1;
     int64_t ret = -1, goal = -1;
-    uint64_t expanded = 0, pushed = 0, pruned_closed = 0, peak = 1;
-    uint32_t best_goal_key = 0, best_goal_sid = 0;
+    uint64_t expanded = 0, pushed = 0, pruned_closed = 0, pruned_bound = 0;
+    uint64_t peak = 1;
+    uint32_t best_goal_key = 0, best_goal_sid = 0, el;
     int have_goal = 0;
-    uint64_t cur[W], newm[W];
+    uint64_t cur_m[MAX_W], add[MAX_W], newm[MAX_W + 1] = {0};
+    uint16_t disk_of[MAX_W * 64];
 
     memset(st, 0, sizeof(*st));
     memset(&S, 0, sizeof(S));
-    memset(&H, 0, sizeof(H));
     memset(&T, 0, sizeof(T));
-    T.cap = 1 << 16;
+    if (w == 0 || w > MAX_W)
+        return -1;
+    S.w = w;
+    for (el = 0; el < n_el; el++)
+        disk_of[el] = (uint16_t)(el / k);
+    T.cap = 1 << 12;
     T.e = calloc(T.cap, sizeof(centry));
-    if (!T.e)
+    head = calloc(2 * n_keys, sizeof(uint32_t));
+    if (!T.e || !head || states_reserve(&S, 1))
         goto out;
-    if (states_reserve(&S, 1))
-        goto out;
-    memset(S.mask, 0, W * sizeof(uint64_t));
+    tail = head + n_keys;
+    memset(S.mask, 0, w * sizeof(uint64_t));
     S.parent[0] = 0;
+    S.next[0] = 0;
     S.opt[0] = -1;
     S.slot[0] = 0;
     S.len = 1;
-    if (heap_push(&H, 0)) /* key 0, sid 0 */
-        goto out;
+    head[0] = tail[0] = 1; /* the root: key 0, state 0 */
 
-    while (H.len) {
-        uint64_t top;
-        uint32_t key, sid, slot, new_slot;
+    while (frontier) {
+        uint32_t key, sid, slot, new_slot, total, mx;
         int is_goal_slot;
         int64_t oi;
 
-        if (have_goal && best_goal_key <= (uint32_t)(H.a[0] >> 32)) {
+        while (!head[cur])
+            cur++;
+        if (have_goal && best_goal_key <= cur) {
             /* early-goal cutoff (see search.py for the argument) */
             goal = best_goal_sid;
             break;
         }
-        top = heap_pop(&H);
-        key = (uint32_t)(top >> 32);
-        sid = (uint32_t)top;
+        key = (uint32_t)cur;
+        sid = head[cur] - 1;
+        head[cur] = S.next[sid];
+        frontier--;
         slot = S.slot[sid];
-        memcpy(cur, &S.mask[(size_t)sid * W], W * sizeof(uint64_t));
-        if (slot > 0) { /* the root is never entered in the closed set */
-            centry *e = table_probe(&T, mask_hash(cur, slot), cur, slot, &S);
-            if (e->h && e->key < key)
-                continue; /* stale heap entry */
-        }
         if ((int32_t)slot == n_slots) {
             goal = sid;
             break;
@@ -286,67 +280,93 @@ int64_t ucs_search(int32_t n_slots,
             st->status = 1;
             break;
         }
+        if (kind == 0) {
+            total = key;
+            mx = 0;
+        } else if (kind == 1) {
+            total = key / (k + 1);
+            mx = key % (k + 1);
+        } else {
+            mx = key / (n_el + 1);
+            total = key % (n_el + 1);
+        }
+        memcpy(cur_m, &S.mask[(size_t)sid * w], w * sizeof(uint64_t));
         new_slot = slot + 1;
         is_goal_slot = (int32_t)new_slot == n_slots;
         for (oi = opt_off[slot]; oi < opt_off[slot + 1]; oi++) {
-            const uint64_t *rm = &opt_masks[(size_t)oi * W];
+            const uint64_t *rm = &opt_masks[(size_t)oi * w];
+            uint32_t new_key = key, new_total = total, nsid;
             uint64_t h;
-            uint32_t new_key, nsid;
             centry *e;
-            int w2, changed = 0;
-            for (w2 = 0; w2 < W; w2++) {
-                uint64_t u = cur[w2] | rm[w2];
-                if (u != cur[w2])
+            size_t i;
+            int changed = 0;
+            for (i = 0; i < w; i++) {
+                add[i] = rm[i] & ~cur_m[i];
+                newm[i] = cur_m[i] | add[i];
+                if (add[i]) {
                     changed = 1;
-                newm[w2] = u;
+                    new_total += pop64(add[i]);
+                }
             }
-            new_key = changed ? key_of(newm, n_disks, k_rows, kind) : key;
-            h = mask_hash(newm, new_slot);
-            e = table_probe(&T, h, newm, new_slot, &S);
-            if (e->h && e->key <= new_key) {
+            if (changed) {
+                /* the key at the parent's max load bounds it from below */
+                new_key = key_index(kind, new_total, mx, n_el, k);
+                if (kind && !(have_goal && new_key >= best_goal_key))
+                    new_key = key_index(kind, new_total,
+                                        touched_max(add, newm, w, k,
+                                                    disk_of, mx),
+                                        n_el, k);
+            }
+            if (have_goal && new_key >= best_goal_key) {
+                pruned_bound++; /* never popped before the cutoff */
+                continue;
+            }
+            h = state_hash(newm, w, new_slot);
+            e = table_find(&T, h, newm, new_slot, &S);
+            if (e->ref1) {
                 pruned_closed++;
                 continue;
             }
             if (states_reserve(&S, S.len + 1))
                 goto out;
             nsid = (uint32_t)S.len;
-            memcpy(&S.mask[(size_t)nsid * W], newm, W * sizeof(uint64_t));
+            memcpy(&S.mask[(size_t)nsid * w], newm, w * sizeof(uint64_t));
             S.parent[nsid] = sid;
+            S.next[nsid] = 0;
             S.opt[nsid] = (int32_t)(oi - opt_off[slot]);
             S.slot[nsid] = (uint16_t)new_slot;
             S.len++;
-            if (e->h) {
-                e->key = new_key; /* better key for a seen (slot, mask) */
-            } else {
-                e->h = h;
-                e->ref1 = nsid + 1;
-                e->key = new_key;
-                if (++T.n * 10 > T.cap * 7 && table_grow(&T))
-                    goto out;
-            }
-            if (heap_push(&H, ((uint64_t)new_key << 32) | nsid))
+            e->tag = (uint32_t)(h >> 32);
+            e->ref1 = nsid + 1;
+            if (++T.n * 10 > T.cap * 7 && table_grow(&T, &S))
                 goto out;
-            if (is_goal_slot && (!have_goal || new_key < best_goal_key)) {
+            if (head[new_key])
+                S.next[tail[new_key] - 1] = nsid + 1;
+            else
+                head[new_key] = nsid + 1;
+            tail[new_key] = nsid + 1;
+            frontier++;
+            if (is_goal_slot) { /* past the bound: a strictly better goal */
                 have_goal = 1;
                 best_goal_key = new_key;
                 best_goal_sid = nsid;
             }
             pushed++;
         }
-        if (H.len > peak)
-            peak = H.len;
+        if (frontier > peak)
+            peak = frontier;
     }
 
     st->expanded = expanded;
     st->pushed = pushed;
     st->pruned_closed = pruned_closed;
+    st->pruned_bound = pruned_bound;
     st->peak_frontier = peak;
     if (goal >= 0) {
-        int64_t sid = goal;
-        memcpy(out_mask, &S.mask[(size_t)goal * W], W * sizeof(uint64_t));
-        while (sid != 0) {
-            out_chain[S.slot[sid] - 1] = S.opt[sid];
-            sid = S.parent[sid];
+        int64_t s = goal;
+        while (s != 0) {
+            out_chain[S.slot[s] - 1] = S.opt[s];
+            s = S.parent[s];
         }
         ret = 0;
     } else if (st->status == 1) {
@@ -356,9 +376,10 @@ int64_t ucs_search(int32_t n_slots,
 out:
     free(S.mask);
     free(S.parent);
+    free(S.next);
     free(S.opt);
     free(S.slot);
-    free(H.a);
+    free(head);
     free(T.e);
     return ret;
 }

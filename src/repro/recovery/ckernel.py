@@ -6,7 +6,10 @@ Two kernels share one shared object compiled from ``_ucs.c``:
   time in a tight pop-push loop whose per-state work is a handful of word
   operations — exactly the regime where the CPython interpreter's ~µs
   dispatch overhead dominates.  The kernel is a line-for-line mirror of
-  the engine loop in :mod:`repro.recovery.search`.
+  the engine loop in :mod:`repro.recovery.search`.  Its frontier is the
+  paper's ``rec_list``: one FIFO bucket per cost key, drained in key
+  order; its masks are ``ceil(n_elements / 64)`` words wide, up to the
+  512-element cap (:data:`MAX_ELEMENTS`).
 * ``xor_batch`` — the serving/rebuild reconstruction hot path: one call
   XORs every failed element of a whole stripe batch straight into the
   caller's output buffer (see
@@ -24,9 +27,10 @@ keyed by a hash of the source, and exposes it through :mod:`ctypes`.
 There is no build step and no third-party dependency: if no compiler is
 present (or ``REPRO_PURE_PYTHON`` is set), :func:`load` returns ``None``
 and everything runs on the pure-Python/numpy engines with identical
-results — the search kernel replicates pop order exactly (heap entries
-are unique ``(key, state id)`` pairs, a total order) and XOR is XOR, so
-outputs are byte-identical either way.
+results — the search kernel replicates pop order exactly (its buckets
+pop in ``(key, push order)``, the order of the Python engine's
+``(key, state id)`` heap) and XOR is XOR, so outputs are byte-identical
+either way.
 """
 
 from __future__ import annotations
@@ -40,9 +44,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 _SRC = Path(__file__).with_name("_ucs.c")
-_WORDS = 8  # must match W in _ucs.c
 _WORD_MASK = (1 << 64) - 1
-MAX_ELEMENTS = _WORDS * 64
+MAX_ELEMENTS = 8 * 64  # must match MAX_W words in _ucs.c
 
 #: cost-model kind codes understood by the kernel
 KIND_KHAN, KIND_CONDITIONAL, KIND_UNCONDITIONAL = 0, 1, 2
@@ -56,6 +59,7 @@ class _Stats(ctypes.Structure):
         ("expanded", ctypes.c_uint64),
         ("pushed", ctypes.c_uint64),
         ("pruned_closed", ctypes.c_uint64),
+        ("pruned_bound", ctypes.c_uint64),
         ("peak_frontier", ctypes.c_uint64),
         ("status", ctypes.c_int32),
     ]
@@ -111,7 +115,6 @@ def load() -> Optional[ctypes.CDLL]:
             ctypes.c_int32,                    # kind
             ctypes.c_uint64,                   # max_expansions
             ctypes.POINTER(ctypes.c_int32),    # out_chain
-            ctypes.POINTER(ctypes.c_uint64),   # out_mask
             ctypes.POINTER(_Stats),            # stats
         ]
         lib.xor_batch.restype = ctypes.c_int64
@@ -165,7 +168,7 @@ def run(
     ``slot_opts`` is the engine's per-slot list of (read_mask, equation)
     pairs.  Returns the chosen option index per slot plus the kernel's
     effort counters.  Falls back (returns ``None``) when the kernel is
-    unavailable, the geometry exceeds the fixed 512-bit mask width, or the
+    unavailable, the geometry exceeds :data:`MAX_ELEMENTS`, or the
     expansion budget was exhausted (the Python engine owns the greedy
     completion path).
     """
@@ -175,29 +178,29 @@ def run(
     n_slots = len(slot_opts)
     if n_slots == 0 or n_slots >= 0xFFFF or n_disks * k_rows > MAX_ELEMENTS:
         return None
+    if max_expansions is not None and max_expansions < 1:
+        return None  # exhausted at the first expansion (0 is "unlimited" in C)
 
+    words = (n_disks * k_rows + 63) // 64
     offs = [0]
     rows: List[int] = []
     for opts in slot_opts:
         rows.extend(rm for rm, _eq in opts)
         offs.append(len(rows))
     opt_off = (ctypes.c_int64 * (n_slots + 1))(*offs)
-    opt_masks = (ctypes.c_uint64 * (len(rows) * _WORDS))()
-    i = 0
-    for rm in rows:
+    opt_masks = (ctypes.c_uint64 * (len(rows) * words))()
+    for r, rm in enumerate(rows):
+        i = r * words
         while rm:
             opt_masks[i] = rm & _WORD_MASK
             rm >>= 64
             i += 1
-        i = (i + _WORDS - 1) // _WORDS * _WORDS
 
     chain = (ctypes.c_int32 * n_slots)()
-    goal_mask = (ctypes.c_uint64 * _WORDS)()
     stats = _Stats()
     rc = lib.ucs_search(
         n_slots, opt_off, opt_masks, n_disks, k_rows, kind,
-        ctypes.c_uint64(max_expansions or 0), chain, goal_mask,
-        ctypes.byref(stats),
+        ctypes.c_uint64(max_expansions or 0), chain, ctypes.byref(stats),
     )
     if rc != 0 or stats.status != 0:
         return None
@@ -205,6 +208,7 @@ def run(
         "expanded": stats.expanded,
         "pushed": stats.pushed,
         "pruned_closed": stats.pruned_closed,
+        "pruned_bound": stats.pruned_bound,
         "peak_frontier": stats.peak_frontier,
     }
     return list(chain), counters

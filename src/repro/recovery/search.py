@@ -18,7 +18,10 @@ Both coordinates are monotone non-decreasing under set union, so plain UCS
 pops goals in optimal lexicographic order: the first complete state popped is
 the algorithm's answer.  The U-Algorithm's bucketed ``rec_list[r]`` traversal
 (paper Algorithm 1 + the Sec. IV-B tie-break revision) is exactly UCS on
-``(max_load, total)`` — a binary heap replaces the explicit sublists.
+``(max_load, total)``.  This engine keeps its frontier in a binary heap of
+``(key, state id)``; the compiled kernel (:mod:`repro.recovery.ckernel`)
+keeps the explicit sublists, one FIFO bucket per key, which pop in the
+same order.
 
 Cost evaluation is *incremental*: every cost key is a :class:`CostModel`
 carrying a per-state summary (total reads, per-disk load vector packed into
@@ -27,9 +30,9 @@ contributes — ``O(new elements)`` per successor via a precomputed
 element-to-disk shift table, instead of the former ``O(n_disks)``
 re-popcount of every k-bit disk window of the whole mask.  Integer-valued
 models additionally pack their lexicographic key into a single int
-(``total << b | max_load``), which makes heap comparisons and closed-set
-lookups cheap.  Plain callables are still accepted as cost functions and run
-on a generic (slower) evaluation path.
+(``total << b | max_load``), which makes heap comparisons cheap.  Plain
+callables are still accepted as cost functions and run on a generic
+(slower) evaluation path.
 
 Termination uses an *early-goal cutoff*: the engine tracks the best
 ``(key, push order)`` goal state pushed so far and stops as soon as no
@@ -41,8 +44,15 @@ expansion of the optimal-cost plateau behind it, which for tie-rich keys
 
 Pruning (the paper keeps Khan's pruning and adds none):
 
-* *closed set* — a ``read_mask`` revisited at the same slot with a key no
-  better is dropped;
+* *incumbent bound* — once a goal is pushed, a successor whose key is no
+  better than the best goal's is not pushed (``pruned_bound``): the cutoff
+  above fires before such a state could be popped, so dropping it changes
+  neither the scheme nor the expansions, only the frontier's size;
+* *closed set* — a ``read_mask`` revisited at the same slot is dropped.
+  Every cost key is a function of the read mask alone, so a revisit can
+  never carry a better key than the first visit: the closed set is a plain
+  set of the ``(slot, read_mask)`` pairs pushed, each pair is pushed at
+  most once, and the frontier never holds a stale entry;
 * *subset dominance* — a state whose read set is a superset of a
   same-or-better state at the same slot can never win, because every
   completion of the superset is matched by a no-worse completion of the
@@ -64,7 +74,8 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -115,22 +126,19 @@ class CostModel:
         raise NotImplementedError
 
 
-def _window_tables(layout: CodeLayout) -> Tuple[List[int], List[int]]:
+@lru_cache(maxsize=None)
+def _window_tables(k: int, n_elements: int) -> Tuple[Tuple[int, ...], ...]:
     """Per-element (disk window, complement) masks at global positions.
 
     ``win[eid]`` covers every element of ``eid``'s disk, so the disk's load
     in a mask is ``(mask & win[eid]).bit_count()`` — no shifting — and
-    ``add &= notwin[eid]`` retires all of a disk's bits at once.
+    ``add &= notwin[eid]`` retires all of a disk's bits at once.  Memoised
+    per geometry: a planning pass builds hundreds of cost models over a
+    few dozen layouts.
     """
-    k = layout.k_rows
     window = (1 << k) - 1
-    win: List[int] = []
-    notwin: List[int] = []
-    for eid in range(layout.n_elements):
-        w = window << ((eid // k) * k)
-        win.append(w)
-        notwin.append(~w)
-    return win, notwin
+    win = tuple(window << ((eid // k) * k) for eid in range(n_elements))
+    return win, tuple(~w for w in win)
 
 
 class KhanCost(CostModel):
@@ -157,7 +165,9 @@ class ConditionalCost(CostModel):
 
     def __init__(self, layout: CodeLayout) -> None:
         self.layout = layout
-        self._win, self._notwin = _window_tables(layout)
+        self._win, self._notwin = _window_tables(
+            layout.k_rows, layout.n_elements
+        )
         self._bits = max(layout.n_elements.bit_length(), 1)
 
     def key_of_mask(self, mask: int) -> Tuple:
@@ -309,9 +319,10 @@ class SearchStats:
     expanded: int = 0            #: states popped and expanded
     pushed: int = 0              #: successor states pushed on the frontier
     pruned_closed: int = 0       #: successors dropped by the closed set
+    pruned_bound: int = 0        #: successors no better than the best goal
     pruned_dominated: int = 0    #: successors dropped by subset dominance
     dominance_checks: int = 0    #: dominance-index probes (hit + miss)
-    peak_frontier: int = 0       #: largest frontier (heap) size reached
+    peak_frontier: int = 0       #: largest frontier size reached
     bucket_transitions: int = 0  #: frontier-key (rec_list bucket) advances;
                                  #: tracked only while tracing is enabled
     wall_time_s: float = 0.0     #: wall-clock time of the whole search
@@ -328,6 +339,7 @@ class SearchStats:
         rec.count("search.expanded", self.expanded)
         rec.count("search.pushed", self.pushed)
         rec.count("search.pruned_closed", self.pruned_closed)
+        rec.count("search.pruned_bound", self.pruned_bound)
         rec.count("search.pruned_dominated", self.pruned_dominated)
         rec.count("search.bucket_transitions", self.bucket_transitions)
         if self.budget_exhausted:
@@ -335,12 +347,13 @@ class SearchStats:
         rec.gauge("search.peak_frontier", self.peak_frontier)
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        return dict(vars(self))  # scalar fields only: a shallow copy is a copy
 
     def summary(self) -> str:
         return (
             f"expanded={self.expanded} pushed={self.pushed} "
             f"pruned_closed={self.pruned_closed} "
+            f"pruned_bound={self.pruned_bound} "
             f"pruned_dominated={self.pruned_dominated} "
             f"peak_frontier={self.peak_frontier} "
             f"wall={self.wall_time_s * 1e3:.2f}ms"
@@ -389,21 +402,6 @@ class _DominanceIndex:
         keys.insert(i, key)
         masks.insert(i, mask)
         self.size += 1
-
-
-def _worth_ckernel(slot_opts: List[List[Tuple[int, int]]]) -> bool:
-    """Is the search big enough to amortize the kernel's marshalling cost?
-
-    The choice tree has at most ``prod(len(opts))`` leaves; below a few
-    hundred states the pure-Python engine finishes in well under the
-    ~50µs it takes to pack the option masks into C arrays.
-    """
-    est = 1
-    for opts in slot_opts:
-        est *= max(len(opts), 1)
-        if est > 512:
-            return True
-    return False
 
 
 def generate_scheme(
@@ -486,12 +484,7 @@ def _generate_scheme(
     # returns the byte-identical scheme (see _ucs.c), so falling through
     # to the Python engine is always safe.
     ckind = _CKERNEL_KINDS.get(type(model))
-    if (
-        ckind is not None
-        and dominance_limit == 0
-        and n_slots > 0
-        and _worth_ckernel(slot_opts)
-    ):
+    if ckind is not None and dominance_limit == 0 and n_slots > 0:
         lay = model.layout
         res = ckernel.run(
             slot_opts, lay.n_disks, lay.k_rows, ckind, max_expansions
@@ -504,10 +497,8 @@ def _generate_scheme(
                 rm, eq = slot_opts[slot][oi]
                 equations.append(eq)
                 goal_mask |= rm
-            stats.expanded = counters["expanded"]
-            stats.pushed = counters["pushed"]
-            stats.pruned_closed = counters["pruned_closed"]
-            stats.peak_frontier = counters["peak_frontier"]
+            for name, value in counters.items():
+                setattr(stats, name, value)
             stats.wall_time_s = time.perf_counter() - t_start
             if trace_on:
                 obs.count("search.ckernel_runs")
@@ -532,7 +523,7 @@ def _generate_scheme(
         (0, 0, -1, 0, init_state)
     ]
     heap: List[Tuple] = [(init_key, 0)]
-    closed: List[Dict[int, object]] = [dict() for _ in range(n_slots + 1)]
+    closed: List[set] = [set() for _ in range(n_slots + 1)]
     use_dominance = dominance_limit > 0
     dominance = (
         [_DominanceIndex(dominance_limit) for _ in range(n_slots + 1)]
@@ -545,7 +536,7 @@ def _generate_scheme(
     best_goal_key = None  # earliest-pushed goal at the smallest key
     best_goal_sid = -1
     budget_left = max_expansions if max_expansions is not None else float("inf")
-    expanded = pushed = pruned_closed = pruned_dominated = 0
+    expanded = pushed = pruned_closed = pruned_bound = pruned_dominated = 0
     dominance_checks = 0
     peak_frontier = 1
     bucket_transitions = 0
@@ -568,9 +559,6 @@ def _generate_scheme(
             bucket_transitions += 1
             last_popped_key = key
         slot, mask, _, _, cstate = states[sid]
-        prev = closed[slot].get(mask)
-        if prev is not None and prev < key:
-            continue  # stale heap entry
         if slot == n_slots:
             goal_id = sid
             break
@@ -596,8 +584,10 @@ def _generate_scheme(
             else:
                 new_mask = mask
                 new_state, new_key = cstate, key
-            seen = cl.get(new_mask)
-            if seen is not None and seen <= new_key:
+            if best_goal_key is not None and new_key >= best_goal_key:
+                pruned_bound += 1  # never popped before the cutoff
+                continue
+            if new_mask in cl:
                 pruned_closed += 1
                 continue
             if dom is not None:
@@ -607,12 +597,10 @@ def _generate_scheme(
                     pruned_dominated += 1
                     continue
                 dom.add(new_mask, new_key, pc)
-            cl[new_mask] = new_key
+            cl.add(new_mask)
             states_append((new_slot, new_mask, sid, eq, new_state))
             heappush(heap, (new_key, n_states))
-            if is_goal_slot and (
-                best_goal_key is None or new_key < best_goal_key
-            ):
+            if is_goal_slot:  # past the bound: a strictly better goal
                 best_goal_key = new_key
                 best_goal_sid = n_states
             n_states += 1
@@ -624,6 +612,7 @@ def _generate_scheme(
     stats.expanded = expanded
     stats.pushed = pushed
     stats.pruned_closed = pruned_closed
+    stats.pruned_bound = pruned_bound
     stats.pruned_dominated = pruned_dominated
     stats.dominance_checks = dominance_checks
     stats.peak_frontier = peak_frontier

@@ -4,8 +4,9 @@ Minimize the read load of the most loaded disk outright — even if that means
 reading more data in total — then, among ties, read the minimal total
 (Sec. IV-B's revision of Algorithm 1).  The paper's bucketed ``rec_list[r]``
 traversal in ascending max-column-load order is uniform-cost search on the
-lexicographic key ``(max_load, total)``; a binary heap plays the role of the
-``k + 1`` sublists.
+lexicographic key ``(max_load, total)``; the pure-Python engine's binary heap
+plays the role of the sublists, and the compiled kernel keeps them as one
+FIFO bucket per key.
 """
 
 from __future__ import annotations

@@ -1,6 +1,10 @@
 """Tests for the unified UCS engine and cost functions."""
 
+from heapq import heappop, heappush
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codes import CodeLayout, RdpCode, make_code
 from repro.equations import get_recovery_equations
@@ -14,6 +18,7 @@ from repro.recovery.search import (
     unconditional_cost,
     weighted_cost,
 )
+from tests.legs import pure_python
 
 
 def tiny_problem():
@@ -243,6 +248,21 @@ class TestSearchStatsMetadata:
         assert fresh.scheme_for_disk(0).search_stats is not None
 
 
+#: effort counters the kernel reports and must agree on with the Python engine
+COUNTERS = ("expanded", "pushed", "pruned_closed", "pruned_bound", "peak_frontier")
+
+#: (n_disks, k_rows): 63, 64, 65, 128, 129 and 512 elements — mask widths
+#: just under, at and just over word boundaries, and the kernel's cap; the
+#: 4 x 128 geometry has disk windows wider than a word
+GEOMETRIES = [(7, 9), (8, 8), (5, 13), (4, 32), (3, 43), (16, 32), (4, 128)]
+
+KINDS = {
+    "khan": (khan_cost, ckernel.KIND_KHAN),
+    "c": (conditional_cost, ckernel.KIND_CONDITIONAL),
+    "u": (unconditional_cost, ckernel.KIND_UNCONDITIONAL),
+}
+
+
 class TestCompiledKernel:
     """The C kernel must be bit-for-bit equivalent to the Python engine."""
 
@@ -257,14 +277,9 @@ class TestCompiledKernel:
         [(khan_cost, "khan"), (conditional_cost, "c"), (unconditional_cost, "u")],
     )
     def test_matches_pure_python(self, monkeypatch, family, n, factory, alg):
-        import repro.recovery.search as search_mod
-
         code = make_code(family, n)
         lay = code.layout
         rec = get_recovery_equations(code, lay.disk_mask(0), depth=1)
-        # force the kernel even below the size heuristic so small, fast
-        # codes still exercise it
-        monkeypatch.setattr(search_mod, "_worth_ckernel", lambda _s: True)
         compiled = generate_scheme(rec, factory(lay), alg)
         monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
         monkeypatch.setattr(ckernel, "_lib", None)
@@ -274,5 +289,181 @@ class TestCompiledKernel:
         assert compiled.read_mask == pure.read_mask
         assert compiled.equations == pure.equations
         cs, ps = compiled.search_stats, pure.search_stats
-        for field in ("expanded", "pushed", "pruned_closed", "peak_frontier"):
+        for field in COUNTERS:
             assert cs[field] == ps[field], field
+
+
+def reference_search(rec, model, max_expansions):
+    """The engine loop as it stood before the incumbent bound.
+
+    A binary heap of ``(key, state id)``, a closed dict keyed by mask that
+    remembers the best key pushed, the pop-time stale-entry probe, no
+    bound, and the same greedy completion when the budget runs out.
+    Returns ``(equations, read_mask, expanded, exact)``.
+    """
+    n_slots = rec.n_failed
+    slot_opts = [[(o.read_mask, o.equation) for o in opts] for opts in rec.options]
+    init_state, init_key = model.initial()
+    states = [(0, 0, -1, 0, init_state)]
+    heap = [(init_key, 0)]
+    closed = [dict() for _ in range(n_slots + 1)]
+    goal_id = frontier_sid = -1
+    best_goal_key = None
+    best_goal_sid = -1
+    budget_left = float("inf") if max_expansions is None else max_expansions
+    expanded = 0
+    while heap:
+        if best_goal_key is not None and best_goal_key <= heap[0][0]:
+            goal_id = best_goal_sid
+            break
+        key, sid = heappop(heap)
+        slot, mask, _, _, cstate = states[sid]
+        prev = closed[slot].get(mask)
+        if prev is not None and prev < key:
+            continue
+        if slot == n_slots:
+            goal_id = sid
+            break
+        expanded += 1
+        budget_left -= 1
+        if budget_left < 0:
+            frontier_sid = sid
+            break
+        cl = closed[slot + 1]
+        for rm, eq in slot_opts[slot]:
+            add = rm & ~mask
+            if add:
+                new_mask = mask | add
+                new_state, new_key = model.extend(cstate, add, new_mask)
+            else:
+                new_mask, new_state, new_key = mask, cstate, key
+            seen = cl.get(new_mask)
+            if seen is not None and seen <= new_key:
+                continue
+            cl[new_mask] = new_key
+            states.append((slot + 1, new_mask, sid, eq, new_state))
+            heappush(heap, (new_key, len(states) - 1))
+            if slot + 1 == n_slots and (
+                best_goal_key is None or new_key < best_goal_key
+            ):
+                best_goal_key, best_goal_sid = new_key, len(states) - 1
+    exact = goal_id >= 0
+    if not exact:
+        sid = frontier_sid
+        while states[sid][0] < n_slots:
+            slot, mask = states[sid][0], states[sid][1]
+            best = None
+            for rm, eq in slot_opts[slot]:
+                k = model.key_of_mask(mask | rm)
+                if best is None or k < best[0]:
+                    best = (k, rm, eq)
+            states.append((slot + 1, mask | best[1], sid, best[2], None))
+            sid = len(states) - 1
+        goal_id = sid
+    chain = []
+    sid = goal_id
+    while states[sid][2] >= 0:
+        chain.append(states[sid][3])
+        sid = states[sid][2]
+    return chain[::-1], states[goal_id][1], expanded, exact
+
+
+@st.composite
+def option_tables(draw):
+    """A random search problem: geometry, per-slot read masks, kind, budget.
+
+    Option bits come from a small per-problem pool, biased towards word
+    boundaries, so options overlap, revisit masks and add no new bits.
+    """
+    n_disks, k_rows = draw(st.sampled_from(GEOMETRIES))
+    n_el = n_disks * k_rows
+    edges = [b for b in (0, 1, 62, 63, 64, 65, 127, 128, 129, 511) if b < n_el]
+    bit = st.one_of(st.sampled_from(edges), st.integers(0, n_el - 1))
+    pool = draw(st.lists(bit, min_size=1, max_size=16, unique=True))
+    option = st.lists(st.sampled_from(pool), max_size=5).map(
+        lambda bits: sum(1 << b for b in set(bits))
+    )
+    n_slots = draw(st.integers(1, 20))
+    table = [
+        draw(st.lists(option, min_size=1, max_size=4)) for _ in range(n_slots)
+    ]
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    budget = draw(st.one_of(st.just(20_000), st.integers(0, 40)))
+    return n_disks, k_rows, table, kind, budget
+
+
+class TestBoundedSearchIdentity:
+    """Bound, plain closed set and bucket queue change no scheme.
+
+    On random option tables the compiled kernel and the Python engine
+    agree on the scheme and every counter, and both return the scheme and
+    expansion count of the pre-bound reference loop above.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(option_tables())
+    def test_kernel_engine_and_reference_agree(self, problem):
+        assert_identical_searches(*problem)
+
+    @pytest.mark.parametrize("n_disks,k_rows", [(16, 32), (3, 43), (4, 128)])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_wide_frontier(self, n_disks, k_rows, kind):
+        """Single-bit options, all distinct: 4**6 states at the last slot
+        before the goals, enough to grow the kernel's closed table."""
+        n_el = n_disks * k_rows
+        table = [[1 << ((s * 4 + o) * 37 % n_el) for o in range(4)] for s in range(7)]
+        stats = assert_identical_searches(n_disks, k_rows, table, kind, None)
+        assert stats["pushed"] > 3000 and stats["pruned_bound"] > 0
+
+    @pytest.mark.parametrize("n_disks,k_rows", [(16, 32), (3, 43)])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_wide_frontier_with_revisits(self, n_disks, k_rows, kind):
+        """Single-bit options from a pool of 20 shared by 12 slots: the
+        closed set grows and prunes thousands of revisited masks."""
+        n_el = n_disks * k_rows
+        pos = [b * 37 % n_el for b in range(20)]
+        table = [[1 << pos[(s * 5 + o * 3) % 20] for o in range(4)] for s in range(12)]
+        stats = assert_identical_searches(n_disks, k_rows, table, kind, None)
+        assert stats["pushed"] > 3000 and stats["pruned_closed"] > 1000
+
+
+def assert_identical_searches(n_disks, k_rows, table, kind, budget):
+    """Run one option table on all three searches and compare them.
+
+    Returns the Python engine's search stats.
+    """
+    lay = CodeLayout(n_disks - 1, 1, k_rows)
+    n_slots = len(table)
+    # equation ids name (slot, option) so the chosen options compare
+    rec = RecoveryEquations(
+        layout=lay,
+        failed_mask=(1 << n_slots) - 1,
+        failed_eids=list(range(n_slots)),
+        options=[
+            [EquationOption(rm, slot << 8 | oi) for oi, rm in enumerate(opts)]
+            for slot, opts in enumerate(table)
+        ],
+        depth=1,
+    )
+    factory, ckind = KINDS[kind]
+    with pure_python():
+        py = generate_scheme(rec, factory(lay), kind, max_expansions=budget)
+    ref_eqs, ref_mask, ref_expanded, ref_exact = reference_search(
+        rec, factory(lay), budget
+    )
+    assert py.equations == ref_eqs
+    assert py.read_mask == ref_mask
+    assert py.expanded_states == ref_expanded
+    assert py.exact == ref_exact
+
+    if ckernel.available():
+        slot_opts = [[(o.read_mask, o.equation) for o in opts] for opts in rec.options]
+        res = ckernel.run(slot_opts, n_disks, k_rows, ckind, budget)
+        if not py.exact:
+            assert res is None  # the Python engine owns greedy completion
+        else:
+            chain, counters = res
+            assert [slot << 8 | oi for slot, oi in enumerate(chain)] == ref_eqs
+            for field in COUNTERS:
+                assert counters[field] == py.search_stats[field], field
+    return py.search_stats
