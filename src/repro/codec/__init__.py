@@ -7,7 +7,7 @@ sequence of XOR reductions — the CPU cost the paper measures as negligible
 next to disk reads.
 """
 
-from repro.codec.batch import BatchReconstructor
+from repro.codec.batch import BatchReconstructor, ColumnSet
 from repro.codec.encoder import StripeCodec
 from repro.codec.image import ArrayImageCodec
 from repro.codec.reconstructor import execute_scheme
@@ -21,6 +21,7 @@ from repro.codec.verify import (
 __all__ = [
     "ArrayImageCodec",
     "BatchReconstructor",
+    "ColumnSet",
     "StripeCodec",
     "element_checksum",
     "execute_scheme",

@@ -15,7 +15,10 @@ a single cache-friendly pass, where the numpy fold pays one full memory
 sweep (and one interpreter dispatch) per equation source.  The batch may
 arrive as per-column views of a disk image, and given stripe ids the same
 call gathers its stripes straight out of a whole store, so no caller ever
-stages a copy.  The fallback numpy path folds the same views and the
+stages a copy.  A caller that runs many calls over the same views (a
+serving shard over its disk image) prepares them once as a
+:class:`ColumnSet`, so each call marshals only its output and stripe ids.
+The fallback numpy path folds the same views and the
 kernel computes the exact same XORs, so outputs are byte-identical with
 or without a C compiler (``REPRO_PURE_PYTHON=1`` forces the numpy path).
 """
@@ -28,6 +31,45 @@ import numpy as np
 
 from repro.recovery import ckernel
 from repro.recovery.scheme import RecoveryScheme
+
+
+class ColumnSet:
+    """A batch's column views, validated and marshalled once.
+
+    ``stripes`` is what :meth:`BatchReconstructor.recover_batch_into`
+    accepts: one ``(n_stripes, n_elements, element_size)`` array, or a
+    sequence of equal-shape ``(n_stripes, k, element_size)`` column views
+    whose concatenation along axis 1 is that batch.  Views of differing
+    shape raise :class:`ValueError`.  The set keeps the views alive and
+    holds the kernel's base-pointer array (``bases``), or ``None`` when
+    the kernel cannot address them — not uint8, rows not packed, or
+    columns with differing stripe strides — in which case every call over
+    the set runs the numpy fold instead, with identical bytes.
+
+    Reuse one set for any number of calls, outputs and stripe ids; a plain
+    sequence handed to ``recover_batch_into`` is wrapped in a fresh one.
+    """
+
+    __slots__ = ("cols", "shape", "stride", "width", "bases")
+
+    def __init__(self, stripes: Union[np.ndarray, Sequence[np.ndarray]]) -> None:
+        cols = [stripes] if isinstance(stripes, np.ndarray) else list(stripes)
+        if len({c.shape for c in cols}) > 1:
+            raise ValueError(
+                f"column views differ in shape: {[c.shape for c in cols]}"
+            )
+        if not cols or cols[0].ndim != 3:
+            raise ValueError(
+                f"expected (n_stripes, n_elements, element_size) or column "
+                f"views, got {[c.shape for c in cols]}"
+            )
+        self.cols: List[np.ndarray] = cols
+        #: ``(n_stripes, k, element_size)`` of every column
+        self.shape = cols[0].shape
+        self.stride = cols[0].strides[0]
+        #: elements per stripe across all columns
+        self.width = len(cols) * self.shape[1]
+        self.bases = ckernel.marshal_columns(cols)
 
 
 class BatchReconstructor:
@@ -75,6 +117,9 @@ class BatchReconstructor:
             offs.append(len(ids))
         self._src_off = np.ascontiguousarray(offs, dtype=np.int64)
         self._src_ids = np.ascontiguousarray(ids, dtype=np.int32)
+        # marshalled once; the arrays above keep the addresses valid
+        self._src_off_p = self._src_off.ctypes.data
+        self._src_ids_p = self._src_ids.ctypes.data
 
     @property
     def source_eids(self) -> np.ndarray:
@@ -83,7 +128,7 @@ class BatchReconstructor:
 
     def recover_batch_into(
         self,
-        stripes: Union[np.ndarray, Sequence[np.ndarray]],
+        stripes: Union[ColumnSet, np.ndarray, Sequence[np.ndarray]],
         out: np.ndarray,
         stripe_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
@@ -93,7 +138,8 @@ class BatchReconstructor:
         or the same batch as a sequence of column views, each
         ``(n_stripes, k, element_size)``, whose concatenation along axis 1
         is that batch — one view per logical disk of a disk image, for
-        instance, so a rotated stripe is read where it lies.  ``out`` must
+        instance, so a rotated stripe is read where it lies — or either
+        of those prepared once as a :class:`ColumnSet`.  ``out`` must
         have shape ``(n_stripes, n_failed, element_size)``; slot ``i``
         along axis 1 receives the element ``failed_eids[i]``.  Inputs and
         ``out`` may be strided views (rebuilt rows land straight in the
@@ -106,8 +152,8 @@ class BatchReconstructor:
         in place, so a caller holding a store never copies a batch out of
         it.  An id outside ``[0, n_stripes)`` raises :class:`IndexError`.
         """
-        cols = self._columns(stripes)
-        n_rows = cols[0].shape[0]
+        cols = self._column_set(stripes)
+        n_rows = cols.shape[0]
         if stripe_ids is not None:
             stripe_ids = np.asarray(stripe_ids)
             if stripe_ids.ndim != 1 or stripe_ids.dtype.kind not in "iu":
@@ -115,44 +161,33 @@ class BatchReconstructor:
                     f"stripe_ids must be a 1-D integer array, got "
                     f"{stripe_ids.dtype} of shape {stripe_ids.shape}"
                 )
-            ckernel.check_stripe_ids(stripe_ids, n_rows)
             stripe_ids = np.ascontiguousarray(stripe_ids, dtype=np.int64)
             n_rows = len(stripe_ids)
-        want = (n_rows, len(self._plan), cols[0].shape[2])
+        want = (n_rows, len(self._plan), cols.shape[2])
         if out.shape != want:
             raise ValueError(f"out shape {out.shape} != {want}")
-        if ckernel.xor_batch(cols, out, self._src_off, self._src_ids, stripe_ids):
+        if cols.bases is not None and ckernel.xor_columns(
+            cols.bases, cols.shape, cols.stride, out,
+            self._src_off_p, self._src_ids_p, stripe_ids,
+        ):
             return out
         return self._recover_into_numpy(cols, out, stripe_ids)
 
-    def _columns(
-        self, stripes: Union[np.ndarray, Sequence[np.ndarray]]
-    ) -> List[np.ndarray]:
-        """``stripes`` as a list of equal-shape 3-D column views."""
-        if isinstance(stripes, np.ndarray):
-            cols = [stripes]
-        else:
-            cols = list(stripes)
-            shapes = {c.shape for c in cols}
-            if len(shapes) > 1:
-                raise ValueError(
-                    f"column views differ in shape: {[c.shape for c in cols]}"
-                )
-        if not cols or cols[0].ndim != 3:
+    def _column_set(
+        self, stripes: Union[ColumnSet, np.ndarray, Sequence[np.ndarray]]
+    ) -> ColumnSet:
+        """``stripes`` as a :class:`ColumnSet` as wide as the layout."""
+        cols = stripes if isinstance(stripes, ColumnSet) else ColumnSet(stripes)
+        if cols.width != self.scheme.layout.n_elements:
             raise ValueError(
-                f"expected (n_stripes, n_elements, element_size) or column "
-                f"views, got {[c.shape for c in cols]}"
-            )
-        width = len(cols) * cols[0].shape[1]
-        if width != self.scheme.layout.n_elements:
-            raise ValueError(
-                f"stripe width {width} != layout {self.scheme.layout.n_elements}"
+                f"stripe width {cols.width} != layout "
+                f"{self.scheme.layout.n_elements}"
             )
         return cols
 
     def _recover_into_numpy(
         self,
-        stripes: Union[np.ndarray, Sequence[np.ndarray]],
+        stripes: Union[ColumnSet, np.ndarray, Sequence[np.ndarray]],
         out: np.ndarray,
         stripe_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
@@ -162,11 +197,13 @@ class BatchReconstructor:
         same views: each source is one row of one column, gathered by
         ``stripe_ids`` when given.
         """
-        cols = self._columns(stripes)
-        k = cols[0].shape[1]
+        cols = self._column_set(stripes)
+        k = cols.shape[1]
+        if stripe_ids is not None:
+            ckernel.check_stripe_ids(stripe_ids, cols.shape[0])
 
         def source(eid: int) -> np.ndarray:
-            rows = cols[eid // k][:, eid % k, :]
+            rows = cols.cols[eid // k][:, eid % k, :]
             return rows if stripe_ids is None else rows[stripe_ids]
 
         for i, (f, surviving, recovered_refs) in enumerate(self._plan):

@@ -122,14 +122,14 @@ def load() -> Optional[ctypes.CDLL]:
             ctypes.POINTER(ctypes.c_void_p),   # column bases
             ctypes.c_int64,                    # rows per column
             ctypes.c_int64,                    # stripe stride (bytes)
-            ctypes.POINTER(ctypes.c_int64),    # stripe ids (n,) or NULL
+            ctypes.c_void_p,                   # int64 stripe ids (n,) or NULL
             ctypes.c_int64,                    # n_stripes (output rows)
             ctypes.c_int64,                    # element_size
             ctypes.c_void_p,                   # out (n, n_slots, esz)
             ctypes.c_int64,                    # out row stride (bytes)
             ctypes.c_int64,                    # n_slots
-            ctypes.POINTER(ctypes.c_int64),    # src_off (n_slots + 1)
-            ctypes.POINTER(ctypes.c_int32),    # src_ids
+            ctypes.c_void_p,                   # int64 src_off (n_slots + 1)
+            ctypes.c_void_p,                   # int32 src_ids
         ]
         _lib = lib
     except Exception as exc:
@@ -240,6 +240,61 @@ def _rows_packed(arr, esz: int) -> bool:
     return arr.dtype.char == "B" and arr.strides[1:] == (esz, 1)
 
 
+def marshal_columns(cols) -> Optional[ctypes.Array]:
+    """The kernel's base-pointer array for ``cols``, or ``None``.
+
+    ``cols`` is a non-empty sequence of 3-D ``(n_stripes, k_rows, esz)``
+    views.  The kernel addresses them only if every column is uint8, has
+    the first column's shape and stripe stride, and packs each stripe's
+    rows ``esz`` bytes apart; otherwise ``None`` ("fold with numpy").
+    The array holds raw addresses: the caller keeps the views alive.
+    """
+    first = cols[0]
+    shape, stride = first.shape, first.strides[0]
+    for col in cols:
+        if col.shape != shape or col.strides[0] != stride:
+            return None
+        if not _rows_packed(col, shape[2]):
+            return None
+    return (ctypes.c_void_p * len(cols))(*[col.ctypes.data for col in cols])
+
+
+def xor_columns(bases, shape, stride, out, src_off, src_ids, stripe_ids=None) -> bool:
+    """Run the kernel over marshalled columns; ``False`` means "use numpy".
+
+    ``bases`` comes from :func:`marshal_columns` for columns of ``shape``
+    ``(n_stripes, k_rows, esz)`` and stripe stride ``stride``; ``src_off``
+    and ``src_ids`` are the addresses of the C-contiguous int64 / int32
+    plan arrays.  Checks only what varies per call — ``out`` and the
+    stripe ids — with the refusals and errors of :func:`xor_batch`.
+    """
+    lib = load()
+    if lib is None:
+        return False
+    n_stripes, k_rows, esz = shape
+    if not (_rows_packed(out, esz) and out.flags.writeable):
+        return False
+    sid = None
+    if stripe_ids is not None:
+        if stripe_ids.dtype.str[1:] != "i8" or not stripe_ids.flags.c_contiguous:
+            return False
+        if stripe_ids.shape != (out.shape[0],):
+            raise ValueError(
+                f"stripe_ids shape {stripe_ids.shape} != ({out.shape[0]},)"
+            )
+        check_stripe_ids(stripe_ids, n_stripes)
+        n_stripes = out.shape[0]
+        sid = stripe_ids.ctypes.data
+    n_slots = out.shape[1]
+    if n_stripes == 0 or n_slots == 0 or esz == 0:
+        return True  # nothing to XOR; the zero-fill contract is vacuous
+    rc = lib.xor_batch(
+        bases, k_rows, stride, sid, n_stripes, esz,
+        out.ctypes.data, out.strides[0], n_slots, src_off, src_ids,
+    )
+    return rc == 0
+
+
 def xor_batch(stripes, out, src_off, src_ids, stripe_ids=None) -> bool:
     """Run the batched-XOR kernel; ``False`` means "use the numpy path".
 
@@ -268,50 +323,20 @@ def xor_batch(stripes, out, src_off, src_ids, stripe_ids=None) -> bool:
     store raises :class:`IndexError` before the kernel runs, and a
     ``stripe_ids`` whose length is not ``out``'s row count raises
     :class:`ValueError`.  Output bytes are identical either way.
+
+    This marshals everything on every call; a caller that runs many
+    calls over the same columns and plan marshals them once
+    (:func:`marshal_columns`) and calls :func:`xor_columns`.
     """
-    lib = load()
-    if lib is None or not hasattr(lib, "xor_batch"):
-        return False
     cols = (stripes,) if hasattr(stripes, "shape") else tuple(stripes)
     if not cols:
         return False
-    n_stripes, k_rows, esz = cols[0].shape
-    stride = cols[0].strides[0]
-    for col in cols:
-        if col.shape != cols[0].shape or col.strides[0] != stride:
-            return False
-        if not _rows_packed(col, esz):
-            return False
-    if not (_rows_packed(out, esz) and out.flags.writeable):
+    bases = marshal_columns(cols)
+    if bases is None:
         return False
     if not (src_off.flags.c_contiguous and src_ids.flags.c_contiguous):
         return False
-    n_slots = out.shape[1]
-    sid = None
-    if stripe_ids is not None:
-        if stripe_ids.dtype.str[1:] != "i8" or not stripe_ids.flags.c_contiguous:
-            return False
-        if stripe_ids.shape != (out.shape[0],):
-            raise ValueError(
-                f"stripe_ids shape {stripe_ids.shape} != ({out.shape[0]},)"
-            )
-        check_stripe_ids(stripe_ids, n_stripes)
-        n_stripes = out.shape[0]
-        sid = stripe_ids.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
-    if n_stripes == 0 or n_slots == 0 or esz == 0:
-        return True  # nothing to XOR; the zero-fill contract is vacuous
-    bases = (ctypes.c_void_p * len(cols))(*[col.ctypes.data for col in cols])
-    rc = lib.xor_batch(
-        bases,
-        ctypes.c_int64(k_rows),
-        ctypes.c_int64(stride),
-        sid,
-        ctypes.c_int64(n_stripes),
-        ctypes.c_int64(esz),
-        ctypes.c_void_p(out.ctypes.data),
-        ctypes.c_int64(out.strides[0]),
-        ctypes.c_int64(n_slots),
-        src_off.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-        src_ids.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
+    return xor_columns(
+        bases, cols[0].shape, cols[0].strides[0], out,
+        src_off.ctypes.data, src_ids.ctypes.data, stripe_ids,
     )
-    return rc == 0

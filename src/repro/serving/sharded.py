@@ -11,11 +11,13 @@ mutable state becomes:
 
 * the pristine disk images and the rebuilt-row *patch map* in named
   shared memory (:class:`~repro.serving.shm.SharedServingState`);
-* the rebuild **frontier** as per-shard control-queue notifications: the
-  parent's rebuild loop writes a chunk's recovered rows into the patch
-  map *first*, then tells each owning shard which stripes advanced (the
-  queue's lock provides the cross-process happens-before, so a shard
-  never serves a torn row);
+* the rebuild **frontier** as messages on a per-shard one-way control
+  pipe: the parent's rebuild loop writes a chunk's recovered rows into
+  the patch map *first*, then sends each owning shard the stripes that
+  advanced (write -> send -> recv is the cross-process happens-before,
+  so a shard never serves a torn row).  The same pipe is what an idle
+  shard waits on: one ``select`` until the next scheduled arrival,
+  which a frontier message cuts short;
 * the degraded **plan map** as the persistent
   :class:`~repro.recovery.plancache.SchemePlanCache` store, warmed by the
   parent before forking so workers start search-free;
@@ -23,9 +25,10 @@ mutable state becomes:
   drains every overdue request in one scoop and groups degraded reads by
   ``(logical role, row)``.  All stripes where the failed physical disk
   plays the same logical role share one rotation, hence one physical
-  mapping — so the whole group is gathered with vectorized indexing and
-  reconstructed in a single batched-XOR kernel call
-  (:meth:`~repro.codec.batch.BatchReconstructor.recover_batch_into`).
+  mapping — so the whole group is one entry of the shard's dense plan
+  table and one batched-XOR kernel call
+  (:meth:`~repro.codec.batch.BatchReconstructor.recover_batch_into`)
+  that reads its stripes in place from the disk image.
 
 QoS inverts too: instead of an in-process AIMD controller fed by every
 read, the parent steers rebuild admission with :class:`BoardThrottle` on
@@ -42,17 +45,21 @@ fewer shards.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing as mp
 import queue as queue_mod
+import select
+import sys
 import time
 import threading
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.codec.batch import BatchReconstructor, ColumnSet
 from repro.codec.image import ArrayImageCodec
 from repro.disksim.workload import Request
 from repro.pipeline.engine import RebuildPipeline, RebuildResult
@@ -174,6 +181,20 @@ class BoardThrottle:
         }
 
 
+#: ``prctl`` option that sets the calling thread's timer slack (Linux)
+_PR_SET_TIMERSLACK = 29
+
+
+class _GroupPlan(NamedTuple):
+    """Everything a degraded ``(role, row)`` group needs, resolved once."""
+
+    recon: BatchReconstructor
+    slot: int                   #: output slot of the requested element
+    n_slots: int                #: elements the plan recovers
+    rotation: int               #: stripe rotation where the role is failed
+    billing: Tuple[Tuple[int, int], ...]  #: (physical disk, reads per stripe)
+
+
 class ShardServer:
     """The in-process serving core of one shard (testable without mp).
 
@@ -181,6 +202,13 @@ class ShardServer:
     batched degraded reads against numpy views (shared-memory or plain
     arrays — the code cannot tell), verifying every reconstructed or
     patched answer against the pristine image.
+
+    Construction prepares the degraded path once: a dense ``(role, row)``
+    table of compiled plans for every role the failed disk plays in the
+    range (each entry: reconstructor, output slot, rotation and per-disk
+    billing), and one prepared :class:`~repro.codec.batch.ColumnSet` per
+    rotation over the disk image, so a degraded group is one table lookup
+    and one in-place ``recover_batch_into`` call.
     """
 
     def __init__(
@@ -217,14 +245,51 @@ class ShardServer:
         self.io = io if io is not None else NullIoModel()
         self.priority = priority
         self.max_batch = max_batch
-        self._k = lay.k_rows
-        self._n = lay.n_disks
+        self._k = k = lay.k_rows
+        self._n = n = lay.n_disks
         self._rebuilt = np.zeros(codec.n_stripes, dtype=bool)
+        # the disk image as (disk, stripe, row, byte): one column set per
+        # rotation, read in place by stripe id; the failed disk's true
+        # rows are the oracle every answer is checked against
+        disks4 = disks.reshape(n, codec.n_stripes, k, codec.element_size)
+        self._colsets = [
+            ColumnSet([disks4[(ldisk + rot) % n] for ldisk in range(n)])
+            for rot in range(n)
+        ]
+        self._truth = disks4[failed_disk]
+        #: dense (role, row) plan table, indexed by role * k_rows + row
+        self._table: List[Optional[_GroupPlan]] = [None] * (n * k)
+        for s in range(stripe_lo, min(stripe_hi, stripe_lo + n)):
+            role = codec.logical_role(failed_disk, s)
+            for r in range(k):
+                self._group_plan(role * k + r)
         self.n_direct = 0
         self.n_patched = 0
         self.n_degraded = 0
         self.n_batches = 0
         self.mismatches = 0
+
+    def _group_plan(self, key: int) -> _GroupPlan:
+        """Build and table the degraded plan of ``(role, row) = divmod(key, k)``."""
+        role, r = divmod(key, self._k)
+        lay = self.codec.code.layout
+        plan = self.plans.plan_for_element(role, r)
+        recon = self.compiled.reconstructor(plan)
+        rot = (self.failed_disk - role) % self._n
+        billing = tuple(
+            ((ldisk + rot) % self._n, load)
+            for ldisk, load in enumerate(plan.loads)
+            if load
+        )
+        entry = _GroupPlan(
+            recon,
+            plan.failed_eids.index(lay.eid(role, r)),
+            len(plan.failed_eids),
+            rot,
+            billing,
+        )
+        self._table[key] = entry
+        return entry
 
     # ------------------------------------------------------------------
     # frontier
@@ -252,8 +317,8 @@ class ShardServer:
 
         Groups: direct reads charge their disks in one parallel fan-out;
         patched reads hit the replacement spindle; degraded reads group
-        by (logical role, row) — one rotation, one vectorized gather, one
-        batched-XOR kernel call per group.
+        by (logical role, row) — one rotation, one table entry, one
+        batched-XOR kernel call per group, reading its stripes in place.
         """
         m = len(rows)
         completions = np.empty(m, dtype=np.float64)
@@ -263,19 +328,25 @@ class ShardServer:
             else None
         )
         k = self._k
+        failed = self.failed_disk
         direct_idx: List[int] = []
         patched_idx: List[int] = []
-        degraded: Dict[Tuple[int, int], List[int]] = {}
-        for t in range(m):
-            if disks[t] != self.failed_disk:
+        #: role * k + row -> (request indices, stripe ids)
+        degraded: Dict[int, Tuple[List[int], List[int]]] = {}
+        for t, (disk, row) in enumerate(zip(disks.tolist(), rows.tolist())):
+            if disk != failed:
                 direct_idx.append(t)
-            else:
-                s, r = divmod(int(rows[t]), k)
-                if self._rebuilt[s]:
-                    patched_idx.append(t)
-                else:
-                    role = self.codec.logical_role(self.failed_disk, s)
-                    degraded.setdefault((role, r), []).append(t)
+                continue
+            s, r = divmod(row, k)
+            if self._rebuilt[s]:
+                patched_idx.append(t)
+                continue
+            key = self.codec.logical_role(failed, s) * k + r
+            group = degraded.get(key)
+            if group is None:
+                group = degraded[key] = ([], [])
+            group[0].append(t)
+            group[1].append(s)
 
         if direct_idx:
             per_disk: Dict[int, int] = {}
@@ -291,14 +362,13 @@ class ShardServer:
 
         if patched_idx:
             self.io.read_elements(
-                {self.failed_disk: len(patched_idx)}, priority=self.priority
+                {failed: len(patched_idx)}, priority=self.priority
             )
             done = time.monotonic()
             p_rows = rows[patched_idx]
             served_rows = self.patched[p_rows]
             self.mismatches += int(
-                np.any(served_rows != self.disks[self.failed_disk, p_rows], axis=1)
-                .sum()
+                np.any(served_rows != self.disks[failed, p_rows], axis=1).sum()
             )
             for t in patched_idx:
                 completions[t] = done
@@ -306,37 +376,28 @@ class ShardServer:
                     data[t] = self.patched[rows[t]]
             self.n_patched += len(patched_idx)
 
-        lay = self.codec.code.layout
         esz = self.codec.element_size
-        for (role, r), idxs in degraded.items():
-            plan = self.plans.plan_for_element(role, r)
-            recon = self.compiled.reconstructor(plan)
-            stripes = rows[idxs] // k
-            base = stripes * k
-            rot = (self.failed_disk - role) % self._n
-            per_disk = {}
-            for ldisk, load in enumerate(plan.loads):
-                if load:
-                    per_disk[(ldisk + rot) % self._n] = load * len(idxs)
-            self.io.read_elements(per_disk, priority=self.priority)
-            batch = np.zeros((len(idxs), lay.n_elements, esz), dtype=np.uint8)
-            for ldisk, lrow in lay.iter_elements(plan.read_mask):
-                phys = (ldisk + rot) % self._n
-                batch[:, lay.eid(ldisk, lrow), :] = self.disks[phys, base + lrow]
-            out = np.empty((len(idxs), len(plan.failed_eids), esz), dtype=np.uint8)
-            recon.recover_batch_into(batch, out)
+        for key, (idxs, stripes) in degraded.items():
+            entry = self._table[key] or self._group_plan(key)
+            recon, slot, n_slots, rot, billing = entry
+            count = len(idxs)
+            self.io.read_elements(
+                {disk: load * count for disk, load in billing},
+                priority=self.priority,
+            )
+            ids = np.array(stripes, dtype=np.int64)
+            out = np.empty((count, n_slots, esz), dtype=np.uint8)
+            recon.recover_batch_into(self._colsets[rot], out, ids)
             done = time.monotonic()
-            slot = plan.failed_eids.index(lay.eid(role, r))
-            answer = out[:, slot, :]
+            answer = out[:, slot]
             self.mismatches += int(
-                np.any(answer != self.disks[self.failed_disk, base + r], axis=1)
-                .sum()
+                np.any(answer != self._truth[ids, key % k], axis=1).sum()
             )
             for pos, t in enumerate(idxs):
                 completions[t] = done
                 if want_data:
                     data[t] = answer[pos]
-            self.n_degraded += len(idxs)
+            self.n_degraded += count
         self.n_batches += 1
         return completions, data
 
@@ -348,27 +409,28 @@ class ShardServer:
         return data[0].copy()
 
     # ------------------------------------------------------------------
-    def _drain_ctrl(self, ctrl, timeout_s: float) -> None:
-        """Apply pending frontier notifications; waits at most ``timeout_s``."""
+    def _drain_ctrl(self, ctrl) -> None:
+        """Apply every frontier message already in the pipe; never blocks."""
         if ctrl is None:
-            if timeout_s > 0:
-                time.sleep(timeout_s)
             return
-        deadline = time.monotonic() + timeout_s
-        block = timeout_s > 0
-        while True:
-            try:
-                if block:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return
-                    msg = ctrl.get(timeout=remaining)
-                else:
-                    msg = ctrl.get_nowait()
-            except queue_mod.Empty:
-                return
+        fd = ctrl.fileno()
+        while select.select([fd], [], [], 0)[0]:
+            msg = ctrl.recv()
             if msg[0] == "frontier":
                 self.note_rebuilt(msg[1], msg[2])
+
+    def _idle(self, ctrl, timeout_s: float) -> None:
+        """Wait up to ``timeout_s``; a frontier message ends the wait early.
+
+        One ``select`` on the control pipe is the whole wait: it returns
+        at the deadline (to the microsecond, unlike a millisecond-rounded
+        poll) or as soon as a message arrives, which is applied at once.
+        Without a pipe the wait is a plain sleep.
+        """
+        if ctrl is None:
+            time.sleep(timeout_s)
+        elif select.select([ctrl.fileno()], [], [], timeout_s)[0]:
+            self._drain_ctrl(ctrl)
 
     def _publish(self, board: Optional[np.ndarray], lat: np.ndarray,
                  served: int, backlog: int) -> None:
@@ -396,61 +458,97 @@ class ShardServer:
     ) -> Dict[str, object]:
         """Replay this shard's sub-trace open-loop; returns the result dict.
 
-        The loop sleeps until the next scheduled arrival (draining
-        frontier notifications while idle), then scoops *every* overdue
-        request into one batch — under backlog the batch grows, the
-        grouped reconstruction amortizes, and the shard catches up.
+        The loop applies pending frontier messages from ``ctrl`` (the
+        read end of the shard's control pipe, or ``None``), waits for the
+        next scheduled arrival (:meth:`_idle`), then scoops *every*
+        overdue request into one batch — under backlog the batch grows,
+        the grouped reconstruction amortizes, and the shard catches up.
+
+        Each read's latency (scheduled arrival to completion) splits into
+        its wake-up lag (arrival to the start of its batch) and its
+        service time (batch start to completion); the result carries
+        p50/p99 of all three and publishes the split as obs gauges.
         """
         n = len(arrival_s)
+        sched = t_start + np.asarray(arrival_s, dtype=np.float64)
+        due = sched.tolist()
         lat = np.empty(n, dtype=np.float64)
-        served = 0
+        wake = np.empty(n, dtype=np.float64)
         i = 0
         last_pub = 0.0
         while i < n:
+            self._drain_ctrl(ctrl)
             now = time.monotonic()
-            sched = t_start + arrival_s[i]
-            if now < sched:
-                self._drain_ctrl(ctrl, sched - now)
+            while now < due[i]:
+                self._idle(ctrl, due[i] - now)
                 now = time.monotonic()
-                if now < sched:
-                    time.sleep(sched - now)
-                    now = time.monotonic()
-            else:
-                self._drain_ctrl(ctrl, 0.0)
-            j = i
-            while j < n and t_start + arrival_s[j] <= now and j - i < self.max_batch:
+            j = i + 1
+            while j < n and due[j] <= now and j - i < self.max_batch:
                 j += 1
             completions, _ = self._serve_batch(disks[i:j], rows[i:j])
-            lat[served:served + (j - i)] = completions - (
-                t_start + arrival_s[i:j]
-            )
-            served += j - i
+            wake[i:j] = now - sched[i:j]
+            lat[i:j] = completions - sched[i:j]
             i = j
             now = time.monotonic()
             if now - last_pub >= publish_interval_s:
-                self._publish(board, lat, served, n - i)
+                self._publish(board, lat, i, n - i)
                 last_pub = now
         t_end = time.monotonic()
-        self._publish(board, lat, served, 0)
-        obs.count("serving.reads", served)
+        self._publish(board, lat, n, 0)
+        obs.count("serving.reads", n)
         obs.count("serving.degraded", self.n_degraded)
         obs.count("serving.direct", self.n_direct)
         obs.count("serving.patched", self.n_patched)
         obs.count("serving.batches", self.n_batches)
-        samples = lat[:served]
-        return {
-            "served": served,
+        res: Dict[str, object] = {
+            "served": n,
             "mismatches": self.mismatches,
             "direct": self.n_direct,
             "patched": self.n_patched,
             "degraded": self.n_degraded,
             "batches": self.n_batches,
             "duration_s": max(t_end - t_start, 1e-9),
-            "latencies": samples,
-            "p50_ms": percentile(samples.tolist(), 0.5) * 1e3,
-            "p99_ms": percentile(samples.tolist(), 0.99) * 1e3,
+            "latencies": lat,
+            "wake_lags": wake,
             "plans_resident": len(self.plans),
         }
+        res.update(latency_ledger(lat, wake))
+        return res
+
+
+def latency_ledger(lat: np.ndarray, wake: np.ndarray) -> Dict[str, float]:
+    """p50/p99 (ms) of latency, wake-up lag and service time; as gauges too.
+
+    ``lat`` and ``wake`` are per-read seconds from the scheduled arrival
+    to completion and to the start of the read's batch; service time is
+    their difference.
+    """
+    ledger: Dict[str, float] = {}
+    for name, samples in (
+        ("", lat), ("wake_", wake), ("service_", lat - wake)
+    ):
+        values = samples.tolist()
+        for q in (50, 99):
+            ledger[f"{name}p{q}_ms"] = percentile(values, q / 100) * 1e3
+    for key in ("wake_p50_ms", "wake_p99_ms", "service_p50_ms", "service_p99_ms"):
+        obs.gauge(f"serving.{key}", ledger[key])
+    return ledger
+
+
+def _tighten_timer_slack() -> None:
+    """Ask Linux for 1 ns timer slack on this thread (best effort).
+
+    The default 50 us slack lets the kernel defer a timed wake-up to batch
+    it with others; an open-loop replay waits for one arrival at a time,
+    so every deferral lands in the latency.  Elsewhere, or if the call
+    fails, nothing changes.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        ctypes.CDLL(None).prctl(_PR_SET_TIMERSLACK, 1, 0, 0, 0)
+    except (OSError, AttributeError):  # no libc handle or no prctl
+        pass
 
 
 def _shard_main(
@@ -469,6 +567,7 @@ def _shard_main(
     """Worker process entry: attach shared state, serve the sub-trace."""
     state = None
     try:
+        _tighten_timer_slack()
         state = SharedServingState.attach(spec)
         rec = obs.enable(f"shard{shard_id}") if cfg.get("obs") else None
         erm = cfg.get("element_read_ms")
@@ -506,6 +605,9 @@ def _shard_main(
         res = server.serve_trace(
             arr, d, r, t_start, ctrl=ctrl, board=state.board[shard_id]
         )
+        # no more frontier reads: later sends fail fast instead of filling
+        # the pipe of a shard that has stopped listening
+        ctrl.close()
         if plans.store is not None:
             plans.store.save()
         res["shard"] = shard_id
@@ -533,6 +635,12 @@ class ShardedReport:
     errors: List[str]
     p50_ms: float
     p99_ms: float
+    #: latency split: scheduled arrival -> batch start (pooled percentiles)
+    wake_p50_ms: float
+    wake_p99_ms: float
+    #: latency split: batch start -> completion (pooled percentiles)
+    service_p50_ms: float
+    service_p99_ms: float
     mean_ms: float
     duration_s: float           #: slowest shard's replay wall time
     offered_rate_rps: float
@@ -697,9 +805,9 @@ class ShardedServingEngine:
         rebuild_error: List[Optional[BaseException]] = [None]
         rebuild_wall: List[Optional[float]] = [None]
         procs = []
+        ctrls = []
         try:
             state.disks[:] = self.disks
-            ctrls = [ctx.Queue() for _ in range(self.n_shards)]
             results_q = ctx.Queue()
             cfg = {
                 "element_read_ms": self.element_read_ms,
@@ -714,6 +822,10 @@ class ShardedServingEngine:
             t_start = time.monotonic() + startup_grace_s + 0.1 * self.n_shards
             for i in range(self.n_shards):
                 idx = parts[i]
+                # one-way control pipe: the rebuild thread is its only
+                # writer, the shard its only reader
+                reader, writer = ctx.Pipe(duplex=False)
+                ctrls.append(writer)
                 proc = ctx.Process(
                     target=_shard_main,
                     args=(
@@ -725,7 +837,7 @@ class ShardedServingEngine:
                         int(self.bounds[i + 1]),
                         (arr[idx], dks[idx], rws[idx]),
                         t_start,
-                        ctrls[i],
+                        reader,
                         results_q,
                         cfg,
                     ),
@@ -734,6 +846,9 @@ class ShardedServingEngine:
                 )
                 proc.start()
                 procs.append(proc)
+                # the shard holds the only read end (later forks must not
+                # inherit it), so sends fail fast once the shard is gone
+                reader.close()
 
             rebuild_thread = None
             if rebuild:
@@ -763,11 +878,12 @@ class ShardedServingEngine:
                 else:
                     errors.append(f"shard {shard_id} failed:\n{payload}")
             for shard_id in sorted(pending):
-                if shard_id not in results_by_shard:
-                    errors.append(
-                        f"shard {shard_id} produced no result "
-                        f"(alive={procs[shard_id].is_alive()})"
-                    )
+                proc = procs[shard_id]
+                state_note = (
+                    "still running" if proc.is_alive()
+                    else f"exit code {proc.exitcode}"
+                )
+                errors.append(f"shard {shard_id} produced no result ({state_note})")
             for p in procs:
                 p.join(timeout=10.0)
             if rebuild_thread is not None:
@@ -781,6 +897,8 @@ class ShardedServingEngine:
                 if p.is_alive():
                     p.terminate()
                     p.join(timeout=5.0)
+            for writer in ctrls:
+                writer.close()
             state.close()
 
         if errors:
@@ -792,16 +910,19 @@ class ShardedServingEngine:
         rec = obs.get_recorder()
         per_shard: List[Dict[str, object]] = []
         all_lat: List[np.ndarray] = []
+        all_wake: List[np.ndarray] = []
         duration = 0.0
         for i in range(self.n_shards):
             res = results_by_shard[i]
             all_lat.append(np.asarray(res.pop("latencies")))
+            all_wake.append(np.asarray(res.pop("wake_lags")))
             snap = res.pop("obs", None)
             if rec is not None and snap is not None:
                 rec.merge_snapshot(snap)
             per_shard.append(res)
             duration = max(duration, float(res["duration_s"]))
-        lat = np.concatenate(all_lat) if all_lat else np.empty(0)
+        lat = np.concatenate(all_lat)
+        ledger = latency_ledger(lat, np.concatenate(all_wake))
         span = float(arr[-1] - arr[0]) if len(arr) > 1 else 0.0
         served = int(sum(r["served"] for r in per_shard))
         return ShardedReport(
@@ -810,8 +931,12 @@ class ShardedServingEngine:
             served=served,
             mismatches=int(sum(r["mismatches"] for r in per_shard)),
             errors=errors,
-            p50_ms=percentile(lat.tolist(), 0.5) * 1e3,
-            p99_ms=percentile(lat.tolist(), 0.99) * 1e3,
+            p50_ms=ledger["p50_ms"],
+            p99_ms=ledger["p99_ms"],
+            wake_p50_ms=ledger["wake_p50_ms"],
+            wake_p99_ms=ledger["wake_p99_ms"],
+            service_p50_ms=ledger["service_p50_ms"],
+            service_p99_ms=ledger["service_p99_ms"],
             mean_ms=float(lat.mean() * 1e3) if len(lat) else 0.0,
             duration_s=duration,
             offered_rate_rps=(len(arr) / span) if span > 0 else float("inf"),
@@ -852,14 +977,17 @@ class ShardedServingEngine:
                 chunk.stripe_ids[:, None] * k + np.arange(k, dtype=np.int64)
             ).reshape(-1)
             state.patched[row_idx] = rows.reshape(-1, esz)
-            # rows are in shared memory now; the queue put below is the
+            # rows are in shared memory now; the pipe send below is the
             # publication point each owning shard synchronizes on
             shard_of = np.searchsorted(self.bounds, chunk.stripe_ids,
                                        side="right") - 1
             for shard in np.unique(shard_of):
                 ids = chunk.stripe_ids[shard_of == shard]
                 per_disk = self._frontier_per_disk(chunk, len(ids))
-                ctrls[int(shard)].put(("frontier", ids, per_disk))
+                try:
+                    ctrls[int(shard)].send(("frontier", ids, per_disk))
+                except BrokenPipeError:
+                    pass  # the shard has finished (or died: reported apart)
 
         pipe = RebuildPipeline(
             self.codec,

@@ -18,9 +18,9 @@ anonymous mapping, so there is no name to attach or unlink.)  The blocks:
 * **patched** — ``total_rows x element_size`` bytes of rebuilt rows of
   the failed disk, written by the parent's rebuild loop.  Workers only
   read rows of stripes they have seen a frontier notification for, and
-  notifications are sent *after* the rows are written — the control
-  queue's internal lock gives the cross-process happens-before, so no
-  torn row is ever served.
+  notifications are sent *after* the rows are written — the write to
+  the control pipe and the worker's read of it give the cross-process
+  happens-before, so no torn row is ever served.
 * **board** — an ``n_shards x BOARD_FIELDS`` float64 latency/progress
   board.  Each worker owns (exclusively writes) its row; the parent's
   rebuild throttle reads the whole board to steer chunk admission on the

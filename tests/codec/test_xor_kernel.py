@@ -18,6 +18,10 @@ logical disk of a rotated disk image, read in place, with the output a
 strided view of the rebuilt image.  It must equal the contiguous 3-D
 form, the numpy fold and the per-element executor byte for byte.
 
+The prepared form (a :class:`~repro.codec.batch.ColumnSet`, marshalled
+once and reused by a serving shard for every degraded read) must equal
+the plain list of views and the numpy fold, call after call.
+
 A plan that cannot run in list order is refused when compiled, on both
 legs, with the same :class:`ValueError` the per-element executor raises.
 """
@@ -29,9 +33,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codec import BatchReconstructor, StripeCodec, execute_scheme
+from repro.codec import (
+    ArrayImageCodec,
+    BatchReconstructor,
+    ColumnSet,
+    StripeCodec,
+    execute_scheme,
+)
 from repro.codes import make_code
-from repro.recovery import ckernel, escalated_scheme, scheme_for_disk
+from repro.recovery import (
+    ckernel,
+    degraded_read_scheme,
+    escalated_scheme,
+    scheme_for_disk,
+)
 
 from tests.legs import LEGS, kernel, leg_context, pure_python
 from tests.strategies import code_and_any_disk
@@ -403,6 +418,148 @@ class TestColumnForm:
         recon.recover_batch_into(cols, out)
         recon._recover_into_numpy(store, ref)
         assert np.array_equal(out, ref)
+
+
+@st.composite
+def prepared_case(draw):
+    """A rotated disk image and a few gathers out of it, as a shard reads.
+
+    Each gather is a list of stripe ids: empty, single, or unsorted with
+    repeats; ``out_step`` spaces the output rows apart.
+    """
+    code, disk = draw(code_and_any_disk())
+    element_size = draw(st.sampled_from([1, 7, 13, 16, 64]))
+    total = draw(st.integers(1, 8))
+    rotation = draw(st.integers(0, code.layout.n_disks - 1))
+    stripe_id = st.integers(0, total - 1)
+    gathers = draw(st.lists(
+        st.one_of(
+            st.just([]),
+            stripe_id.map(lambda i: [i]),
+            st.lists(stripe_id, min_size=2, max_size=12),
+        ),
+        min_size=1, max_size=4,
+    ))
+    out_step = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**16))
+    return code, disk, element_size, total, rotation, gathers, out_step, seed
+
+
+def rotated_columns(code, total, element_size, rotation, seed):
+    """One view per logical disk of a random ``total``-stripe disk image."""
+    n, k = code.layout.n_disks, code.layout.k_rows
+    rng = np.random.default_rng(seed)
+    disks4 = rng.integers(0, 256, size=(n, total, k, element_size), dtype=np.uint8)
+    return [disks4[(l + rotation) % n] for l in range(n)]
+
+
+class TestPreparedColumns:
+    @pytest.mark.parametrize("leg", LEGS)
+    @settings(max_examples=60, deadline=None)
+    @given(case=prepared_case())
+    def test_prepared_equals_list_and_numpy_across_reuse(self, leg, case):
+        """One prepared set, reused for every gather and output buffer,
+        gives the bytes of the plain list of views and of the numpy fold."""
+        code, disk, element_size, total, rotation, gathers, out_step, seed = case
+        scheme = scheme_for_disk(code, disk, algorithm="u", depth=1)
+        recon = BatchReconstructor(scheme)
+        cols = rotated_columns(code, total, element_size, rotation, seed)
+        prepared = ColumnSet(cols)
+        assert prepared.bases is not None
+        n_failed = len(scheme.failed_eids)
+        for ids in gathers:
+            ids = np.asarray(ids, dtype=np.int64)
+            shape = (len(ids), n_failed, element_size)
+            backing = np.zeros((len(ids) * out_step, n_failed, element_size),
+                               np.uint8)
+            from_prepared = backing[::out_step]
+            from_list, folded = (np.empty(shape, np.uint8) for _ in range(2))
+            with leg_context(leg):
+                got = recon.recover_batch_into(prepared, from_prepared, ids)
+                assert got is from_prepared
+                recon.recover_batch_into(cols, from_list, stripe_ids=ids)
+            recon._recover_into_numpy(cols, folded, ids)
+            assert np.array_equal(from_prepared, from_list)
+            assert np.array_equal(from_prepared, folded)
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_one_set_many_plans_and_outputs(self, leg):
+        """Every degraded-row plan of every role runs over one prepared set
+        per rotation, each call into a fresh output, as a shard serves:
+        the answers are the failed disk's true bytes, call after call."""
+        code = make_code("rdp", 7)
+        lay = code.layout
+        n, k = lay.n_disks, lay.k_rows
+        codec = ArrayImageCodec(code, element_size=16, n_stripes=2 * n)
+        image = codec.encode_image(codec.random_image(np.random.default_rng(5)))
+        disks4 = image.reshape(n, codec.n_stripes, k, 16)
+        truth = disks4[3].copy()
+        prepared = [
+            ColumnSet([disks4[(l + rot) % n] for l in range(n)]) for rot in range(n)
+        ]
+        del image, disks4  # the sets keep their views (and the image) alive
+        with leg_context(leg):
+            for s in range(codec.n_stripes):
+                role = codec.logical_role(3, s)
+                rot = codec.rotation_of_stripe(s)
+                ids = np.asarray([s, s], dtype=np.int64)
+                for r in range(k):
+                    recon = BatchReconstructor(
+                        degraded_read_scheme(code, role, [r], depth=1)
+                    )
+                    slot = recon.scheme.failed_eids.index(lay.eid(role, r))
+                    shape = (2, len(recon.scheme.failed_eids), 16)
+                    first, again, listed = (
+                        np.empty(shape, np.uint8) for _ in range(3)
+                    )
+                    recon.recover_batch_into(prepared[rot], first, ids)
+                    recon.recover_batch_into(prepared[rot], again, ids)
+                    recon.recover_batch_into(list(prepared[rot].cols), listed, ids)
+                    assert np.array_equal(first, again)
+                    assert np.array_equal(first, listed)
+                    assert np.array_equal(first[:, slot], truth[ids, r])
+
+    def test_columns_of_differing_shape_are_refused(self):
+        code = make_code("rdp", 7)
+        cols = rotated_columns(code, 5, 16, 0, seed=1)
+        with pytest.raises(ValueError, match="differ in shape"):
+            ColumnSet(cols[:-1] + [cols[-1][:4]])
+        with pytest.raises(ValueError, match="expected"):
+            ColumnSet([])
+        with pytest.raises(ValueError, match="expected"):
+            ColumnSet([c[:, 0] for c in cols])
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_columns_of_differing_stride_are_refused_by_the_kernel(self, leg):
+        """No base pointers are marshalled for columns the kernel cannot
+        address; every call over that set runs the numpy fold instead."""
+        code = make_code("rdp", 7)
+        scheme = scheme_for_disk(code, 2, algorithm="u", depth=1)
+        recon = BatchReconstructor(scheme)
+        cols = rotated_columns(code, 5, 16, 4, seed=2)
+        cols[1] = np.repeat(cols[1], 2, axis=0)[::2]  # its own stripe stride
+        assert cols[1].strides[0] != cols[0].strides[0]
+        prepared = ColumnSet(cols)
+        assert prepared.bases is None
+        ids = np.asarray([4, 0, 4], dtype=np.int64)
+        out = np.empty((3, len(scheme.failed_eids), 16), np.uint8)
+        ref = np.empty_like(out)
+        with leg_context(leg):
+            recon.recover_batch_into(prepared, out, ids)
+        recon._recover_into_numpy(cols, ref, ids)
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_prepared_set_still_checks_ids_and_width(self, leg):
+        code = make_code("rdp", 7)
+        recon = BatchReconstructor(scheme_for_disk(code, 0, algorithm="u", depth=1))
+        cols = rotated_columns(code, 5, 16, 0, seed=3)
+        out = np.empty((1, len(recon.scheme.failed_eids), 16), np.uint8)
+        with leg_context(leg):
+            with pytest.raises(IndexError, match="stripe id 5 out of range"):
+                recon.recover_batch_into(ColumnSet(cols), out, np.asarray([5]))
+            with pytest.raises(ValueError, match="stripe width"):
+                recon.recover_batch_into(ColumnSet(cols[:-1]), out, np.asarray([0]))
 
 
 class TestOutOfOrderPlans:

@@ -1,5 +1,11 @@
 """Sharded serving engine: shard core correctness, throttle, full mp runs."""
 
+import multiprocessing as mp
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +13,8 @@ from repro import obs
 from repro.codec import ArrayImageCodec
 from repro.codes import make_code
 from repro.disksim.workload import Request
+from repro.pipeline.engine import RebuildPipeline
+from repro.serving import sharded as sharded_mod
 from repro.serving import (
     BoardThrottle,
     ShardServer,
@@ -165,6 +173,95 @@ class TestShardServer:
         assert res["direct"] + res["patched"] + res["degraded"] == n
         assert res["p99_ms"] >= res["p50_ms"]
         assert len(res["latencies"]) == n
+
+
+class TestWakePath:
+    """The replay loop's wait: one ``select`` on the control pipe."""
+
+    def _server(self, n_stripes=8, failed_disk=1):
+        codec, disks = build(n_stripes=n_stripes)
+        total_rows = codec.n_stripes * codec.code.layout.k_rows
+        patched = np.zeros((total_rows, codec.element_size), dtype=np.uint8)
+        server = ShardServer(
+            codec, disks.copy(), patched, failed_disk=failed_disk,
+            stripe_lo=0, stripe_hi=codec.n_stripes,
+        )
+        return codec, disks, patched, server
+
+    def test_frontier_message_wakes_an_idle_shard(self):
+        """A frontier sent during an idle wait is applied at once, before
+        the next batch, so the read that follows is served as patched."""
+        codec, original, patched, server = self._server()
+        k = codec.code.layout.k_rows
+        stripe, arrival = 3, 0.6
+        reader, writer = mp.Pipe(duplex=False)
+        applied, sent = [], []
+        note_rebuilt = server.note_rebuilt
+
+        def spy(ids, per_disk=None):
+            applied.append(time.monotonic())
+            note_rebuilt(ids, per_disk)
+
+        server.note_rebuilt = spy
+
+        def rebuild():
+            time.sleep(0.1)
+            rows = slice(stripe * k, (stripe + 1) * k)
+            patched[rows] = original[1, rows]  # write first, then notify
+            sent.append(time.monotonic())
+            writer.send(("frontier", np.asarray([stripe]), None))
+
+        t_start = time.monotonic()
+        thread = threading.Thread(target=rebuild)
+        thread.start()
+        try:
+            res = server.serve_trace(
+                np.asarray([arrival]), np.asarray([1]),
+                np.asarray([stripe * k + 2]), t_start, ctrl=reader,
+            )
+        finally:
+            thread.join()
+            writer.close()
+            reader.close()
+        assert (res["patched"], res["degraded"], res["mismatches"]) == (1, 0, 0)
+        assert len(applied) == 1
+        # woken by the message, well before the read's arrival
+        assert applied[0] - sent[0] < 0.25
+        assert applied[0] < t_start + arrival
+
+    def test_idle_wait_overshoot_is_sub_millisecond(self):
+        """200 waits of 200 us overshoot by well under a millisecond (a
+        millisecond-rounded poll overshoots every one by ~0.8 ms)."""
+        _, _, _, server = self._server()
+        reader, writer = mp.Pipe(duplex=False)
+        wait_s = 200e-6
+        overshoot = []
+        try:
+            for _ in range(200):
+                t0 = time.monotonic()
+                server._idle(reader, wait_s)
+                overshoot.append(time.monotonic() - t0 - wait_s)
+        finally:
+            writer.close()
+            reader.close()
+        assert np.median(overshoot) < 0.5e-3
+
+    def test_latency_splits_into_wake_lag_and_service(self):
+        codec, _, _, server = self._server(n_stripes=12, failed_disk=0)
+        n = 300
+        rng = np.random.default_rng(2)
+        total_rows = codec.n_stripes * codec.code.layout.k_rows
+        res = server.serve_trace(
+            np.arange(n) / 4000.0, rng.integers(0, 7, size=n),
+            rng.integers(0, total_rows, size=n),
+            t_start=time.monotonic() + 0.05,
+        )
+        lat, wake = res["latencies"], res["wake_lags"]
+        assert len(wake) == n
+        assert np.all(wake >= 0)
+        assert np.all(lat - wake >= 0)  # service time
+        for part in ("", "wake_", "service_"):
+            assert 0 <= res[f"{part}p50_ms"] <= res[f"{part}p99_ms"]
 
 
 class TestBoardThrottle:
@@ -363,3 +460,55 @@ class TestShardedServingEngine:
         reqs = hotspot_trace(codec, failed_disk=0, count=50, rate=3000.0)
         with pytest.raises(RuntimeError, match="sharded serving run failed"):
             engine.serve_trace(reqs, timeout_s=60.0, rebuild=False)
+
+    def test_report_carries_the_pooled_latency_ledger(self):
+        codec, disks = build(n_stripes=8)
+        rec = obs.enable("ledger-test")
+        try:
+            engine = ShardedServingEngine(codec, disks, failed_disk=2, n_shards=2)
+            reqs = hotspot_trace(codec, failed_disk=2, count=200, rate=3000.0)
+            report = engine.serve_trace(reqs, timeout_s=60.0)
+            gauges = rec.snapshot()["gauges"]
+        finally:
+            obs.disable()
+        assert report.ok
+        for part in ("wake", "service"):
+            p50 = getattr(report, f"{part}_p50_ms")
+            p99 = getattr(report, f"{part}_p99_ms")
+            assert 0 <= p50 <= p99
+            assert gauges[f"serving.{part}_p99_ms"]["value"] == p99
+            for shard in report.per_shard:
+                assert shard[f"{part}_p99_ms"] <= gauges[f"serving.{part}_p99_ms"]["peak"]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+    def test_killed_shard_raises_and_leaks_no_shared_memory(self, monkeypatch):
+        """A shard SIGKILLed mid-replay (from the rebuild's on_chunk) makes
+        serve_trace raise naming it, and every segment is unlinked."""
+        killed = []
+
+        class KillShardOnFirstChunk(RebuildPipeline):
+            def __init__(self, *args, on_chunk, **kwargs):
+                def kill_then_notify(chunk, rows):
+                    if not killed:
+                        for proc in mp.active_children():
+                            if proc.name == "serve-shard-1":
+                                os.kill(proc.pid, signal.SIGKILL)
+                                killed.append(proc.pid)
+                    on_chunk(chunk, rows)
+
+                super().__init__(*args, on_chunk=kill_then_notify, **kwargs)
+
+        monkeypatch.setattr(sharded_mod, "RebuildPipeline", KillShardOnFirstChunk)
+        before = set(os.listdir("/dev/shm"))
+        codec, disks = build(n_stripes=16)
+        engine = ShardedServingEngine(
+            codec, disks, failed_disk=1, n_shards=2,
+            rebuild_rate=40.0, rebuild_chunk_stripes=2,
+        )
+        reqs = hotspot_trace(codec, failed_disk=1, count=3000, rate=3000.0)
+        with pytest.raises(
+            RuntimeError, match=r"shard 1 produced no result \(exit code -9\)"
+        ):
+            engine.serve_trace(reqs, timeout_s=60.0, startup_grace_s=0.3)
+        assert killed
+        assert set(os.listdir("/dev/shm")) - before == set()
