@@ -7,10 +7,10 @@ records MB/s for each:
 * ``stripe_loop`` — the per-stripe oracle
   :meth:`~repro.codec.image.ArrayImageCodec.recover_disk` (gather one
   stripe, ``execute_scheme``, copy the rebuilt rows out);
-* ``batch`` — the single-process chunked
+* ``batch`` — the inline chunked
   :class:`~repro.codec.batch.BatchReconstructor` path (``workers=1``);
-* ``pipeline`` — the forked multi-process pipeline at each worker
-  count in ``--workers``.
+* ``pipeline`` — the threaded pipeline (persistent kernel threads) at
+  each worker count in ``--workers``.
 
 Every grid point is verified byte-identical against the original disk
 image before its timing is recorded; a mismatch aborts the run.  A second
@@ -36,7 +36,7 @@ Results land in ``BENCH_rebuild.json`` at the repo root::
     }
 
 Parallel speedup is hardware-bound: the worker sweep only beats the
-single-process batch path when ``cpu_count`` gives the workers somewhere
+inline batch path when ``cpu_count`` gives the workers somewhere
 to run (the recorded value qualifies every reading).  The speedup floor
 asserted by ``--check`` is therefore the single-machine one: the best
 rebuild path must be >= 2.5x the per-stripe engine.

@@ -258,7 +258,7 @@ def _rebuild_pool(args) -> int:
     """Pool-rebuild leg of ``rebuild``: one dead disk of a placed pool."""
     import numpy as np
 
-    from repro.pipeline import compare_placements
+    from repro.pipeline import PoolRebuild
     from repro.placement import PoolStore, make_placement
     from repro.recovery import SchemePlanCache
 
@@ -276,15 +276,17 @@ def _rebuild_pool(args) -> int:
 
     # always run the flat baseline too, so the spread win is visible
     names = ["flat"] + ([args.placement] if args.placement != "flat" else [])
-    results = compare_placements(
-        store_factory,
-        names,
-        dead_disk=args.failed_disk,
-        chunk_stripes=args.chunk_stripes,
-        plan_cache=plan_cache,
-        algorithm=args.algorithm if args.algorithm in ("khan", "u") else "u",
-        depth=args.depth,
-    )
+    results = {
+        name: PoolRebuild(
+            store_factory(name),
+            chunk_stripes=args.chunk_stripes,
+            plan_cache=plan_cache,
+            algorithm=args.algorithm if args.algorithm in ("khan", "u") else "u",
+            depth=args.depth,
+            workers=args.workers,
+        ).rebuild(args.failed_disk)
+        for name in names
+    }
     print(code.describe())
     print(
         f"pool    : {args.pool_disks} disks, {args.stripes} stripes of "
@@ -343,7 +345,7 @@ def _rebuild_topology(args) -> int:
             else None
         rb = PoolRebuild(
             store, chunk_stripes=args.chunk_stripes, topo_planner=planner,
-            depth=args.depth,
+            depth=args.depth, workers=args.workers,
         )
         res = rb.rebuild(args.failed_disk)
         sim = rebuild_makespan(
@@ -918,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element-size", type=int, default=512)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=2,
-                   help="worker processes (<= 1 runs inline)")
+                   help="kernel threads (<= 1 runs inline)")
     p.add_argument("--chunk-stripes", type=int, default=64,
                    help="stripes per pipelined chunk")
     p.add_argument("--plan-cache", default=None, metavar="PATH",

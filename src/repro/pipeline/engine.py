@@ -1,4 +1,4 @@
-"""High-throughput rebuild engine: zero-copy parallel stripe pipeline.
+"""High-throughput rebuild engine: zero-copy threaded stripe pipeline.
 
 ``repro.pipeline`` is the data-plane counterpart of the planning layer: it
 takes a code, a failed physical disk and an array image and drives the
@@ -13,18 +13,17 @@ whole rebuild as a streaming pipeline —
    XORs the recovered rows **in place** into a strided view of the rebuilt
    image.  No stripe byte is gathered, staged or patched back; only the
    elements the plan names are ever touched;
-3. with ``workers >= 2`` the chunks are spread over worker processes
-   forked for the call: they inherit the disk image read-only through
-   ``fork`` and write into a rebuilt image allocated as an anonymous
-   shared mapping, so only ``(chunk_id, rotation, start, n_stripes,
-   logical_disk)`` descriptors cross the pipes.  The parent keeps
+3. with ``workers >= 2`` the kernel calls run on the engine's persistent
+   worker threads (:class:`~repro.pipeline.runner.ChunkRunner`): the
+   kernel releases the GIL, so they XOR in parallel over the same disk
+   image into the same private rebuilt image.  The calling thread keeps
    throttle admission, the in-flight bound (two chunks per worker), the
    ordered ``on_chunk`` delivery and the read billing.
 
-With ``workers <= 1`` (or fewer than two chunks, or no ``fork`` on the
-platform) the same per-chunk calls run inline, and the output is
-byte-identical by construction.  The per-stripe oracle both paths are
-checked against is :meth:`~repro.codec.image.ArrayImageCodec.recover_disk`.
+With ``workers <= 1`` (or fewer than two chunks) the same per-chunk calls
+run inline, and the output is byte-identical by construction.  The
+per-stripe oracle both paths are checked against is
+:meth:`~repro.codec.image.ArrayImageCodec.recover_disk`.
 
 Reading in place makes the failed disk's rows addressable, so every
 compiled plan is checked once, statically, to read none of them
@@ -38,13 +37,9 @@ the same code skip the C/U search entirely.
 
 from __future__ import annotations
 
-import mmap
-import multiprocessing as mp
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection
-from typing import Any, Callable, Dict, List, NoReturn, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,14 +47,10 @@ from repro import obs
 from repro.codec.batch import BatchReconstructor, check_plan
 from repro.codec.image import ArrayImageCodec
 from repro.pipeline.chunks import StripeChunk, iter_chunks
+from repro.pipeline.runner import ChunkRunner
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.scheme import RecoveryScheme
-
-#: workers inherit the disk image through fork; without it they run inline
-_FORK = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else None
-#: chunks a worker holds at once: one running, one queued behind it
-_PER_WORKER = 2
 
 
 @dataclass
@@ -76,99 +67,36 @@ class RebuildResult:
 
 
 def _chunk_views(
-    disks4: np.ndarray,
-    rebuilt3: np.ndarray,
-    rotation: int,
-    start: int,
-    n_stripes: int,
+    disks4: np.ndarray, rebuilt3: np.ndarray, chunk: StripeChunk
 ) -> Tuple[List[np.ndarray], np.ndarray]:
     """A chunk's input columns and output rows, as views (nothing copied).
 
     ``disks4`` is the image as ``(n_disks, n_stripes, k, esz)`` and
     ``rebuilt3`` the rebuilt disk as ``(n_stripes, k, esz)``.  A chunk is
-    ``n_stripes`` stripes of one rotation class, ``start, start + n, ...``
-    for ``n`` disks, so logical disk ``l`` of every stripe in it lives on
-    physical disk ``(l + rotation) % n``.
+    stripes of one rotation class, ``start, start + n, ...`` for ``n``
+    disks, so logical disk ``l`` of every stripe in it lives on physical
+    disk ``(l + rotation) % n``.
     """
     n = disks4.shape[0]
-    rows = slice(start, start + n * n_stripes, n)
-    cols = [disks4[(logical + rotation) % n, rows] for logical in range(n)]
+    start = int(chunk.stripe_ids[0])
+    rows = slice(start, start + n * chunk.n_stripes, n)
+    cols = [disks4[(logical + chunk.rotation) % n, rows] for logical in range(n)]
     return cols, rebuilt3[rows]
-
-
-# ----------------------------------------------------------------------
-# worker process
-# ----------------------------------------------------------------------
-def _worker_main(
-    worker_id: int,
-    conn,
-    inherited,
-    disks4: np.ndarray,
-    rebuilt3: np.ndarray,
-    compiled: Dict[int, BatchReconstructor],
-) -> None:
-    """Pipeline worker: recover chunks in place until poisoned.
-
-    Everything arrives through ``fork``: the image it reads, the shared
-    rebuilt image it writes, and the compiled, checked plans (logical disk
-    -> :class:`BatchReconstructor`).  Only descriptors arrive on ``conn``.
-    ``inherited`` are the parent's ends of every pipe forked so far; they
-    are closed here so that the parent's death reaches ``conn`` as EOF.
-    """
-    for other in inherited:
-        other.close()
-    while True:
-        try:
-            task = conn.recv()
-        except EOFError:  # the parent is gone
-            return
-        if task is None:
-            return
-        chunk_id, rotation, start, n_stripes, logical_disk = task
-        try:
-            cols, rows = _chunk_views(disks4, rebuilt3, rotation, start, n_stripes)
-            compiled[logical_disk].recover_batch_into(cols, rows)
-        except Exception as exc:  # surface, don't hang the parent
-            # and stay up until told to stop: exiting here could make the
-            # parent's next send fail before it reads this report
-            conn.send(("error", worker_id, chunk_id, repr(exc)))
-            continue
-        conn.send(("done", worker_id, chunk_id))
-
-
-def _raise_dead(worker_id: int, proc) -> NoReturn:
-    """Report a worker that exited without being told to."""
-    proc.join(timeout=5)
-    raise RuntimeError(
-        f"pipeline worker {worker_id} (pid {proc.pid}) died with exit code "
-        f"{proc.exitcode}"
-    )
-
-
-def _shared_empty(shape: Tuple[int, ...]) -> np.ndarray:
-    """A uint8 array in an anonymous shared mapping.
-
-    Written by forked workers, visible to the parent: no name, nothing to
-    unlink, nothing for a resource tracker to track.  The mapping lives
-    as long as the array does.
-    """
-    nbytes = int(np.prod(shape))
-    buf = mmap.mmap(-1, max(1, nbytes))  # MAP_SHARED | MAP_ANONYMOUS
-    return np.frombuffer(buf, dtype=np.uint8, count=nbytes).reshape(shape)
 
 
 # ----------------------------------------------------------------------
 # pipeline
 # ----------------------------------------------------------------------
 class RebuildPipeline:
-    """Streaming multi-process rebuild of one failed physical disk.
+    """Streaming multi-threaded rebuild of one failed physical disk.
 
     Parameters
     ----------
     codec:
         The array geometry (code, element size, stripe count, rotation).
     workers:
-        Worker processes.  ``<= 1`` runs the chunked batch path inline.
+        Kernel threads, kept for the engine's lifetime.  ``<= 1`` runs
+        the chunked batch path inline.
     chunk_stripes:
         Stripes per chunk (the batch size workers XOR at once).
     planner:
@@ -215,6 +143,7 @@ class RebuildPipeline:
             codec.code, algorithm=algorithm, depth=depth, plan_cache=plan_cache
         )
         self._plans: Dict[Tuple, BatchReconstructor] = {}
+        self._runner = ChunkRunner(workers, "pipeline")
 
     # ------------------------------------------------------------------
     # planning
@@ -283,20 +212,24 @@ class RebuildPipeline:
         schemes = self._schemes_for(failed_physical)
         compiled = {d: self._compile(d, s) for d, s in schemes.items()}
         chunks = list(iter_chunks(ns, n, failed_physical, self.chunk_stripes))
-        shape = (ns * k, esz)
-        if self.workers <= 1 or len(chunks) < 2 or _FORK is None:
-            mode, run = "inline-batch", self._rebuild_inline
-            rebuilt = np.empty(shape, dtype=np.uint8)
-        else:
-            mode, run = "pipeline", self._rebuild_parallel
-            # forked workers must write where the parent can see it
-            rebuilt = _shared_empty(shape)
+        mode = "pipeline" if self._runner.threaded(len(chunks)) else "inline-batch"
+        rebuilt = np.empty((ns * k, esz), dtype=np.uint8)
+        # views only: a C-contiguous image reshapes without a copy
+        disks4, rebuilt3 = disks.reshape(n, ns, k, esz), rebuilt.reshape(ns, k, esz)
         reads_per_disk = [0] * n
 
+        def work(chunk: StripeChunk) -> np.ndarray:
+            cols, rows = _chunk_views(disks4, rebuilt3, chunk)
+            return compiled[chunk.logical_disk].recover_batch_into(cols, rows)
+
+        def deliver(chunk: StripeChunk, rows: np.ndarray) -> None:
+            self._bill_reads(reads_per_disk, chunk, schemes[chunk.logical_disk])
+            if self.on_chunk is not None:
+                self.on_chunk(chunk, rows)
+            obs.count("pipeline.chunks")
+
         t0 = time.perf_counter()
-        # views only: a C-contiguous image reshapes without a copy
-        run(disks.reshape(n, ns, k, esz), compiled, schemes, chunks,
-            rebuilt.reshape(ns, k, esz), reads_per_disk)
+        self._runner.run(chunks, work, deliver, admit=self.throttle)
         wall_s = time.perf_counter() - t0
 
         if patch:
@@ -322,131 +255,6 @@ class RebuildPipeline:
         }
         return RebuildResult(image=rebuilt, reads_per_disk=reads_per_disk,
                              stats=stats)
-
-    # ------------------------------------------------------------------
-    # single-process path
-    # ------------------------------------------------------------------
-    def _rebuild_inline(
-        self,
-        disks4: np.ndarray,
-        compiled: Dict[int, BatchReconstructor],
-        schemes: Dict[int, RecoveryScheme],
-        chunks: List[StripeChunk],
-        rebuilt3: np.ndarray,
-        reads_per_disk: List[int],
-    ) -> None:
-        """Chunked batch path in this process (the workers<=1 fallback)."""
-        for chunk in chunks:
-            if self.throttle is not None:
-                self.throttle(chunk)
-            cols, rows = _chunk_views(
-                disks4, rebuilt3, chunk.rotation, int(chunk.stripe_ids[0]),
-                chunk.n_stripes,
-            )
-            compiled[chunk.logical_disk].recover_batch_into(cols, rows)
-            self._bill_reads(reads_per_disk, chunk, schemes[chunk.logical_disk])
-            if self.on_chunk is not None:
-                self.on_chunk(chunk, rows)
-            obs.count("pipeline.chunks")
-
-    # ------------------------------------------------------------------
-    # multi-process path
-    # ------------------------------------------------------------------
-    def _rebuild_parallel(
-        self,
-        disks4: np.ndarray,
-        compiled: Dict[int, BatchReconstructor],
-        schemes: Dict[int, RecoveryScheme],
-        chunks: List[StripeChunk],
-        rebuilt3: np.ndarray,
-        reads_per_disk: List[int],
-    ) -> None:
-        n_workers = min(self.workers, len(chunks))
-        conns: List[connection.Connection] = []
-        procs = []
-        try:
-            for w in range(n_workers):
-                ours, theirs = _FORK.Pipe()
-                conns.append(ours)
-                proc = _FORK.Process(
-                    target=_worker_main,
-                    args=(w, theirs, list(conns), disks4, rebuilt3, compiled),
-                    daemon=True,
-                )
-                proc.start()
-                theirs.close()
-                procs.append(proc)
-            sentinels = [p.sentinel for p in procs]
-
-            pending = deque(chunks)
-            held = [0] * n_workers       # chunks dispatched to each worker
-            finished = set()
-            next_done = 0
-            with obs.span(
-                "pipeline.parallel", workers=n_workers, chunks=len(chunks)
-            ):
-                while next_done < len(chunks):
-                    for w in range(n_workers):
-                        while pending and held[w] < _PER_WORKER:
-                            chunk = pending.popleft()
-                            if self.throttle is not None:
-                                self.throttle(chunk)
-                            try:
-                                conns[w].send((
-                                    chunk.chunk_id, chunk.rotation,
-                                    int(chunk.stripe_ids[0]), chunk.n_stripes,
-                                    chunk.logical_disk,
-                                ))
-                            except OSError:
-                                _raise_dead(w, procs[w])
-                            held[w] += 1
-                            obs.gauge("pipeline.inflight", sum(held))
-                    ready = connection.wait(conns + sentinels)
-                    for w in range(n_workers):
-                        if conns[w] not in ready and sentinels[w] not in ready:
-                            continue
-                        # a worker that exited has closed its end, so this
-                        # returns a message it left behind or fails at once
-                        try:
-                            msg = conns[w].recv()
-                        except (EOFError, OSError):
-                            _raise_dead(w, procs[w])
-                        if msg[0] == "error":
-                            _, _, chunk_id, detail = msg
-                            raise RuntimeError(
-                                f"pipeline worker {w} failed on chunk "
-                                f"{chunk_id}: {detail}"
-                            )
-                        held[w] -= 1
-                        finished.add(msg[2])
-                    # ordered delivery: chunks are dispatched in id order,
-                    # so the lowest unfinished id is always in flight and
-                    # results can never pile up out of order and stall
-                    while next_done in finished:
-                        finished.remove(next_done)
-                        chunk = chunks[next_done]
-                        self._bill_reads(
-                            reads_per_disk, chunk, schemes[chunk.logical_disk]
-                        )
-                        if self.on_chunk is not None:
-                            _, rows = _chunk_views(
-                                disks4, rebuilt3, chunk.rotation,
-                                int(chunk.stripe_ids[0]), chunk.n_stripes,
-                            )
-                            self.on_chunk(chunk, rows)
-                        next_done += 1
-                        obs.count("pipeline.chunks")
-            for conn in conns:
-                conn.send(None)
-            for p in procs:
-                p.join(timeout=30)
-        finally:
-            for p in procs:
-                if p.is_alive():  # error unwind only
-                    p.terminate()
-                    p.join(timeout=5)
-            for conn in conns:
-                conn.close()
 
 
 # ----------------------------------------------------------------------

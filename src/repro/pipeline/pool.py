@@ -43,6 +43,7 @@ import numpy as np
 
 from repro import obs
 from repro.codec.batch import BatchReconstructor, check_plan
+from repro.pipeline.runner import ChunkRunner
 from repro.placement.pool import PoolStore
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
@@ -86,6 +87,14 @@ class _GroupPlan(NamedTuple):
                            #: the weights of one ``np.bincount``)
 
 
+class _Chunk(NamedTuple):
+    """Up to ``chunk_stripes`` affected stripes of one execution group."""
+
+    role: int
+    stripe_ids: np.ndarray
+    plan: _GroupPlan
+
+
 class PoolRebuild:
     """Rebuild dead disks of a :class:`~repro.placement.pool.PoolStore`.
 
@@ -104,7 +113,14 @@ class PoolRebuild:
         Stripes are then grouped by (role, rack signature) and each group
         gets its lexicographically link-optimal scheme.
     throttle:
-        Optional admission hook called before each chunk (QoS point).
+        Optional admission hook called with each chunk's stripe ids
+        before it is recovered (QoS point).
+    workers:
+        Kernel threads, kept for the engine's lifetime, exactly as in
+        :class:`~repro.pipeline.engine.RebuildPipeline`: a thread recovers
+        a chunk, scatters its rows into the result and verifies them;
+        the calling thread admits chunks and bills reads in chunk order.
+        ``<= 1`` runs inline.
     """
 
     def __init__(
@@ -117,7 +133,10 @@ class PoolRebuild:
         depth: int = 1,
         topo_planner=None,
         throttle: Optional[Callable[[np.ndarray], None]] = None,
+        workers: int = 2,
     ) -> None:
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
         if chunk_stripes < 1:
             raise ValueError(f"chunk_stripes must be >= 1, got {chunk_stripes}")
         self.store = store
@@ -131,6 +150,7 @@ class PoolRebuild:
             store.placement.require_leaf_of_disk(topo_planner.topology)
         self.topo_planner = topo_planner
         self._plans: Dict[Tuple, _GroupPlan] = {}
+        self._runner = ChunkRunner(workers, "pool rebuild")
 
     # ------------------------------------------------------------------
     def stripe_groups(
@@ -204,38 +224,49 @@ class PoolRebuild:
         rows = np.empty((len(all_stripes), k, esz), dtype=np.uint8)
         reads = np.zeros(placement.n_pool, dtype=np.int64)
         mismatches = 0
-        n_chunks = 0
+        chunks = [
+            _Chunk(role, group_ids[lo : lo + self.chunk_stripes], plan)
+            for role, group_ids, plan in groups
+            for lo in range(0, len(group_ids), self.chunk_stripes)
+        ]
+
+        def work(chunk: _Chunk) -> int:
+            # gathered straight out of the store: no batch copy
+            ids = chunk.stripe_ids
+            out = np.empty((len(ids), k, esz), dtype=np.uint8)
+            chunk.plan.recon.recover_batch_into(store.stripes, out, stripe_ids=ids)
+            rows[np.searchsorted(all_stripes, ids)] = out
+            truth = store.stripes[ids, chunk.role * k : (chunk.role + 1) * k]
+            bad = (out != truth).reshape(len(ids), -1).any(axis=1)
+            return int(np.count_nonzero(bad))
+
+        def deliver(chunk: _Chunk, bad: int) -> None:
+            nonlocal mismatches, reads
+            mismatches += bad
+            # pool disk hosting each logical disk the plan reads, per
+            # stripe: one table lookup, one weighted count
+            plan = chunk.plan
+            hosts = placement.disk_of_role(chunk.stripe_ids[:, None], plan.logicals)
+            reads += np.bincount(
+                hosts.reshape(-1),
+                weights=np.broadcast_to(plan.loads, hosts.shape).reshape(-1),
+                minlength=placement.n_pool,
+            ).astype(np.int64)
+            obs.count("placement.chunks")
+
+        def admit(chunk: _Chunk) -> None:
+            self.throttle(chunk.stripe_ids)
+
         with obs.span(
             "placement.rebuild",
             placement=placement.name,
             pool=placement.n_pool,
             affected=len(all_stripes),
         ):
-            for role, group_ids, plan in groups:
-                lo_row, hi_row = role * k, (role + 1) * k
-                for lo in range(0, len(group_ids), self.chunk_stripes):
-                    chunk_ids = group_ids[lo : lo + self.chunk_stripes]
-                    if self.throttle is not None:
-                        self.throttle(chunk_ids)
-                    # gathered straight out of the store: no batch copy
-                    out = np.empty((len(chunk_ids), k, esz), dtype=np.uint8)
-                    plan.recon.recover_batch_into(
-                        store.stripes, out, stripe_ids=chunk_ids
-                    )
-                    rows[np.searchsorted(all_stripes, chunk_ids)] = out
-                    truth = store.stripes[chunk_ids, lo_row:hi_row]
-                    bad = (out != truth).reshape(len(chunk_ids), -1).any(axis=1)
-                    mismatches += int(np.count_nonzero(bad))
-                    # pool disk hosting each logical disk the plan reads,
-                    # per stripe: one table lookup, one weighted count
-                    hosts = placement.disk_of_role(chunk_ids[:, None], plan.logicals)
-                    reads += np.bincount(
-                        hosts.reshape(-1),
-                        weights=np.broadcast_to(plan.loads, hosts.shape).reshape(-1),
-                        minlength=placement.n_pool,
-                    ).astype(np.int64)
-                    n_chunks += 1
-                    obs.count("placement.chunks")
+            self._runner.run(
+                chunks, work, deliver,
+                admit=admit if self.throttle is not None else None,
+            )
         wall_s = time.perf_counter() - t0
 
         loadmap = obs.DiskLoadMap(placement.n_pool)
@@ -257,7 +288,7 @@ class PoolRebuild:
             "width": lay.n_disks,
             "affected_stripes": int(len(all_stripes)),
             "groups": len(groups),
-            "chunks": n_chunks,
+            "chunks": len(chunks),
             "chunk_stripes": self.chunk_stripes,
             "rebuilt_bytes": int(rebuilt_bytes),
             "wall_s": wall_s,

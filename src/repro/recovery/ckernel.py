@@ -39,6 +39,7 @@ import ctypes
 import hashlib
 import os
 import subprocess
+import threading
 import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,6 +53,8 @@ KIND_KHAN, KIND_CONDITIONAL, KIND_UNCONDITIONAL = 0, 1, 2
 
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
+#: concurrent first callers wait for the one load instead of seeing None
+_load_lock = threading.Lock()
 
 
 class _Stats(ctypes.Structure):
@@ -95,7 +98,17 @@ def load() -> Optional[ctypes.CDLL]:
     global _lib, _load_attempted
     if _load_attempted:
         return _lib
-    _load_attempted = True
+    with _load_lock:
+        if not _load_attempted:
+            # published before the flag: a caller that sees the flag set
+            # without taking the lock also sees the library
+            _lib = _open()
+            _load_attempted = True
+    return _lib
+
+
+def _open() -> Optional[ctypes.CDLL]:
+    """Compile (if not cached) and open the kernel; ``None`` on any failure."""
     if os.environ.get("REPRO_PURE_PYTHON"):
         return None
     try:
@@ -131,7 +144,7 @@ def load() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p,                   # int64 src_off (n_slots + 1)
             ctypes.c_void_p,                   # int32 src_ids
         ]
-        _lib = lib
+        return lib
     except Exception as exc:
         # the fallback is silent by design (pure Python is byte-identical),
         # but REPRO_CKERNEL_DEBUG=1 surfaces *why* the kernel was skipped
@@ -146,10 +159,9 @@ def load() -> Optional[ctypes.CDLL]:
                 f"repro C kernel unavailable, using pure-Python engine "
                 f"({exc!r}{detail})",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-        _lib = None
-    return _lib
+        return None
 
 
 def available() -> bool:

@@ -6,7 +6,7 @@ flat placement's max-per-disk load on random pools.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.placement import make_placement, rebuild_read_loads
@@ -68,14 +68,23 @@ def test_slots_and_roles_are_inverse_permutations(name, geom, data):
     assert sorted(hosts) == sorted(pm.disks_for_stripe(s).tolist())
 
 
-@given(data=st.data())
-@settings(**SETTINGS)
-def test_declustered_spread_beats_flat_on_random_pools(data):
-    width = data.draw(st.integers(4, 8), label="width")
+@st.composite
+def spread_case(draw):
+    width = draw(st.integers(4, 8))
     # enough groups and stripes that flat's concentration is unambiguous
-    n_pool = data.draw(st.integers(8 * width, 240), label="n_pool")
-    n_stripes = data.draw(st.integers(40 * width, 4000), label="n_stripes")
-    dead = data.draw(st.integers(0, (n_pool // width) * width - 1), label="dead")
+    n_pool = draw(st.integers(8 * width, 240))
+    n_stripes = draw(st.integers(40 * width, 4000))
+    dead = draw(st.integers(0, (n_pool // width) * width - 1))
+    return width, n_pool, n_stripes, dead
+
+
+@given(case=spread_case())
+# fewer stripes than pool disks: the cyclic declustered map leaves disk
+# 167 without a stripe, while flat's disk 167 still holds some
+@example(case=(4, 168, 160, 167))
+@settings(**SETTINGS)
+def test_declustered_spread_beats_flat_on_random_pools(case):
+    width, n_pool, n_stripes, dead = case
     flat = make_placement("flat", n_pool, n_stripes, width)
     dec = make_placement("declustered", n_pool, n_stripes, width)
     loads = {r: [1] * r + [0] + [1] * (width - r - 1) for r in range(width)}
@@ -83,6 +92,10 @@ def test_declustered_spread_beats_flat_on_random_pools(data):
     d = rebuild_read_loads(dec, dead, loads)
     if f.max() == 0:
         return  # dead disk held no stripes; nothing to spread
+    if dec.stripes_per_disk()[dead] == 0:
+        # the same premise on the declustered side: nothing to rebuild
+        assert d.sum() == 0
+        return
     assert d.max() < f.max()
     # and declustering recruits strictly more survivors
     assert (d > 0).sum() >= (f > 0).sum()

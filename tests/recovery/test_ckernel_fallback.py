@@ -8,6 +8,7 @@ search still produces schemes.  ``REPRO_CKERNEL_DEBUG=1`` turns the
 silent skip into a ``RuntimeWarning`` explaining why.
 """
 
+import threading
 import warnings
 
 import pytest
@@ -71,3 +72,46 @@ class TestPurePythonEnv:
         finally:
             ck._lib = None
             ck._load_attempted = False
+
+
+class TestConcurrentLoad:
+    """Concurrent first callers wait for the one load (rebuild threads
+    reach :func:`load` together); none may see a half-finished load."""
+
+    N_THREADS = 8
+
+    def _load_together(self):
+        barrier = threading.Barrier(self.N_THREADS)
+        got = [None] * self.N_THREADS
+
+        def call(i):
+            barrier.wait()
+            got[i] = ck.load()
+
+        threads = [threading.Thread(target=call, args=(i,))
+                   for i in range(self.N_THREADS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        return got
+
+    @pytest.mark.parametrize("attempt", range(5))
+    def test_all_threads_get_the_same_library(self, monkeypatch, attempt):
+        # patched before the first load, so teardown restores this
+        # process's own load state (the pure leg keeps its None)
+        monkeypatch.setattr(ck, "_lib", None)
+        monkeypatch.setattr(ck, "_load_attempted", False)
+        monkeypatch.delenv("REPRO_PURE_PYTHON", raising=False)
+        got = self._load_together()
+        if got == [None] * self.N_THREADS:
+            pytest.skip("C kernel unavailable (no compiler?)")
+        assert all(lib is not None and lib is got[0] for lib in got)
+        assert ck._lib is got[0]
+
+    def test_all_threads_get_none_under_pure_python(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
+        monkeypatch.setattr(ck, "_lib", None)
+        monkeypatch.setattr(ck, "_load_attempted", False)
+        assert self._load_together() == [None] * self.N_THREADS
