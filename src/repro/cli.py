@@ -25,11 +25,12 @@ Subcommands
     ``--chunk-stripes``) and verify byte-identity.  ``--plan-cache PATH``
     persists recovery plans so repeat runs skip the scheme search.
 ``serve``
-    Online degraded-read serving: closed-loop clients read from the
-    array while the failed disk rebuilds in the background; the QoS
-    controller throttles rebuild chunk dispatch to hold read p99 at the
-    target (``--no-qos`` for the FIFO baseline).  Prints latency
-    percentiles, path counters and byte-exactness.
+    Online degraded-read serving: an open-loop request trace is replayed
+    through ``--shards`` shard processes while the failed disk rebuilds
+    in the background; the board throttle paces rebuild chunks to hold
+    read p99 at the target (``--no-qos`` for the FIFO baseline), and
+    ``--inject`` sends degraded reads through the resilient executor.
+    Prints latency percentiles, path counters and byte-exactness.
 ``trace``
     Run the scheme pipeline (enumerate, search, verify, simulate) with
     the :mod:`repro.obs` recorder enabled and write a JSONL trace;
@@ -105,7 +106,6 @@ def _cmd_scheme(args) -> int:
             f"search: expanded={stats['expanded']} pushed={stats['pushed']} "
             f"pruned_closed={stats['pruned_closed']} "
             f"pruned_bound={stats.get('pruned_bound', 0)} "
-            f"pruned_dominated={stats['pruned_dominated']} "
             f"peak_frontier={stats['peak_frontier']} "
             f"wall={stats['wall_time_s'] * 1e3:.2f}ms"
         )
@@ -446,9 +446,24 @@ def _cmd_rebuild(args) -> int:
     return 0 if ok else 1
 
 
-def _serve_sharded(args, code, codec, disks) -> int:
-    """Open-loop sharded serving leg of the ``serve`` subcommand."""
+def _cmd_serve(args) -> int:
+    import numpy as np
+
+    from repro.codec import ArrayImageCodec
+    from repro.faults import FaultPlan
     from repro.serving import ShardedServingEngine, build_workload_requests
+
+    try:
+        fault_plan = FaultPlan.parse(args.inject)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    code = make_code(args.family, args.disks)
+    codec = ArrayImageCodec(
+        code, element_size=args.element_size, n_stripes=args.stripes
+    )
+    rng = np.random.default_rng(args.seed)
+    disks = codec.encode_image(codec.random_image(rng))
 
     placement = None
     if args.placement:
@@ -481,12 +496,15 @@ def _serve_sharded(args, code, codec, disks) -> int:
         store_path=args.plan_cache,
         target_p99_ms=None if args.no_qos else args.target_p99_ms,
         rebuild_chunk_stripes=args.chunk_stripes,
+        priority=not args.no_qos,
         placement=placement,
+        fault_plan=fault_plan,
     )
     print(code.describe())
     print(
         f"serving : disk {args.failed_disk} failed, {args.shards} shard(s), "
-        f"open-loop {args.workload} trace at {rate:.0f} req/s aggregate"
+        f"open-loop {args.workload} trace at {rate:.0f} req/s aggregate, "
+        f"qos {'off' if args.no_qos else f'target p99 {args.target_p99_ms}ms'}"
         + (
             f", shard bounds from {placement.name} placement over "
             f"{placement.n_pool} disks"
@@ -499,162 +517,41 @@ def _serve_sharded(args, code, codec, disks) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    direct = sum(int(s["direct"]) for s in report.per_shard)
-    degraded = sum(int(s["degraded"]) for s in report.per_shard)
-    patched = sum(int(s["patched"]) for s in report.per_shard)
+    paths = {
+        key: sum(int(s[key]) for s in report.per_shard)
+        for key in ("direct", "degraded", "patched", "resilient")
+    }
     print(
         f"shards  : {report.n_shards}/{report.requested_shards} reported, "
         f"slowest replay {report.duration_s:.2f} s"
     )
     print(
-        f"reads   : {report.served} served ({direct} direct, "
-        f"{degraded} degraded, {patched} patched)"
+        f"reads   : {report.served} served ({paths['direct']} direct, "
+        f"{paths['degraded']} degraded, {paths['patched']} patched)"
     )
     print(
         f"latency : p50 {report.p50_ms:.2f} ms, p99 {report.p99_ms:.2f} ms; "
         f"throughput {report.throughput_rps:.0f} req/s "
         f"(offered {report.offered_rate_rps:.0f})"
     )
-    if report.rebuild_wall_s is not None:
-        print(f"rebuild : completed in {report.rebuild_wall_s:.3f} s")
-    print("verify  : " + ("byte-exact" if report.ok else
-                          f"{report.mismatches} MISMATCHES"))
-    return 0 if report.ok else 1
-
-
-def _cmd_serve(args) -> int:
-    import numpy as np
-
-    from repro.codec import ArrayImageCodec
-    from repro.faults import FaultPlan
-    from repro.recovery import RecoveryPlanner, SchemePlanCache
-    from repro.serving import (
-        DegradedPlanCache,
-        QosController,
-        ServingEngine,
-        SimulatedDisksIoModel,
-        build_workload_requests,
-        run_closed_loop,
-    )
-
-    try:
-        fault_plan = FaultPlan.parse(args.inject)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    code = make_code(args.family, args.disks)
-    codec = ArrayImageCodec(
-        code, element_size=args.element_size, n_stripes=args.stripes
-    )
-    rng = np.random.default_rng(args.seed)
-    disks = codec.encode_image(codec.random_image(rng))
-    original = disks.copy()
-
-    if args.placement and not args.shards:
-        print(
-            "error: --placement requires --shards (placement-aligned "
-            "bounds only exist on the sharded plane)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.shards:
-        if fault_plan:
-            print(
-                "error: --inject is not supported with --shards "
-                "(fault injection is single-process only)",
-                file=sys.stderr,
-            )
-            return 2
-        return _serve_sharded(args, code, codec, disks)
-
-    plan_store = SchemePlanCache(args.plan_cache) if args.plan_cache else None
-    planner = RecoveryPlanner(
-        code, algorithm=args.algorithm, depth=args.depth, plan_cache=plan_store
-    )
-    plans = DegradedPlanCache(code, planner=planner, store=plan_store)
-    qos = (
-        None
-        if args.no_qos
-        else QosController(target_p99_ms=args.target_p99_ms)
-    )
-    io_model = SimulatedDisksIoModel(
-        code.layout.n_disks, element_read_ms=args.element_read_ms
-    )
-    engine = ServingEngine(
-        codec,
-        disks,
-        args.failed_disk,
-        planner=planner,
-        plans=plans,
-        qos=qos,
-        io_model=io_model,
-        fault_plan=fault_plan if fault_plan else None,
-    )
-    n_plans = engine.warm_plans()
-    total_rows = codec.n_stripes * code.layout.k_rows
-    request_lists = [
-        build_workload_requests(
-            args.workload,
-            code.layout.n_disks,
-            total_rows,
-            args.failed_disk,
-            args.requests,
-            seed=args.seed + i,
-            rate_per_s=args.client_rate,
-        )
-        for i in range(args.clients)
-    ]
-    print(code.describe())
-    print(
-        f"serving : disk {args.failed_disk} failed, {args.clients} "
-        f"{args.workload} client(s) at {args.client_rate:.0f} req/s each, "
-        f"qos {'off' if args.no_qos else f'target p99 {args.target_p99_ms}ms'}"
-    )
-    report = run_closed_loop(
-        engine,
-        request_lists,
-        expected=original,
-        rebuild_workers=args.workers,
-        chunk_stripes=args.chunk_stripes,
-        settle_reads=args.settle_reads,
-        pace=True,
-    )
-    stats = engine.stats()
-    rebuilt_ok = engine.rebuild_result is not None and np.array_equal(
-        engine.rebuild_result.image, original[args.failed_disk]
-    )
-    print(
-        f"plans   : {n_plans} degraded plans warmed"
-        + (f" (store: {args.plan_cache})" if args.plan_cache else "")
-    )
-    print(
-        f"reads   : {report.reads} served ({stats['direct']} direct, "
-        f"{stats['degraded']} degraded, {stats['patched']} patched, "
-        f"{stats['coalesced']} coalesced)"
-    )
-    print(
-        f"latency : p50 {report.p50_ms:.2f} ms, p99 {report.p99_ms:.2f} ms "
-        f"over {report.samples_during} during-rebuild samples"
-    )
     print(f"rebuild : completed in {report.rebuild_wall_s:.3f} s")
-    if qos is not None:
-        q = stats["qos"]
-        rate = q["rebuild_rate"]
+    if not args.no_qos:
+        q = report.throttle
+        final = q["rebuild_rate"]
         print(
             f"qos     : {q['rate_decreases']} slowdown(s), "
             f"{q['rate_increases']} speedup(s), "
             f"throttle wait {q['throttle_wait_s'] * 1e3:.1f} ms, final rate "
-            + ("uncapped" if rate == float("inf") else f"{rate:.1f} chunks/s")
+            + ("uncapped" if final == float("inf") else f"{final:.1f} chunks/s")
         )
-    if stats["resilient"]:
-        print(f"faults  : {stats['resilient']} read(s) went resilient")
-    ok = report.ok and rebuilt_ok
-    verdict = "byte-exact" if ok else (
-        f"{report.mismatches} MISMATCHES, errors={report.errors}, "
-        f"rebuild {'ok' if rebuilt_ok else 'MISMATCH'}"
+    if fault_plan:
+        print(f"faults  : {paths['resilient']} read(s) went resilient")
+    verdict = "byte-exact" if report.ok else (
+        f"{report.mismatches} MISMATCHES, "
+        f"{report.rebuild_mismatches} rebuilt row(s) wrong"
     )
     print(f"verify  : {verdict}")
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_trace(args) -> int:
@@ -957,28 +854,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workload", default="hotspot",
                    choices=["hotspot", "sequential"])
-    p.add_argument("--clients", type=int, default=2)
+    p.add_argument("--clients", type=int, default=2,
+                   help="independent request streams merged into the trace")
     p.add_argument("--requests", type=int, default=500,
-                   help="trace length per client (replayed in a loop)")
+                   help="requests per client")
     p.add_argument("--client-rate", type=float, default=300.0,
                    help="per-client offered request rate (req/s)")
     p.add_argument("--no-qos", action="store_true",
-                   help="disable the QoS controller (FIFO disks, no pacing)")
+                   help="no rebuild throttle and FIFO disks (the baseline)")
     p.add_argument("--target-p99-ms", type=float, default=5.0)
     p.add_argument("--element-read-ms", type=float, default=0.25,
                    help="simulated per-element disk service time")
-    p.add_argument("--workers", type=int, default=0,
-                   help="rebuild pipeline workers (0 = inline)")
     p.add_argument("--chunk-stripes", type=int, default=16)
-    p.add_argument("--settle-reads", type=int, default=5,
-                   help="post-rebuild reads per client")
-    p.add_argument("--shards", type=int, default=0,
-                   help="shard the serving plane across N worker processes "
-                   "(open-loop trace replay; 0 = single-process engine)")
+    p.add_argument("--shards", type=int, default=1,
+                   help="serve through N shard worker processes "
+                   "(open-loop trace replay)")
     p.add_argument("--placement", default=None,
                    choices=["flat", "declustered", "d3", "random"],
                    help="align shard stripe ranges to the placement groups "
-                   "of a pool of --pool-disks disks (requires --shards)")
+                   "of a pool of --pool-disks disks")
     p.add_argument("--pool-disks", type=int, default=0,
                    help="pool size for --placement (0 = 4 groups of the "
                    "code's width)")

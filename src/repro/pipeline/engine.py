@@ -108,8 +108,9 @@ class RebuildPipeline:
     throttle:
         Optional hook called with each :class:`StripeChunk` *before* it is
         recovered or dispatched.  Blocking inside the hook delays rebuild
-        work without touching anything else — this is the admission-control
-        point the QoS scheduler in :mod:`repro.serving` plugs into.
+        work without touching anything else — the serving engine's
+        :class:`~repro.serving.sharded.BoardThrottle` admits chunks here
+        (its ``after_chunk`` rides on ``on_chunk``).
     on_chunk:
         Optional hook called after each chunk's recovered rows have landed
         in the rebuilt image, with ``(chunk, rows)`` where ``rows`` is a

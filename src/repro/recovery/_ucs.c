@@ -1,7 +1,7 @@
 /* Uniform-cost search kernel for single-failure recovery schemes.
  *
  * This is a line-for-line mirror of the pure-Python engine in search.py
- * (integer-key cost models, dominance disabled): same closed set, same
+ * (integer-key cost models): same closed set, same
  * incumbent bound, same push order, same early-goal cutoff, and therefore
  * the same expansion sequence and the byte-identical scheme.
  *
@@ -14,9 +14,8 @@
  *
  * Masks are stored at the geometry's own width, ceil(n_elements / 64)
  * words.  The Python wrapper caps geometries at 512 elements (MAX_W
- * words) and falls back to the pure engine for anything wider, for
- * weighted/opaque cost keys, and when subset-dominance pruning is
- * requested.
+ * words) and falls back to the pure engine for anything wider and for
+ * weighted/opaque cost keys.
  *
  * Compiled on demand by repro.recovery.ckernel via the system C compiler;
  * no build step, no third-party dependency.

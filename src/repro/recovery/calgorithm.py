@@ -21,12 +21,10 @@ def c_scheme(
     failed_disk: int,
     depth: int = 2,
     max_expansions: Optional[int] = 2_000_000,
-    dominance_limit: int = 0,
 ) -> RecoveryScheme:
     """C-Scheme for a single failed disk."""
     return c_scheme_for_mask(
-        code, code.layout.disk_mask(failed_disk), depth, max_expansions,
-        dominance_limit,
+        code, code.layout.disk_mask(failed_disk), depth, max_expansions
     )
 
 
@@ -35,7 +33,6 @@ def c_scheme_for_mask(
     failed_mask: int,
     depth: int = 2,
     max_expansions: Optional[int] = 2_000_000,
-    dominance_limit: int = 0,
 ) -> RecoveryScheme:
     """C-Scheme for an arbitrary failed-element set."""
     rec_eqs = get_recovery_equations(
@@ -46,5 +43,4 @@ def c_scheme_for_mask(
         conditional_cost(code.layout),
         algorithm="c",
         max_expansions=max_expansions,
-        dominance_limit=dominance_limit,
     )

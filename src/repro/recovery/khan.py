@@ -24,13 +24,10 @@ def khan_scheme(
     failed_disk: int,
     depth: int = 2,
     max_expansions: Optional[int] = 2_000_000,
-    dominance_limit: int = 0,
 ) -> RecoveryScheme:
     """Minimal-total-read scheme for a single failed disk."""
     failed_mask = code.layout.disk_mask(failed_disk)
-    return khan_scheme_for_mask(
-        code, failed_mask, depth, max_expansions, dominance_limit
-    )
+    return khan_scheme_for_mask(code, failed_mask, depth, max_expansions)
 
 
 def khan_scheme_for_mask(
@@ -38,7 +35,6 @@ def khan_scheme_for_mask(
     failed_mask: int,
     depth: int = 2,
     max_expansions: Optional[int] = 2_000_000,
-    dominance_limit: int = 0,
 ) -> RecoveryScheme:
     """Minimal-total-read scheme for an arbitrary failed-element set."""
     rec_eqs = get_recovery_equations(
@@ -49,5 +45,4 @@ def khan_scheme_for_mask(
         khan_cost(code.layout),
         algorithm="khan",
         max_expansions=max_expansions,
-        dominance_limit=dominance_limit,
     )

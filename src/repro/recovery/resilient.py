@@ -34,7 +34,7 @@ the planned order and its output is byte-identical to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -129,13 +129,15 @@ class ResilientExecutor:
         self._bad_eids: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
-    def run(self) -> ResilientResult:
-        """Recover every stripe in the store; raises
+    def run(self, stripes: Optional[Sequence[int]] = None) -> ResilientResult:
+        """Recover every stripe in the store, or only ``stripes`` (store
+        indices, recovered in that order); raises
         :class:`UnrecoverableError` only when the fault load exceeds the
         code's tolerance (e.g. a third disk death)."""
         recovered: List[Dict[int, np.ndarray]] = []
-        with obs.span("executor.run", n_stripes=self.store.n_stripes):
-            for s in range(self.store.n_stripes):
+        order = range(self.store.n_stripes) if stripes is None else stripes
+        with obs.span("executor.run", n_stripes=len(order)):
+            for s in order:
                 with obs.span("executor.stripe", stripe=s):
                     recovered.append(self._recover_stripe(s))
                 self.report.stripes_processed += 1

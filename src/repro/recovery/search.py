@@ -53,12 +53,6 @@ Pruning (the paper keeps Khan's pruning and adds none):
   never carry a better key than the first visit: the closed set is a plain
   set of the ``(slot, read_mask)`` pairs pushed, each pair is pushed at
   most once, and the frontier never holds a stale entry;
-* *subset dominance* — a state whose read set is a superset of a
-  same-or-better state at the same slot can never win, because every
-  completion of the superset is matched by a no-worse completion of the
-  subset (costs are monotone in set inclusion).  The store is bucketed by
-  mask popcount: only masks with strictly fewer elements can be strict
-  subsets, so a membership probe skips every bucket that cannot dominate;
 * *state budget* — the problem is NP-hard (Sec. II-B); an optional budget
   bounds worst-case blowup.  When exhausted, the best frontier state is
   completed greedily and the scheme is flagged ``exact=False``.
@@ -73,7 +67,6 @@ over time; see docs/performance.md).
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -320,8 +313,6 @@ class SearchStats:
     pushed: int = 0              #: successor states pushed on the frontier
     pruned_closed: int = 0       #: successors dropped by the closed set
     pruned_bound: int = 0        #: successors no better than the best goal
-    pruned_dominated: int = 0    #: successors dropped by subset dominance
-    dominance_checks: int = 0    #: dominance-index probes (hit + miss)
     peak_frontier: int = 0       #: largest frontier size reached
     bucket_transitions: int = 0  #: frontier-key (rec_list bucket) advances;
                                  #: tracked only while tracing is enabled
@@ -340,7 +331,6 @@ class SearchStats:
         rec.count("search.pushed", self.pushed)
         rec.count("search.pruned_closed", self.pruned_closed)
         rec.count("search.pruned_bound", self.pruned_bound)
-        rec.count("search.pruned_dominated", self.pruned_dominated)
         rec.count("search.bucket_transitions", self.bucket_transitions)
         if self.budget_exhausted:
             rec.count("search.budget_exhausted")
@@ -354,54 +344,10 @@ class SearchStats:
             f"expanded={self.expanded} pushed={self.pushed} "
             f"pruned_closed={self.pruned_closed} "
             f"pruned_bound={self.pruned_bound} "
-            f"pruned_dominated={self.pruned_dominated} "
             f"peak_frontier={self.peak_frontier} "
             f"wall={self.wall_time_s * 1e3:.2f}ms"
             + (" budget_exhausted" if self.budget_exhausted else "")
         )
-
-
-class _DominanceIndex:
-    """Per-slot Pareto store of (read_mask, key) for subset-dominance tests.
-
-    Entries are bucketed by mask popcount: a strict subset has strictly
-    fewer bits, so a probe for a mask with ``p`` bits only scans buckets
-    ``< p`` — the rest cannot dominate.  Within a bucket entries are kept
-    sorted by key and a scan stops at the first entry whose key exceeds the
-    query key, since only better-or-equal keys can dominate.
-    """
-
-    __slots__ = ("buckets", "size", "limit")
-
-    def __init__(self, limit: int) -> None:
-        #: popcount -> ([keys sorted asc], [masks in key order])
-        self.buckets: Dict[int, Tuple[List, List[int]]] = {}
-        self.size = 0
-        self.limit = limit
-
-    def dominated(self, mask: int, key, pc: int) -> bool:
-        for p, (keys, masks) in self.buckets.items():
-            if p >= pc:
-                continue
-            for i in range(len(keys)):
-                if keys[i] > key:
-                    break
-                m = masks[i]
-                if m & mask == m:
-                    return True
-        return False
-
-    def add(self, mask: int, key, pc: int) -> None:
-        if self.size >= self.limit:
-            return
-        bucket = self.buckets.get(pc)
-        if bucket is None:
-            bucket = self.buckets[pc] = ([], [])
-        keys, masks = bucket
-        i = bisect_right(keys, key)
-        keys.insert(i, key)
-        masks.insert(i, mask)
-        self.size += 1
 
 
 def generate_scheme(
@@ -409,7 +355,6 @@ def generate_scheme(
     cost_fn: CostFn,
     algorithm: str,
     max_expansions: Optional[int] = 2_000_000,
-    dominance_limit: int = 0,
 ) -> RecoveryScheme:
     """Run the unified UCS and return the winning scheme.
 
@@ -424,12 +369,6 @@ def generate_scheme(
         Label recorded on the scheme.
     max_expansions:
         State budget; ``None`` for unlimited.
-    dominance_limit:
-        Per-slot cap on the subset-dominance store.  Defaults to 0
-        (disabled): for the array codes in this repository the closed-set
-        dedup already collapses the union lattice and dominance prunes no
-        additional states while costing a probe per push — see
-        ``benchmarks/bench_ablation_pruning.py``.
 
     With an :mod:`repro.obs` recorder enabled, the run is wrapped in a
     ``search.generate`` span, its :class:`SearchStats` accumulate into the
@@ -438,15 +377,11 @@ def generate_scheme(
     """
     recorder = obs.get_recorder()
     if recorder is None:
-        return _generate_scheme(
-            rec_eqs, cost_fn, algorithm, max_expansions, dominance_limit
-        )
+        return _generate_scheme(rec_eqs, cost_fn, algorithm, max_expansions)
     with recorder.span(
         "search.generate", algorithm=algorithm, n_failed=rec_eqs.n_failed
     ):
-        return _generate_scheme(
-            rec_eqs, cost_fn, algorithm, max_expansions, dominance_limit
-        )
+        return _generate_scheme(rec_eqs, cost_fn, algorithm, max_expansions)
 
 
 def _generate_scheme(
@@ -454,7 +389,6 @@ def _generate_scheme(
     cost_fn: CostFn,
     algorithm: str,
     max_expansions: Optional[int],
-    dominance_limit: int,
 ) -> RecoveryScheme:
     """The engine proper (see :func:`generate_scheme`)."""
     t_start = time.perf_counter()
@@ -479,12 +413,11 @@ def _generate_scheme(
         for opts in rec_eqs.options
     ]
 
-    # integer-key models with no dominance pruning run on the compiled
-    # kernel when one is available; it mirrors the loop below exactly and
+    # integer-key models run on the compiled kernel when one is available; it mirrors the loop below exactly and
     # returns the byte-identical scheme (see _ucs.c), so falling through
     # to the Python engine is always safe.
     ckind = _CKERNEL_KINDS.get(type(model))
-    if ckind is not None and dominance_limit == 0 and n_slots > 0:
+    if ckind is not None and n_slots > 0:
         lay = model.layout
         res = ckernel.run(
             slot_opts, lay.n_disks, lay.k_rows, ckind, max_expansions
@@ -524,20 +457,13 @@ def _generate_scheme(
     ]
     heap: List[Tuple] = [(init_key, 0)]
     closed: List[set] = [set() for _ in range(n_slots + 1)]
-    use_dominance = dominance_limit > 0
-    dominance = (
-        [_DominanceIndex(dominance_limit) for _ in range(n_slots + 1)]
-        if use_dominance
-        else None
-    )
 
     goal_id = -1
     frontier_sid = 0
     best_goal_key = None  # earliest-pushed goal at the smallest key
     best_goal_sid = -1
     budget_left = max_expansions if max_expansions is not None else float("inf")
-    expanded = pushed = pruned_closed = pruned_bound = pruned_dominated = 0
-    dominance_checks = 0
+    expanded = pushed = pruned_closed = pruned_bound = 0
     peak_frontier = 1
     bucket_transitions = 0
     last_popped_key = init_key
@@ -572,7 +498,6 @@ def _generate_scheme(
         new_slot = slot + 1
         is_goal_slot = new_slot == n_slots
         cl = closed[new_slot]
-        dom = dominance[new_slot] if use_dominance else None
         for rm, eq in slot_opts[slot]:
             add = rm & nmask
             if add:
@@ -590,13 +515,6 @@ def _generate_scheme(
             if new_mask in cl:
                 pruned_closed += 1
                 continue
-            if dom is not None:
-                pc = new_mask.bit_count()
-                dominance_checks += 1
-                if dom.dominated(new_mask, new_key, pc):
-                    pruned_dominated += 1
-                    continue
-                dom.add(new_mask, new_key, pc)
             cl.add(new_mask)
             states_append((new_slot, new_mask, sid, eq, new_state))
             heappush(heap, (new_key, n_states))
@@ -613,8 +531,6 @@ def _generate_scheme(
     stats.pushed = pushed
     stats.pruned_closed = pruned_closed
     stats.pruned_bound = pruned_bound
-    stats.pruned_dominated = pruned_dominated
-    stats.dominance_checks = dominance_checks
     stats.peak_frontier = peak_frontier
     stats.bucket_transitions = bucket_transitions
 

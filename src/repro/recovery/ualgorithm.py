@@ -24,12 +24,10 @@ def u_scheme(
     failed_disk: int,
     depth: int = 2,
     max_expansions: Optional[int] = 2_000_000,
-    dominance_limit: int = 0,
 ) -> RecoveryScheme:
     """U-Scheme for a single failed disk."""
     return u_scheme_for_mask(
-        code, code.layout.disk_mask(failed_disk), depth, max_expansions,
-        dominance_limit=dominance_limit,
+        code, code.layout.disk_mask(failed_disk), depth, max_expansions
     )
 
 
@@ -38,7 +36,6 @@ def u_scheme_for_mask(
     failed_mask: int,
     depth: int = 2,
     max_expansions: Optional[int] = 2_000_000,
-    dominance_limit: int = 0,
     weights: Optional[Sequence[float]] = None,
 ) -> RecoveryScheme:
     """U-Scheme for an arbitrary failed-element set.
@@ -57,6 +54,5 @@ def u_scheme_for_mask(
         cost = weighted_cost(code.layout, weights)
         label = "u_weighted"
     return generate_scheme(
-        rec_eqs, cost, algorithm=label, max_expansions=max_expansions,
-        dominance_limit=dominance_limit,
+        rec_eqs, cost, algorithm=label, max_expansions=max_expansions
     )

@@ -4,46 +4,32 @@ The serving layer answers user element reads against an array whose
 failed disk is being rebuilt in the background, byte-exactly and with a
 latency objective:
 
-* :class:`~repro.serving.engine.ServingEngine` — the concurrent read
-  path: direct reads, patched-frontier reads, coalesced on-the-fly
-  reconstructions (optionally through the resilient executor);
+* :class:`~repro.serving.sharded.ShardedServingEngine` — the engine:
+  stripe-range shard worker processes (``n_shards=1`` is the
+  single-shard engine) over shared-memory state
+  (:mod:`repro.serving.shm`), open-loop trace replay
+  (:mod:`repro.serving.frontend`) and an inline rebuild whose chunk
+  admission :class:`~repro.serving.sharded.BoardThrottle` steers on the
+  shards' published p99;
+* :class:`~repro.serving.sharded.ShardServer` — the in-process core one
+  shard runs: direct, patched and batched degraded reads, optionally
+  through the resilient executor under a fault plan;
 * :class:`~repro.serving.plans.DegradedPlanCache` — search-free
   per-element degraded plans, persistent via ``SchemePlanCache`` keying;
-* :class:`~repro.serving.qos.QosController` — token-bucket admission for
-  rebuild chunks with AIMD rate adaptation on read p99;
 * :class:`~repro.serving.iomodel.SimulatedDisksIoModel` — deterministic
   per-spindle disk-time accounting for contention experiments;
-* :class:`~repro.serving.clients.ClosedLoopClient` /
-  :func:`~repro.serving.clients.run_closed_loop` — workload-driven
-  closed-loop verification harness;
-* :class:`~repro.serving.sharded.ShardedServingEngine` — the scale-out
-  frontend: stripe-range shard worker processes over shared-memory state
-  (:mod:`repro.serving.shm`), open-loop trace replay
-  (:mod:`repro.serving.frontend`) and board-steered rebuild admission
-  (:class:`~repro.serving.sharded.BoardThrottle`).
+* :func:`~repro.serving.clients.build_workload_requests` — hotspot and
+  sequential request traces.
 
 See ``docs/serving.md`` for the architecture and the benchmark
 methodology behind ``benchmarks/bench_serving.py``.
 """
 
-from repro.serving.clients import (
-    ClosedLoopClient,
-    ServeReport,
-    build_workload_requests,
-    run_closed_loop,
-)
-from repro.serving.engine import ServingEngine
-from repro.serving.frontend import (
-    OpenLoopReport,
-    partition_trace,
-    replay_open_loop,
-    run_engine_open_loop,
-    shard_bounds,
-    trace_arrays,
-)
+from repro.serving.clients import build_workload_requests
+from repro.serving.frontend import partition_trace, shard_bounds, trace_arrays
 from repro.serving.iomodel import NullIoModel, SimulatedDisksIoModel
 from repro.serving.plans import CompiledPlanCache, DegradedPlanCache
-from repro.serving.qos import LatencyWindow, QosController, TokenBucket, percentile
+from repro.serving.qos import TokenBucket, percentile
 from repro.serving.sharded import (
     BoardThrottle,
     ShardServer,
@@ -54,15 +40,9 @@ from repro.serving.shm import SharedServingState, ServingStateSpec
 
 __all__ = [
     "BoardThrottle",
-    "ClosedLoopClient",
     "CompiledPlanCache",
     "DegradedPlanCache",
-    "LatencyWindow",
     "NullIoModel",
-    "OpenLoopReport",
-    "QosController",
-    "ServeReport",
-    "ServingEngine",
     "ServingStateSpec",
     "ShardServer",
     "ShardedReport",
@@ -73,9 +53,6 @@ __all__ = [
     "build_workload_requests",
     "partition_trace",
     "percentile",
-    "replay_open_loop",
-    "run_closed_loop",
-    "run_engine_open_loop",
     "shard_bounds",
     "trace_arrays",
 ]

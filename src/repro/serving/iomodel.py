@@ -3,11 +3,11 @@
 The serving benchmark has to show rebuild traffic and user reads fighting
 over the same spindles on whatever box CI gives it — typically one core,
 where real thread contention is pure noise.  :class:`SimulatedDisksIoModel`
-makes the contention deterministic instead: every read and every rebuild
-chunk *charges wall-clock time* against per-disk ``busy_until`` clocks and
-sleeps until its reservation completes, so latencies reflect queueing
-physics (arrival order, backlog depth, parallel-disk maxima), not
-scheduler luck.
+makes the contention deterministic instead: rebuild chunks *book*
+wall-clock time against per-disk ``busy_until`` clocks, and every read
+books its own and sleeps until its reservation completes, so latencies
+reflect queueing physics (arrival order, backlog depth, parallel-disk
+maxima), not scheduler luck.
 
 Two service disciplines per disk:
 
@@ -35,9 +35,6 @@ class NullIoModel:
     """No-op I/O accounting: every operation is free."""
 
     def read_elements(self, per_disk: Dict[int, int], priority: bool = False) -> float:
-        return 0.0
-
-    def rebuild_chunk(self, per_disk: Dict[int, int]) -> float:
         return 0.0
 
     def reserve_background(self, per_disk: Dict[int, int]) -> None:
@@ -88,7 +85,12 @@ class SimulatedDisksIoModel(NullIoModel):
                 self._busy_until[disk] = start + service_s
             return start + service_s
 
-    def _charge(self, per_disk: Dict[int, int], priority: bool) -> float:
+    def read_elements(self, per_disk: Dict[int, int], priority: bool = False) -> float:
+        """Charge one user read's element fan-out; returns seconds spent.
+
+        Disks are read in parallel (the paper's model), so the caller
+        waits for the *latest* reservation to complete.
+        """
         if not per_disk:
             return 0.0
         t0 = time.monotonic()
@@ -101,18 +103,6 @@ class SimulatedDisksIoModel(NullIoModel):
         if wait > 0:
             time.sleep(wait)
         return time.monotonic() - t0
-
-    def read_elements(self, per_disk: Dict[int, int], priority: bool = False) -> float:
-        """Charge one user read's element fan-out; returns seconds spent.
-
-        Disks are read in parallel (the paper's model), so the caller
-        waits for the *latest* reservation to complete.
-        """
-        return self._charge(per_disk, priority)
-
-    def rebuild_chunk(self, per_disk: Dict[int, int]) -> float:
-        """Charge one rebuild chunk's per-disk element reads (FIFO)."""
-        return self._charge(per_disk, priority=False)
 
     def reserve_background(self, per_disk: Dict[int, int]) -> None:
         """Book rebuild disk time without sleeping on it.

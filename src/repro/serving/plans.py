@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro import obs
 from repro.codec.batch import BatchReconstructor
@@ -104,19 +104,6 @@ class DegradedPlanCache:
                     )
             self._plans[(disk, row)] = plan
             return plan
-
-    def plan_for_rows(self, disk: int, rows: Sequence[int]) -> RecoveryScheme:
-        """One plan covering several rows of the same failed disk.
-
-        Single rows hit the memo; multi-row requests are sliced on the
-        fly from the (already cached) whole-disk scheme — still zero
-        search, just bitmask work proportional to the row count.
-        """
-        rows = sorted(set(rows))
-        if len(rows) == 1:
-            return self.plan_for_element(disk, rows[0])
-        obs.count("serving.plan_slice")
-        return slice_degraded_plan(self.planner.scheme_for_disk(disk), rows)
 
     def warm(self, disks: Iterable[int]) -> int:
         """Precompute every per-row plan for the given logical disks.

@@ -1,27 +1,16 @@
-"""QoS scheduling for rebuild-vs-reads contention.
+"""QoS primitives for rebuild-vs-reads contention.
 
 The paper's premise is that recovery shares the array with foreground
-traffic; the operational question is *how much* rebuild bandwidth to admit
-while user reads stay within their latency target.  This module implements
-the classic answer:
+traffic; the operational question is *how much* rebuild bandwidth to
+admit while user reads stay within their latency target.  The pieces:
 
-* :class:`LatencyWindow` — a sliding window of recent read latencies with
-  nearest-rank percentiles (the p99 the controller steers on);
-* :class:`TokenBucket` — admission control for rebuild chunk dispatch; one
-  token buys one chunk, the refill rate *is* the rebuild rate;
-* :class:`QosController` — the feedback loop: when read p99 exceeds the
-  target the bucket rate is multiplicatively decreased (AIMD-style), when
-  the read queue drains and p99 sits comfortably under target it
-  re-accelerates.  The rate never drops below a floor derived from the
-  observed chunk duration, which *bounds rebuild-completion inflation by
-  construction*: with floor ``1 / (ema_chunk_s * (1 + max_inflation))``
-  the added pacing delay per chunk is at most ``max_inflation`` times the
-  chunk's own duration.
+* :func:`percentile` — nearest-rank percentiles (what every shard
+  publishes its p99 with);
+* :class:`TokenBucket` — admission control for rebuild chunk dispatch;
+  one token buys one chunk, the refill rate *is* the rebuild rate.
 
-Everything is thread-safe (reader threads feed latencies while the rebuild
-thread blocks on :meth:`QosController.before_chunk`) and surfaced on
-``serving.*`` obs counters/gauges — never spans, which are not
-thread-safe.
+The AIMD loop that steers the bucket's rate on the shards' published
+p99 is :class:`~repro.serving.sharded.BoardThrottle`.
 """
 
 from __future__ import annotations
@@ -29,10 +18,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import deque
-from typing import Dict, Optional, Sequence
-
-from repro import obs
+from typing import Optional, Sequence
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -44,28 +30,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     data = sorted(values)
     rank = max(1, math.ceil(q * len(data)))
     return data[rank - 1]
-
-
-class LatencyWindow:
-    """Sliding window of recent latencies with percentile queries."""
-
-    def __init__(self, size: int = 512) -> None:
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
-        self._lat: deque = deque(maxlen=size)
-        self._lock = threading.Lock()
-
-    def record(self, latency_s: float) -> None:
-        with self._lock:
-            self._lat.append(latency_s)
-
-    def __len__(self) -> int:
-        return len(self._lat)
-
-    def percentile(self, q: float) -> float:
-        with self._lock:
-            snapshot = list(self._lat)
-        return percentile(snapshot, q)
 
 
 class TokenBucket:
@@ -133,194 +97,3 @@ class TokenBucket:
                 return waited + sleep_for
             time.sleep(need)
             waited += need
-
-
-class QosController:
-    """Adaptive rebuild-rate governor steering on read p99.
-
-    Parameters
-    ----------
-    target_p99_ms:
-        The user-read latency objective.
-    window:
-        Latency samples kept for the percentile estimate.
-    max_inflation:
-        Upper bound on the *fractional* rebuild slowdown the controller
-        may impose: the pacing floor keeps per-chunk added delay within
-        ``max_inflation`` times the observed chunk duration.
-    decrease / increase:
-        Multiplicative back-off factor on overload and additive-ish
-        re-acceleration factor when the queue is drained.
-    recover_fraction:
-        Hysteresis for re-acceleration: the rate climbs only while p99
-        sits below ``recover_fraction * target_p99_ms``.  Too tight a
-        band (e.g. 0.5) can pin the rate at the floor forever when the
-        I/O discipline itself holds p99 just above the band, inflating
-        the rebuild for no latency benefit.
-    adjust_interval_s:
-        Minimum spacing between rate adjustments.
-    min_samples:
-        Latency samples required before the controller starts steering.
-    """
-
-    def __init__(
-        self,
-        target_p99_ms: float = 5.0,
-        window: int = 512,
-        max_inflation: float = 0.35,
-        decrease: float = 0.5,
-        increase: float = 1.25,
-        recover_fraction: float = 0.8,
-        adjust_interval_s: float = 0.02,
-        min_samples: int = 16,
-    ) -> None:
-        if target_p99_ms <= 0:
-            raise ValueError(f"target_p99_ms must be positive, got {target_p99_ms}")
-        if max_inflation <= 0:
-            raise ValueError(f"max_inflation must be positive, got {max_inflation}")
-        if not 0 < decrease < 1:
-            raise ValueError(f"decrease must be in (0, 1), got {decrease}")
-        if increase <= 1:
-            raise ValueError(f"increase must be > 1, got {increase}")
-        if not 0 < recover_fraction <= 1:
-            raise ValueError(
-                f"recover_fraction must be in (0, 1], got {recover_fraction}"
-            )
-        self.target_p99_ms = target_p99_ms
-        self.max_inflation = max_inflation
-        self.decrease = decrease
-        self.increase = increase
-        self.recover_fraction = recover_fraction
-        self.adjust_interval_s = adjust_interval_s
-        self.min_samples = min_samples
-        self.window = LatencyWindow(window)
-        self.bucket = TokenBucket(rate=None)
-        self._lock = threading.Lock()
-        self._pending = 0
-        self._ema_chunk_s: Optional[float] = None
-        self._chunk_t0: Optional[float] = None
-        self._last_adjust = time.monotonic()
-        self.throttle_wait_s = 0.0
-        self.rate_decreases = 0
-        self.rate_increases = 0
-        self.chunks_admitted = 0
-
-    # ------------------------------------------------------------------
-    # read side (called from serving threads)
-    # ------------------------------------------------------------------
-    def read_started(self) -> None:
-        with self._lock:
-            self._pending += 1
-            obs.gauge("serving.pending_reads", self._pending)
-
-    def read_finished(self, latency_s: float) -> None:
-        self.window.record(latency_s)
-        with self._lock:
-            self._pending = max(0, self._pending - 1)
-        self._maybe_adjust()
-
-    @property
-    def pending_reads(self) -> int:
-        return self._pending
-
-    # ------------------------------------------------------------------
-    # rebuild side (the pipeline's throttle / on_chunk hooks)
-    # ------------------------------------------------------------------
-    def before_chunk(self, chunk=None) -> float:
-        """Admission control for one rebuild chunk; returns seconds waited."""
-        self._maybe_adjust()
-        waited = self.bucket.acquire(1.0, max_wait=self._max_chunk_wait())
-        if waited:
-            self.throttle_wait_s += waited
-            obs.count("serving.throttle_wait_ms", int(waited * 1e3))
-        self.chunks_admitted += 1
-        obs.count("serving.rebuild_chunks")
-        self._chunk_t0 = time.monotonic()
-        return waited
-
-    def after_chunk(self, chunk=None, rows=None) -> None:
-        """Fold one finished chunk's duration into the EMA and re-floor."""
-        t0 = self._chunk_t0
-        if t0 is None:
-            return
-        dur = time.monotonic() - t0
-        with self._lock:
-            if self._ema_chunk_s is None:
-                self._ema_chunk_s = dur
-            else:
-                self._ema_chunk_s = 0.7 * self._ema_chunk_s + 0.3 * dur
-            floor = self._rate_floor_locked()
-            rate = self.bucket.rate
-            if rate is not None and floor is not None and rate < floor:
-                self.bucket.set_rate(floor)
-                obs.gauge("serving.rebuild_rate", floor)
-
-    def _rate_floor_locked(self) -> Optional[float]:
-        if self._ema_chunk_s is None or self._ema_chunk_s <= 0:
-            return None
-        return 1.0 / (self._ema_chunk_s * (1.0 + self.max_inflation))
-
-    def _max_chunk_wait(self) -> float:
-        """Hard cap on one chunk's pacing delay (controller-bug backstop)."""
-        with self._lock:
-            ema = self._ema_chunk_s
-        if ema is None:
-            return 0.05
-        return ema * self.max_inflation
-
-    # ------------------------------------------------------------------
-    # the feedback loop
-    # ------------------------------------------------------------------
-    def _maybe_adjust(self) -> None:
-        now = time.monotonic()
-        with self._lock:
-            if now - self._last_adjust < self.adjust_interval_s:
-                return
-            self._last_adjust = now
-            floor = self._rate_floor_locked()
-            pending = self._pending
-        if len(self.window) < self.min_samples or floor is None:
-            return
-        p99_ms = self.window.percentile(0.99) * 1e3
-        obs.gauge("serving.read_p99_ms", p99_ms)
-        obs.gauge("serving.read_p50_ms", self.window.percentile(0.5) * 1e3)
-        rate = self.bucket.rate
-        ceiling = 20.0 * floor
-        if p99_ms > self.target_p99_ms:
-            new_rate = floor if rate is None else max(floor, rate * self.decrease)
-            if rate is None or new_rate < rate:
-                self.bucket.set_rate(new_rate)
-                self.rate_decreases += 1
-                obs.count("serving.rate_decreases")
-                obs.gauge("serving.rebuild_rate", new_rate)
-        elif (
-            pending == 0
-            and p99_ms <= self.recover_fraction * self.target_p99_ms
-            and rate is not None
-        ):
-            new_rate = rate * self.increase
-            if new_rate >= ceiling:
-                self.bucket.set_rate(None)
-                obs.gauge("serving.rebuild_rate", ceiling)
-            else:
-                self.bucket.set_rate(new_rate)
-                obs.gauge("serving.rebuild_rate", new_rate)
-            self.rate_increases += 1
-            obs.count("serving.rate_increases")
-
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, float]:
-        """Controller state snapshot for reports and benchmarks."""
-        rate = self.bucket.rate
-        return {
-            "target_p99_ms": self.target_p99_ms,
-            "read_p50_ms": self.window.percentile(0.5) * 1e3,
-            "read_p99_ms": self.window.percentile(0.99) * 1e3,
-            "samples": len(self.window),
-            "rebuild_rate": rate if rate is not None else float("inf"),
-            "ema_chunk_ms": (self._ema_chunk_s or 0.0) * 1e3,
-            "throttle_wait_s": self.throttle_wait_s,
-            "rate_decreases": self.rate_decreases,
-            "rate_increases": self.rate_increases,
-            "chunks_admitted": self.chunks_admitted,
-        }

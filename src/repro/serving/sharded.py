@@ -1,13 +1,13 @@
-"""Sharded serving engine: stripe-range worker processes over shared memory.
+"""The serving engine: stripe-range shard processes over shared memory.
 
-The single-process :class:`~repro.serving.engine.ServingEngine` tops out
-at one interpreter's request rate — its single-flight table, patched
-image and frontier bitmap are all process-local.  This module shards the
-serving plane by **stripe range**: shard *i* owns stripes
-``[bounds[i], bounds[i+1])`` of the array (its own declustered spindle
-group under the simulated I/O model) and serves its slice of the global
-open-loop trace in a dedicated worker process.  What used to be shared
-mutable state becomes:
+While the failed disk rebuilds in the background, user element reads
+keep being answered byte-exactly.  The serving plane is sharded by
+**stripe range**: shard *i* owns stripes ``[bounds[i], bounds[i+1])`` of
+the array (its own declustered spindle group under the simulated I/O
+model) and serves its slice of the global open-loop trace in a dedicated
+worker process; ``n_shards=1`` is the single-shard engine, and
+:class:`ShardServer` is the in-process core a shard runs.  Shared state
+is:
 
 * the pristine disk images and the rebuilt-row *patch map* in named
   shared memory (:class:`~repro.serving.shm.SharedServingState`);
@@ -20,19 +20,20 @@ mutable state becomes:
   which a frontier message cuts short;
 * the degraded **plan map** as the persistent
   :class:`~repro.recovery.plancache.SchemePlanCache` store, warmed by the
-  parent before forking so workers start search-free;
-* single-flight coalescing generalized to **batch coalescing**: a shard
-  drains every overdue request in one scoop and groups degraded reads by
-  ``(logical role, row)``.  All stripes where the failed physical disk
-  plays the same logical role share one rotation, hence one physical
-  mapping — so the whole group is one entry of the shard's dense plan
-  table and one batched-XOR kernel call
-  (:meth:`~repro.codec.batch.BatchReconstructor.recover_batch_into`)
-  that reads its stripes in place from the disk image.
+  parent before forking so workers start search-free.
 
-QoS inverts too: instead of an in-process AIMD controller fed by every
-read, the parent steers rebuild admission with :class:`BoardThrottle` on
-the shared latency *board* each shard publishes its p99 to.
+A shard drains every overdue request in one scoop and groups degraded
+reads by ``(logical role, row)``.  All stripes where the failed physical
+disk plays the same logical role share one rotation, hence one physical
+mapping — so the whole group is one entry of the shard's dense plan
+table and one batched-XOR kernel call
+(:meth:`~repro.codec.batch.BatchReconstructor.recover_batch_into`) that
+reads its stripes in place from the disk image.  With a
+:class:`~repro.faults.plan.FaultPlan`, a group runs through the
+:class:`~repro.recovery.resilient.ResilientExecutor` ladder instead.
+
+The parent steers rebuild admission with :class:`BoardThrottle` on the
+shared latency *board* each shard publishes its p99 to.
 
 Every degraded and patched answer is verified against the pristine bytes
 in shared memory (the failed disk's true rows, never used as a recovery
@@ -62,9 +63,12 @@ from repro import obs
 from repro.codec.batch import BatchReconstructor, ColumnSet
 from repro.codec.image import ArrayImageCodec
 from repro.disksim.workload import Request
+from repro.faults.plan import FaultPlan
+from repro.faults.store import FaultyStripeStore
 from repro.pipeline.engine import RebuildPipeline, RebuildResult
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
+from repro.recovery.resilient import ResilientExecutor
 from repro.serving.frontend import partition_trace, shard_bounds, trace_arrays
 from repro.serving.iomodel import NullIoModel, SimulatedDisksIoModel
 from repro.serving.plans import CompiledPlanCache, DegradedPlanCache
@@ -84,13 +88,23 @@ from repro.serving.shm import (
 
 
 class BoardThrottle:
-    """Rebuild admission steering on the shared per-shard latency board.
+    """Rebuild admission: a token bucket steered by AIMD on the latency board.
 
     The parent cannot see individual read latencies (they happen in the
     shard processes), so it steers on what the shards publish: the worst
-    per-shard p99 on the board.  Classic AIMD around a token bucket —
-    over target halves the chunk rate, comfortably under target ramps it
-    back — with a hard rate floor so the rebuild always completes.
+    per-shard p99 on the board.  Over ``target_p99_ms`` the chunk rate is
+    multiplied by ``decrease``; at or under 0.8x the target it is
+    multiplied by ``increase``, and uncapped again once it clears 20
+    times the floor.
+
+    The floor comes from the chunks themselves: :meth:`after_chunk` folds
+    each chunk's duration into an EMA, and the rate never drops below
+    ``1 / (ema_chunk_s * (1 + max_inflation))``.  A paced chunk then waits
+    at most ``max_inflation`` times a chunk's own duration, which bounds
+    rebuild inflation by construction; while steering, every wait is also
+    capped at that bound (a backstop against a stale rate).  With no
+    target nothing steers: a fixed ``rate`` is honoured exactly, however
+    slow.
     """
 
     def __init__(
@@ -98,7 +112,7 @@ class BoardThrottle:
         board: np.ndarray,
         target_p99_ms: Optional[float] = None,
         rate: Optional[float] = None,
-        floor_rate: float = 2.0,
+        max_inflation: float = 0.35,
         decrease: float = 0.5,
         increase: float = 1.2,
         adjust_interval_s: float = 0.05,
@@ -106,17 +120,23 @@ class BoardThrottle:
     ) -> None:
         if target_p99_ms is not None and target_p99_ms <= 0:
             raise ValueError(f"target_p99_ms must be positive, got {target_p99_ms}")
-        if floor_rate <= 0:
-            raise ValueError(f"floor_rate must be positive, got {floor_rate}")
+        if max_inflation <= 0:
+            raise ValueError(f"max_inflation must be positive, got {max_inflation}")
+        if not 0 < decrease < 1:
+            raise ValueError(f"decrease must be in (0, 1), got {decrease}")
+        if increase <= 1:
+            raise ValueError(f"increase must be > 1, got {increase}")
         self.board = board
         self.target_p99_ms = target_p99_ms
-        self.floor_rate = floor_rate
+        self.max_inflation = max_inflation
         self.decrease = decrease
         self.increase = increase
         self.adjust_interval_s = adjust_interval_s
         self.min_served = min_served
         self.bucket = TokenBucket(rate=rate)
         self._last_adjust = time.monotonic()
+        self._ema_chunk_s: Optional[float] = None
+        self._chunk_t0: Optional[float] = None
         self.rate_decreases = 0
         self.rate_increases = 0
         self.throttle_wait_s = 0.0
@@ -129,6 +149,17 @@ class BoardThrottle:
         mask = served >= self.min_served
         return float(p99[mask].max()) if mask.any() else 0.0
 
+    def floor_rate(self) -> Optional[float]:
+        """The chunk-rate floor, or ``None`` before the first chunk ends."""
+        if not self._ema_chunk_s:
+            return None
+        return 1.0 / (self._ema_chunk_s * (1.0 + self.max_inflation))
+
+    def _set_rate(self, rate: Optional[float]) -> None:
+        self.bucket.set_rate(rate)
+        if rate is not None:
+            obs.gauge("serving.rebuild_rate", rate)
+
     def _maybe_adjust(self) -> None:
         if self.target_p99_ms is None:
             return
@@ -136,43 +167,57 @@ class BoardThrottle:
         if now - self._last_adjust < self.adjust_interval_s:
             return
         self._last_adjust = now
+        floor = self.floor_rate()
         p99 = self.board_p99_ms()
-        if p99 <= 0.0:
+        if floor is None or p99 <= 0.0:
             return
         rate = self.bucket.rate
         if p99 > self.target_p99_ms:
-            new_rate = (
-                self.floor_rate
-                if rate is None
-                else max(self.floor_rate, rate * self.decrease)
-            )
+            new_rate = floor if rate is None else max(floor, rate * self.decrease)
             if rate is None or new_rate < rate:
-                self.bucket.set_rate(new_rate)
+                self._set_rate(new_rate)
                 self.rate_decreases += 1
-                obs.count("serving.board_rate_decreases")
+                obs.count("serving.rate_decreases")
         elif rate is not None and p99 <= 0.8 * self.target_p99_ms:
             new_rate = rate * self.increase
-            if new_rate >= 50.0 * self.floor_rate:
-                self.bucket.set_rate(None)
-            else:
-                self.bucket.set_rate(new_rate)
+            self._set_rate(None if new_rate >= 20.0 * floor else new_rate)
             self.rate_increases += 1
-            obs.count("serving.board_rate_increases")
+            obs.count("serving.rate_increases")
 
     def before_chunk(self, chunk=None) -> float:
         """Admission control for one rebuild chunk; returns seconds waited."""
         self._maybe_adjust()
-        waited = self.bucket.acquire(1.0, max_wait=2.0 / self.floor_rate)
+        max_wait = None
+        if self.target_p99_ms is not None:
+            ema = self._ema_chunk_s
+            max_wait = 0.05 if ema is None else ema * self.max_inflation
+        waited = self.bucket.acquire(1.0, max_wait=max_wait)
         if waited:
             self.throttle_wait_s += waited
-            obs.count("serving.board_throttle_wait_ms", int(waited * 1e3))
+            obs.count("serving.throttle_wait_ms", int(waited * 1e3))
         self.chunks_admitted += 1
+        self._chunk_t0 = time.monotonic()
         return waited
+
+    def after_chunk(self, chunk=None, rows=None) -> None:
+        """Fold the admitted chunk's duration into the EMA; re-floor."""
+        if self._chunk_t0 is None:
+            return
+        dur = time.monotonic() - self._chunk_t0
+        ema = self._ema_chunk_s
+        self._ema_chunk_s = dur if ema is None else 0.7 * ema + 0.3 * dur
+        floor, rate = self.floor_rate(), self.bucket.rate
+        if self.target_p99_ms is not None and floor and rate and rate < floor:
+            self._set_rate(floor)
 
     def stats(self) -> Dict[str, float]:
         rate = self.bucket.rate
+        floor = self.floor_rate()
         return {
+            "target_p99_ms": self.target_p99_ms,
             "rebuild_rate": rate if rate is not None else float("inf"),
+            "floor_rate": floor if floor is not None else 0.0,
+            "ema_chunk_ms": (self._ema_chunk_s or 0.0) * 1e3,
             "rate_decreases": self.rate_decreases,
             "rate_increases": self.rate_increases,
             "throttle_wait_s": self.throttle_wait_s,
@@ -209,6 +254,11 @@ class ShardServer:
     billing), and one prepared :class:`~repro.codec.batch.ColumnSet` per
     rotation over the disk image, so a degraded group is one table lookup
     and one in-place ``recover_batch_into`` call.
+
+    A non-empty ``fault_plan`` builds a
+    :class:`~repro.faults.store.FaultyStripeStore` over the array's
+    logical stripes, and every degraded group is then recovered through
+    the resilient executor on it (billed like the kernel path).
     """
 
     def __init__(
@@ -223,6 +273,7 @@ class ShardServer:
         io: Optional[NullIoModel] = None,
         priority: bool = True,
         max_batch: int = 512,
+        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         lay = codec.code.layout
         if not 0 <= failed_disk < lay.n_disks:
@@ -257,6 +308,15 @@ class ShardServer:
             for rot in range(n)
         ]
         self._truth = disks4[failed_disk]
+        #: logical stripes behind the fault plan; ``None`` keeps every
+        #: degraded group on the kernel
+        self.fault_store: Optional[FaultyStripeStore] = None
+        if fault_plan:
+            self.fault_store = FaultyStripeStore(
+                lay,
+                [codec._logical_stripe(disks, s) for s in range(codec.n_stripes)],
+                fault_plan,
+            )
         #: dense (role, row) plan table, indexed by role * k_rows + row
         self._table: List[Optional[_GroupPlan]] = [None] * (n * k)
         for s in range(stripe_lo, min(stripe_hi, stripe_lo + n)):
@@ -267,6 +327,7 @@ class ShardServer:
         self.n_patched = 0
         self.n_degraded = 0
         self.n_batches = 0
+        self.n_resilient = 0
         self.mismatches = 0
 
     def _group_plan(self, key: int) -> _GroupPlan:
@@ -386,10 +447,13 @@ class ShardServer:
                 priority=self.priority,
             )
             ids = np.array(stripes, dtype=np.int64)
-            out = np.empty((count, n_slots, esz), dtype=np.uint8)
-            recon.recover_batch_into(self._colsets[rot], out, ids)
+            if self.fault_store is None:
+                out = np.empty((count, n_slots, esz), dtype=np.uint8)
+                recon.recover_batch_into(self._colsets[rot], out, ids)
+                answer = out[:, slot]
+            else:
+                answer = self._recover_resilient(key, stripes)
             done = time.monotonic()
-            answer = out[:, slot]
             self.mismatches += int(
                 np.any(answer != self._truth[ids, key % k], axis=1).sum()
             )
@@ -400,6 +464,27 @@ class ShardServer:
             self.n_degraded += count
         self.n_batches += 1
         return completions, data
+
+    def _recover_resilient(self, key: int, stripes: List[int]) -> np.ndarray:
+        """One degraded group through the fault ladder, stripe by stripe.
+
+        The :class:`~repro.recovery.resilient.ResilientExecutor` reads the
+        fault store (retry, substitute, escalate), so latent sector errors
+        and silent corruption on surviving disks still answer exactly.
+        """
+        role, r = divmod(key, self._k)
+        planner = self.plans.planner
+        executor = ResilientExecutor(
+            self.codec.code,
+            self.plans.plan_for_element(role, r),
+            self.fault_store,
+            algorithm=planner.algorithm if planner.algorithm in ("khan", "u") else "u",
+            depth=max(planner.depth, 2),
+        )
+        eid = self.codec.code.layout.eid(role, r)
+        recovered = executor.run(stripes).recovered
+        self.n_resilient += len(stripes)
+        return np.stack([out[eid] for out in recovered])
 
     def read(self, disk: int, row: int) -> np.ndarray:
         """Serve one request (test/CLI convenience; the trace loop batches)."""
@@ -500,6 +585,7 @@ class ShardServer:
         obs.count("serving.direct", self.n_direct)
         obs.count("serving.patched", self.n_patched)
         obs.count("serving.batches", self.n_batches)
+        obs.count("serving.resilient", self.n_resilient)
         res: Dict[str, object] = {
             "served": n,
             "mismatches": self.mismatches,
@@ -507,6 +593,7 @@ class ShardServer:
             "patched": self.n_patched,
             "degraded": self.n_degraded,
             "batches": self.n_batches,
+            "resilient": self.n_resilient,
             "duration_s": max(t_end - t_start, 1e-9),
             "latencies": lat,
             "wake_lags": wake,
@@ -600,6 +687,7 @@ def _shard_main(
             plans=plans,
             io=io,
             priority=bool(cfg.get("priority", True)),
+            fault_plan=cfg.get("fault_plan"),
         )
         arr, d, r = trace
         res = server.serve_trace(
@@ -648,11 +736,14 @@ class ShardedReport:
     rebuild_wall_s: Optional[float]
     per_shard: List[Dict[str, object]] = field(default_factory=list)
     throttle: Dict[str, float] = field(default_factory=dict)
+    #: rebuilt rows that differ from the failed disk's pristine bytes
+    rebuild_mismatches: int = 0
 
     @property
     def ok(self) -> bool:
         return (
             self.mismatches == 0
+            and self.rebuild_mismatches == 0
             and not self.errors
             and self.n_shards == self.requested_shards
         )
@@ -661,8 +752,7 @@ class ShardedReport:
 class ShardedServingEngine:
     """Parent orchestrator: shared state + shard workers + inline rebuild.
 
-    Parameters mirror :class:`~repro.serving.engine.ServingEngine` where
-    they overlap; ``n_shards`` must be >= 1 (counts beyond ``n_stripes``
+    ``n_shards`` must be >= 1 (counts beyond ``n_stripes``
     leave the surplus shards idle with empty stripe ranges), and a worker
     that dies raises ``RuntimeError`` from :meth:`serve_trace` (no silent
     degradation).  ``element_read_ms=None`` disables the simulated I/O
@@ -673,6 +763,11 @@ class ShardedServingEngine:
     ``placement`` (a :class:`~repro.placement.PlacementMap` over the same
     stripe count) aligns the shard bounds to placement-group boundaries,
     so one shard maps onto whole placement groups and never splits one.
+    ``target_p99_ms`` steers the rebuild with :class:`BoardThrottle`
+    (``rebuild_rate`` is then only its starting rate; alone it is a fixed
+    chunk rate), and ``priority`` lets user reads preempt queued rebuild
+    I/O.  ``fault_plan`` is handed to every shard's
+    :class:`ShardServer`.
     """
 
     def __init__(
@@ -692,6 +787,7 @@ class ShardedServingEngine:
         rebuild_chunk_stripes: int = 16,
         priority: bool = True,
         placement=None,
+        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         lay = codec.code.layout
         if not 0 <= failed_disk < lay.n_disks:
@@ -722,6 +818,7 @@ class ShardedServingEngine:
         self.rebuild_rate = rebuild_rate
         self.rebuild_chunk_stripes = rebuild_chunk_stripes
         self.priority = priority
+        self.fault_plan = fault_plan
         store = SchemePlanCache(store_path) if store_path else None
         self.planner = RecoveryPlanner(
             codec.code, algorithm=algorithm, depth=depth, plan_cache=store
@@ -816,6 +913,7 @@ class ShardedServingEngine:
                 "depth": self.depth,
                 "store_path": self.store_path,
                 "priority": self.priority,
+                "fault_plan": self.fault_plan,
                 "obs": obs.enabled(),
                 "plans": warmed_plans,
             }
@@ -944,6 +1042,18 @@ class ShardedServingEngine:
             rebuild_wall_s=rebuild_wall[0],
             per_shard=per_shard,
             throttle=throttle_stats,
+            rebuild_mismatches=self._rebuild_mismatches(rebuild_result[0]),
+        )
+
+    def _rebuild_mismatches(self, result: Optional[RebuildResult]) -> int:
+        """Rebuilt rows that differ from the failed disk's pristine bytes
+        (compared slice by slice, so no image-sized temporary)."""
+        if result is None:
+            return 0
+        truth = self.disks[self.failed_disk]
+        return sum(
+            int(np.any(result.image[i:i + 256] != truth[i:i + 256], axis=1).sum())
+            for i in range(0, len(truth), 256)
         )
 
     # ------------------------------------------------------------------
@@ -973,6 +1083,7 @@ class ShardedServingEngine:
                 time.sleep(busiest * erm * 1e-3)
 
         def _on_chunk(chunk, rows: np.ndarray) -> None:
+            throttle.after_chunk(chunk)
             row_idx = (
                 chunk.stripe_ids[:, None] * k + np.arange(k, dtype=np.int64)
             ).reshape(-1)

@@ -1,13 +1,9 @@
 """Shared-memory state for the sharded serving engine.
 
-The single-process :class:`~repro.serving.engine.ServingEngine` keeps its
-single-flight table, patched image and rebuild frontier as ordinary
-process memory guarded by locks.  Sharding the engine across worker
-processes replaces that with three named ``multiprocessing.shared_memory``
-blocks plus a picklable :class:`ServingStateSpec` that workers attach by
-name — the creator unlinks, workers only close.  (The rebuild pipeline
-needs none of this: its workers are forked per rebuild and share an
-anonymous mapping, so there is no name to attach or unlink.)  The blocks:
+The engine's shard worker processes share the array through three named
+``multiprocessing.shared_memory`` blocks plus a picklable
+:class:`ServingStateSpec` that workers attach by name — the creator
+unlinks, workers only close.  The blocks:
 
 * **disks** — the pristine encoded per-disk images,
   ``n_disks x total_rows x element_size`` bytes, written once by the

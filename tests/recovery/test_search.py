@@ -126,18 +126,6 @@ class TestEngine:
         )
         assert budgeted.total_reads <= exact.total_reads * 2
 
-    def test_dominance_pruning_preserves_optimality(self):
-        code = RdpCode(7)
-        rec = get_recovery_equations(code, code.layout.disk_mask(0), depth=1)
-        plain = generate_scheme(rec, conditional_cost(code.layout), "c")
-        pruned = generate_scheme(
-            rec, conditional_cost(code.layout), "c", dominance_limit=256
-        )
-        assert (plain.total_reads, plain.max_load) == (
-            pruned.total_reads,
-            pruned.max_load,
-        )
-
     def test_lexicographic_optimality_vs_bruteforce(self):
         """Exhaustively enumerate all option combinations on a small code and
         confirm UCS returns the lexicographic optimum for each cost."""

@@ -96,15 +96,3 @@ def test_engine_matches_bruteforce_weighted(seed):
     expected = brute_force(lay, rec, key_fn)
     scheme = generate_scheme(rec, key_fn, "test")
     assert key_fn(scheme.read_mask) == expected
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=30, deadline=None)
-def test_dominance_configuration_agrees(seed):
-    """Optional dominance pruning must not change the optimum."""
-    rng = random.Random(seed)
-    lay, rec = random_problem(rng)
-    key_fn = unconditional_cost(lay)
-    plain = generate_scheme(rec, key_fn, "t")
-    pruned = generate_scheme(rec, key_fn, "t", dominance_limit=64)
-    assert key_fn(plain.read_mask) == key_fn(pruned.read_mask)

@@ -1,7 +1,4 @@
-"""ServingEngine: byte-exact paths, coalescing, frontier races, faults."""
-
-import threading
-import time
+"""Serving core (ShardServer): byte-exact paths, rebuild frontier, faults."""
 
 import numpy as np
 import pytest
@@ -9,7 +6,13 @@ import pytest
 from repro.codec import ArrayImageCodec
 from repro.codes import make_code
 from repro.faults import FaultPlan
-from repro.serving import ServingEngine
+from repro.pipeline.engine import RebuildPipeline
+from repro.serving import (
+    ShardServer,
+    ShardedServingEngine,
+    build_workload_requests,
+    trace_arrays,
+)
 
 
 def build(family="rdp", n_disks=7, element_size=16, n_stripes=12, seed=7):
@@ -19,148 +22,123 @@ def build(family="rdp", n_disks=7, element_size=16, n_stripes=12, seed=7):
     return codec, disks
 
 
+def hotspot_trace(codec, failed_disk, count, rate):
+    lay = codec.code.layout
+    return build_workload_requests(
+        "hotspot", lay.n_disks, codec.n_stripes * lay.k_rows, failed_disk,
+        count, rate_per_s=rate,
+    )
+
+
+def server_for(codec, disks, failed_disk, **kw):
+    """A ShardServer owning every stripe, with an all-zero patch map."""
+    total_rows = codec.n_stripes * codec.code.layout.k_rows
+    patched = np.zeros((total_rows, codec.element_size), dtype=np.uint8)
+    server = ShardServer(
+        codec, disks, patched, failed_disk, 0, codec.n_stripes, **kw
+    )
+    return server, patched
+
+
 class TestReadPaths:
     def test_every_element_byte_exact_without_rebuild(self):
         codec, disks = build()
         original = disks.copy()
-        engine = ServingEngine(codec, disks, failed_disk=2)
+        server, _ = server_for(codec, disks, failed_disk=2)
         lay = codec.code.layout
         for disk in range(lay.n_disks):
             for row in range(codec.n_stripes * lay.k_rows):
                 assert np.array_equal(
-                    engine.read(disk, row), original[disk, row]
+                    server.read(disk, row), original[disk, row]
                 ), (disk, row)
-        stats = engine.stats()
-        assert stats["degraded"] == codec.n_stripes * lay.k_rows
-        assert stats["patched"] == 0
+        assert server.n_degraded == codec.n_stripes * lay.k_rows
+        assert server.n_patched == 0
+        assert server.mismatches == 0
 
     @pytest.mark.parametrize("family,n", [("evenodd", 7), ("cauchy_rs", 8)])
     def test_other_families(self, family, n):
         codec, disks = build(family, n, n_stripes=6)
         original = disks.copy()
-        engine = ServingEngine(codec, disks, failed_disk=1)
+        server, _ = server_for(codec, disks, failed_disk=1)
         lay = codec.code.layout
         for row in range(codec.n_stripes * lay.k_rows):
-            assert np.array_equal(engine.read(1, row), original[1, row]), row
+            assert np.array_equal(server.read(1, row), original[1, row]), row
 
     def test_rejects_out_of_range(self):
         codec, disks = build()
-        engine = ServingEngine(codec, disks, failed_disk=0)
+        server, patched = server_for(codec, disks, failed_disk=0)
         with pytest.raises(IndexError):
-            engine.read(99, 0)
+            server.read(99, 0)
         with pytest.raises(IndexError):
-            engine.read(0, 10**6)
+            server.read(0, 10**6)
         with pytest.raises(IndexError):
-            ServingEngine(codec, disks, failed_disk=42)
+            ShardServer(codec, disks, patched, 42, 0, codec.n_stripes)
+        with pytest.raises(IndexError):
+            ShardedServingEngine(codec, disks, failed_disk=42, n_shards=1)
 
     def test_rejects_wrong_shape(self):
         codec, disks = build()
         with pytest.raises(ValueError):
-            ServingEngine(codec, disks[:, :-1], failed_disk=0)
+            ShardedServingEngine(codec, disks[:, :-1], failed_disk=0, n_shards=1)
+
+
+def rebuild_with_reads(codec, disks, server, patched, failed, on_step):
+    """Rebuild ``failed`` chunk by chunk, advancing the server's frontier.
+
+    Each chunk's rows land in the patch map before ``note_rebuilt`` (the
+    engine's write-then-notify order); ``on_step`` runs before every
+    notification and once after the last one.
+    """
+    k = codec.code.layout.k_rows
+
+    def on_chunk(chunk, rows):
+        on_step()
+        row_idx = (chunk.stripe_ids[:, None] * k + np.arange(k)).reshape(-1)
+        patched[row_idx] = rows.reshape(-1, codec.element_size)
+        server.note_rebuilt(chunk.stripe_ids)
+
+    pipe = RebuildPipeline(codec, workers=0, chunk_stripes=4, on_chunk=on_chunk)
+    result = pipe.rebuild(disks, failed)
+    on_step()
+    return result
 
 
 class TestRebuildIntegration:
     def test_reads_race_rebuild_and_stay_exact(self):
         codec, disks = build(n_stripes=24)
         original = disks.copy()
-        engine = ServingEngine(codec, disks, failed_disk=0)
-        lay = codec.code.layout
-        total_rows = codec.n_stripes * lay.k_rows
-        mismatches = []
+        server, patched = server_for(codec, disks, failed_disk=0)
+        total_rows = codec.n_stripes * codec.code.layout.k_rows
+        rng = np.random.default_rng(3)
 
-        def reader(seed):
-            rng = np.random.default_rng(seed)
-            while not engine.rebuild_done.is_set():
-                row = int(rng.integers(total_rows))
-                if not np.array_equal(engine.read(0, row), original[0, row]):
-                    mismatches.append(row)
+        def reads():
+            rows = rng.integers(0, total_rows, size=16)
+            _, data = server._serve_batch(
+                np.zeros(16, dtype=np.int64), rows, want_data=True
+            )
+            assert np.array_equal(data, original[0, rows])
 
-        threads = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
-        for t in threads:
-            t.start()
-        engine.start_rebuild(chunk_stripes=4)
-        assert engine.wait_rebuild(timeout=60.0)
-        for t in threads:
-            t.join(timeout=30.0)
-        assert not mismatches
-        assert np.array_equal(engine.rebuild_result.image, original[0])
+        result = rebuild_with_reads(codec, disks, server, patched, 0, reads)
+        assert server.mismatches == 0
+        assert server.n_degraded > 0 and server.n_patched > 0
+        assert np.array_equal(result.image, original[0])
 
     def test_post_rebuild_reads_served_from_patch(self):
         codec, disks = build()
         original = disks.copy()
-        engine = ServingEngine(codec, disks, failed_disk=3)
-        engine.start_rebuild(chunk_stripes=4)
-        assert engine.wait_rebuild(timeout=60.0)
+        server, patched = server_for(codec, disks, failed_disk=3)
+        rebuild_with_reads(codec, disks, server, patched, 3, lambda: None)
         lay = codec.code.layout
         for row in range(codec.n_stripes * lay.k_rows):
-            assert np.array_equal(engine.read(3, row), original[3, row])
-        stats = engine.stats()
-        assert stats["patched"] == codec.n_stripes * lay.k_rows
-        assert stats["degraded"] == 0
-
-    def test_double_start_rejected(self):
-        codec, disks = build()
-        engine = ServingEngine(codec, disks, failed_disk=0)
-        engine.start_rebuild(chunk_stripes=4)
-        with pytest.raises(RuntimeError):
-            engine.start_rebuild()
-        assert engine.wait_rebuild(timeout=60.0)
+            assert np.array_equal(server.read(3, row), original[3, row])
+        assert server.n_patched == codec.n_stripes * lay.k_rows
+        assert server.n_degraded == 0
+        assert server.mismatches == 0
 
 
-class TestCoalescing:
-    def test_concurrent_same_stripe_reads_share_one_flight(self):
-        codec, disks = build()
-        original = disks.copy()
-        engine = ServingEngine(codec, disks, failed_disk=0)
-        lay = codec.code.layout
-        gate = threading.Event()
-        real = engine._reconstruct_rows
-
-        def slow_reconstruct(s, rows):
-            gate.wait(timeout=30.0)
-            return real(s, rows)
-
-        engine._reconstruct_rows = slow_reconstruct
-        n_readers = 4
-        results = {}
-
-        def reader(row):
-            results[row] = engine.read(0, row)
-
-        # all rows land in stripe 0 -> one leader, three followers
-        threads = [
-            threading.Thread(target=reader, args=(row,))
-            for row in range(n_readers)
-        ]
-        threads[0].start()
-        deadline = time.monotonic() + 10.0
-        while not engine._flights and time.monotonic() < deadline:
-            time.sleep(0.001)  # leader registered its flight
-        for t in threads[1:]:
-            t.start()
-        deadline = time.monotonic() + 10.0
-        while engine.n_coalesced < n_readers - 1 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert engine.n_coalesced == n_readers - 1
-        gate.set()
-        for t in threads:
-            t.join(timeout=30.0)
-        for row in range(n_readers):
-            assert np.array_equal(results[row], original[0, row]), row
-        assert engine.n_flights <= 2  # one shared reconstruction (+1 racer)
-        assert lay.k_rows >= n_readers  # sanity: all rows in stripe 0
-
-    def test_flight_error_propagates_to_followers(self):
-        codec, disks = build()
-        engine = ServingEngine(codec, disks, failed_disk=0)
-
-        def boom(s, rows):
-            raise RuntimeError("injected reconstruction failure")
-
-        engine._reconstruct_rows = boom
-        with pytest.raises(RuntimeError):
-            engine.read(0, 0)
-        assert not engine._flights  # failed flight is cleaned up
+def lse_everywhere(codec):
+    """A latent sector error on logical disk 1, row 0, of every stripe."""
+    return FaultPlan.parse([f"lse:1:0:{s}" for s in range(codec.n_stripes)])
 
 
 class TestFaultPath:
@@ -168,30 +146,68 @@ class TestFaultPath:
         codec, disks = build(n_stripes=4)
         original = disks.copy()
         lay = codec.code.layout
-        # latent sector error on logical disk 1 row 0, every stripe
-        plan = FaultPlan.parse(
-            [f"lse:1:0:{s}" for s in range(codec.n_stripes)]
+        server, _ = server_for(
+            codec, disks, failed_disk=0, fault_plan=lse_everywhere(codec)
         )
-        engine = ServingEngine(codec, disks, failed_disk=0, fault_plan=plan)
         for row in range(codec.n_stripes * lay.k_rows):
-            assert np.array_equal(engine.read(0, row), original[0, row]), row
-        assert engine.n_resilient > 0
+            assert np.array_equal(server.read(0, row), original[0, row]), row
+        assert server.n_resilient == codec.n_stripes * lay.k_rows
+        assert server.mismatches == 0
+        # the ladder met the faulty element (and worked around it)
+        assert server.fault_store.reads_per_disk.get(1, 0) > 0
+
+    def test_lse_batched_group_served_resiliently(self):
+        codec, disks = build(n_stripes=14)
+        original = disks.copy()
+        server, _ = server_for(
+            codec, disks, failed_disk=2, fault_plan=lse_everywhere(codec)
+        )
+        k = codec.code.layout.k_rows
+        # one row of every stripe: each rotation's stripes form one group
+        rows = np.arange(codec.n_stripes) * k + 1
+        _, data = server._serve_batch(
+            np.full(len(rows), 2, dtype=np.int64), rows, want_data=True
+        )
+        assert np.array_equal(data, original[2, rows])
+        assert server.n_resilient == len(rows)
+        assert server.mismatches == 0
+
+    def test_lse_on_surviving_disk_served_through_two_shards(self):
+        codec, disks = build(n_stripes=16)
+        engine = ShardedServingEngine(
+            codec, disks, failed_disk=1, n_shards=2, rebuild_chunk_stripes=4,
+            fault_plan=lse_everywhere(codec),
+        )
+        reqs = hotspot_trace(codec, failed_disk=1, count=300, rate=3000.0)
+        report = engine.serve_trace(reqs, timeout_s=120.0, rebuild=False)
+        assert report.ok
+        assert report.mismatches == 0
+        resilient = sum(int(s["resilient"]) for s in report.per_shard)
+        degraded = sum(int(s["degraded"]) for s in report.per_shard)
+        assert resilient == degraded > 0
 
     def test_empty_fault_plan_uses_fast_path(self):
         codec, disks = build(n_stripes=4)
-        engine = ServingEngine(
+        server, _ = server_for(
             codec, disks, failed_disk=0, fault_plan=FaultPlan.parse([])
         )
-        assert engine.fault_store is None
+        assert server.fault_store is None
+        server.read(0, 0)
+        assert server.n_resilient == 0
 
 
 class TestStats:
     def test_stats_shape(self):
         codec, disks = build()
-        engine = ServingEngine(codec, disks, failed_disk=0)
-        engine.read(1, 0)
-        stats = engine.stats()
-        assert stats["reads"] == 1
-        assert stats["direct"] == 1
-        assert stats["rebuild_done"] is False
-        assert "qos" not in stats
+        server, _ = server_for(codec, disks, failed_disk=0)
+        arr, dks, rws = trace_arrays(
+            hotspot_trace(codec, failed_disk=0, count=20, rate=5000.0)
+        )
+        res = server.serve_trace(arr, dks, rws, t_start=0.0)
+        assert res["served"] == 20
+        assert res["direct"] + res["patched"] + res["degraded"] == 20
+        assert res["resilient"] == 0
+        assert res["mismatches"] == 0
+        for key in ("batches", "duration_s", "latencies", "wake_lags",
+                    "plans_resident", "p50_ms", "p99_ms"):
+            assert key in res

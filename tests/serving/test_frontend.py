@@ -1,13 +1,17 @@
 """Open-loop frontend: trace arrays, shard partitioning, replay accounting."""
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.codec import ArrayImageCodec
+from repro.codes import make_code
 from repro.disksim.workload import Request
 from repro.serving import (
-    OpenLoopReport,
+    ShardServer,
+    SimulatedDisksIoModel,
     partition_trace,
-    replay_open_loop,
     shard_bounds,
     trace_arrays,
 )
@@ -118,59 +122,71 @@ class TestPartitionTrace:
 
 
 class TestReplayOpenLoop:
-    def _trace(self, n, rate):
+    """Open-loop replay accounting of ``ShardServer.serve_trace``."""
+
+    def _server(self, element_read_ms=None, n_stripes=12):
+        codec = ArrayImageCodec(make_code("rdp", 7), element_size=8,
+                                n_stripes=n_stripes)
+        disks = codec.encode_image(
+            codec.random_image(np.random.default_rng(4))
+        )
+        patched = np.zeros((n_stripes * codec.code.layout.k_rows, 8),
+                           dtype=np.uint8)
+        io = (
+            None if element_read_ms is None
+            else SimulatedDisksIoModel(7, element_read_ms=element_read_ms)
+        )
+        server = ShardServer(codec, disks, patched, 0, 0, n_stripes,
+                             io=io, priority=False)
+        return server, patched
+
+    def _trace(self, n, rate, disk=0):
         arr = np.arange(n) / rate
-        disks = np.zeros(n, dtype=np.int64)
+        disks = np.full(n, disk, dtype=np.int64)
         rows = np.arange(n, dtype=np.int64)
         return arr, disks, rows
 
     def test_serves_all_and_verifies(self):
+        server, _ = self._server()
         arr, disks, rows = self._trace(50, rate=5000.0)
-        expected = np.arange(50, dtype=np.uint8).reshape(1, 50, 1)
-
-        def read_fn(disk, row):
-            return expected[disk, row]
-
-        report = replay_open_loop(read_fn, arr, disks, rows, expected=expected)
-        assert isinstance(report, OpenLoopReport)
-        assert report.ok
-        assert report.served == 50
-        assert report.p99_ms >= report.p50_ms >= 0.0
+        res = server.serve_trace(arr, disks, rows, t_start=time.monotonic())
+        assert res["served"] == 50
+        assert res["degraded"] == 50
+        assert res["mismatches"] == 0
+        assert res["p99_ms"] >= res["p50_ms"] >= 0.0
 
     def test_counts_mismatches(self):
+        server, patched = self._server()
+        server.note_rebuilt(np.arange(12))
+        patched[:] = server.disks[0]
+        patched[3] ^= 0xFF  # one wrong patched row
         arr, disks, rows = self._trace(10, rate=5000.0)
-        expected = np.zeros((1, 10, 1), dtype=np.uint8)
+        res = server.serve_trace(arr, disks, rows, t_start=time.monotonic())
+        assert res["served"] == 10
+        assert res["mismatches"] == 1
 
-        def read_fn(disk, row):
-            return np.asarray([1 if row == 3 else 0], dtype=np.uint8)
+    def test_error_stops_replay_loudly(self, monkeypatch):
+        server, _ = self._server()
+        served = []
+        real = server._serve_batch
 
-        report = replay_open_loop(read_fn, arr, disks, rows, expected=expected)
-        assert report.mismatches == 1
-        assert not report.ok
-
-    def test_error_stops_replay_loudly(self):
-        arr, disks, rows = self._trace(10, rate=5000.0)
-
-        def read_fn(disk, row):
-            if row == 4:
+        def flaky(disks, rows, want_data=False):
+            if 4 in rows.tolist():
                 raise RuntimeError("disk on fire")
-            return np.zeros(1, dtype=np.uint8)
+            served.extend(rows.tolist())
+            return real(disks, rows, want_data)
 
-        report = replay_open_loop(read_fn, arr, disks, rows)
-        assert report.served == 4
-        assert report.errors and "disk on fire" in report.errors[0]
-        assert not report.ok
+        monkeypatch.setattr(server, "_serve_batch", flaky)
+        arr, disks, rows = self._trace(10, rate=1000.0)
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            server.serve_trace(arr, disks, rows, t_start=time.monotonic())
+        assert served == [0, 1, 2, 3]
 
     def test_latency_includes_queue_wait(self):
-        """A slow server must push later requests' latency up (open loop)."""
-        import time
-
-        arr, disks, rows = self._trace(6, rate=1000.0)  # 1ms spacing
-
-        def read_fn(disk, row):
-            time.sleep(0.01)  # 10ms service >> 1ms inter-arrival
-            return np.zeros(1, dtype=np.uint8)
-
-        report = replay_open_loop(read_fn, arr, disks, rows)
-        # last request queued behind ~5 earlier 10ms services
-        assert report.p99_ms > 30.0
+        """A slow disk must push later requests' latency up (open loop)."""
+        server, _ = self._server(element_read_ms=10.0)
+        # direct reads of one disk, 1 ms apart, 10 ms service each
+        arr, disks, rows = self._trace(6, rate=1000.0, disk=3)
+        res = server.serve_trace(arr, disks, rows, t_start=time.monotonic())
+        # the last request queued behind ~5 earlier 10 ms services
+        assert res["p99_ms"] > 30.0

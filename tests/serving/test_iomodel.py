@@ -11,7 +11,7 @@ class TestNullIoModel:
     def test_free(self):
         io = NullIoModel()
         assert io.read_elements({0: 5}) == 0.0
-        assert io.rebuild_chunk({0: 100, 1: 100}) == 0.0
+        assert io.reserve_background({0: 100, 1: 100}) is None
 
 
 class TestSimulatedDisksIoModel:

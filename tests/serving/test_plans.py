@@ -33,14 +33,6 @@ class TestPlanCorrectness:
                 eid = lay.eid(disk, row)
                 assert np.array_equal(out[eid], stripe[eid])
 
-    def test_multi_row_plan_covers_all_rows(self, rdp7):
-        cache = DegradedPlanCache(rdp7)
-        lay = rdp7.layout
-        plan = cache.plan_for_rows(0, [0, 3, 5])
-        plan.validate(rdp7)
-        for row in (0, 3, 5):
-            assert lay.eid(0, row) in plan.failed_eids
-
     def test_memoised_plan_is_same_object(self, rdp7):
         cache = DegradedPlanCache(rdp7)
         a = cache.plan_for_element(1, 2)

@@ -1,10 +1,12 @@
 """Sharded serving engine: shard core correctness, throttle, full mp runs."""
 
+import json
 import multiprocessing as mp
 import os
 import signal
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from repro.codec import ArrayImageCodec
 from repro.codes import make_code
 from repro.disksim.workload import Request
 from repro.pipeline.engine import RebuildPipeline
+from repro.recovery.plancache import SchemePlanCache
+from repro.serving import qos as qos_mod
 from repro.serving import sharded as sharded_mod
 from repro.serving import (
     BoardThrottle,
@@ -264,9 +268,50 @@ class TestWakePath:
             assert 0 <= res[f"{part}p50_ms"] <= res[f"{part}p99_ms"]
 
 
+class FakeClock:
+    """``monotonic``/``sleep`` stand-in: sleeping advances the clock.
+
+    A sleep advances by at least 1 ns, as a real one does, so a wait
+    loop whose rounding asks for a vanishing sleep still makes progress.
+    """
+
+    def __init__(self) -> None:
+        self.now = 1000.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += max(1e-9, seconds)
+
+
 class TestBoardThrottle:
     def _board(self, n_shards=2):
         return np.zeros((n_shards, BOARD_FIELDS), dtype=np.float64)
+
+    def _overloaded_board(self):
+        board = self._board()
+        board[0, BOARD_SERVED] = 100
+        board[0, BOARD_P99_MS] = 1e6
+        return board
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(qos_mod, "time", clock)
+        monkeypatch.setattr(sharded_mod, "time", clock)
+        return clock
+
+    def _run_chunks(self, throttle, clock, n, chunk_s):
+        """Admit ``n`` chunks of ``chunk_s`` each; returns their waits."""
+        waits = []
+        for _ in range(n):
+            t0 = clock.now
+            throttle.before_chunk()
+            waits.append(clock.now - t0)
+            clock.sleep(chunk_s)
+            throttle.after_chunk()
+        return waits
 
     def test_worst_p99_ignores_underreporting_shards(self):
         board = self._board()
@@ -283,41 +328,103 @@ class TestBoardThrottle:
         throttle = BoardThrottle(
             board, target_p99_ms=10.0, rate=64.0, adjust_interval_s=0.0
         )
-        board[0, BOARD_P99_MS] = 50.0  # over target -> halve
-        throttle._maybe_adjust()
+        board[0, BOARD_P99_MS] = 50.0
+        throttle._maybe_adjust()  # no chunk has finished: no floor, no steer
+        assert throttle.bucket.rate == 64.0
+        throttle._ema_chunk_s = 0.1  # floor = 1 / (0.1 * 1.35) ~ 7.4/s
+        throttle._maybe_adjust()  # over target -> halve
         assert throttle.bucket.rate == 32.0
         assert throttle.rate_decreases == 1
         board[0, BOARD_P99_MS] = 2.0  # comfortably under -> ramp
         throttle._maybe_adjust()
         assert throttle.bucket.rate == pytest.approx(32.0 * 1.2)
         assert throttle.rate_increases == 1
+        for _ in range(30):  # far past UNCAP_FACTOR x floor: uncapped
+            throttle._maybe_adjust()
+        assert throttle.bucket.rate is None
 
     def test_rate_floor_holds(self):
-        board = self._board()
-        board[0, BOARD_SERVED] = 100
-        board[0, BOARD_P99_MS] = 1e6
         throttle = BoardThrottle(
-            board, target_p99_ms=1.0, rate=4.0, floor_rate=2.0,
-            adjust_interval_s=0.0,
+            self._overloaded_board(), target_p99_ms=1.0, adjust_interval_s=0.0
         )
+        throttle._ema_chunk_s = 0.1
+        floor = 1.0 / (0.1 * 1.35)
+        assert throttle.floor_rate() == pytest.approx(floor)
+        throttle._maybe_adjust()  # uncapped -> straight to the floor
+        assert throttle.bucket.rate == pytest.approx(floor)
+        throttle.bucket.set_rate(4 * floor)
         for _ in range(10):
             throttle._maybe_adjust()
-        assert throttle.bucket.rate == 2.0
+        assert throttle.bucket.rate == pytest.approx(floor)
+        assert throttle.rate_decreases == 3
 
-    def test_no_target_means_no_adjustment(self):
-        board = self._board()
-        board[0, BOARD_SERVED] = 100
-        board[0, BOARD_P99_MS] = 1e6
-        throttle = BoardThrottle(board, target_p99_ms=None, rate=8.0)
+    def test_floor_bounds_pacing_inflation(self, clock):
+        # under permanent overload the rate sits on the floor, and each
+        # chunk's pacing wait is at most max_inflation x its duration
+        throttle = BoardThrottle(
+            self._overloaded_board(), target_p99_ms=5.0, max_inflation=0.5,
+            adjust_interval_s=0.0,
+        )
+        waits = self._run_chunks(throttle, clock, 40, chunk_s=0.004)
+        assert throttle.bucket.rate == pytest.approx(throttle.floor_rate())
+        assert max(waits) <= 0.5 * 0.004 + 1e-9
+        assert waits[-1] == pytest.approx(0.5 * 0.004)  # really paced
+        # a stale, too-slow rate is lifted back to the floor by after_chunk
+        throttle.bucket.set_rate(1.0)
+        self._run_chunks(throttle, clock, 1, chunk_s=0.004)
+        assert throttle.bucket.rate == pytest.approx(throttle.floor_rate())
+
+    def test_fixed_rate_below_one_chunk_per_s_is_honoured(self, clock):
+        # no target: a user rate of 0.4 chunks/s spaces chunks 2.5 s apart
+        # (after the bucket's 2-chunk burst), with no wait cap raising it
+        throttle = BoardThrottle(
+            self._overloaded_board(), target_p99_ms=None, rate=0.4
+        )
+        admitted = []
+        for _ in range(5):
+            throttle.before_chunk()
+            admitted.append(clock.now)
+            throttle.after_chunk()
+        assert np.diff(admitted[1:]) == pytest.approx([2.5, 2.5, 2.5])
+        assert throttle.bucket.rate == 0.4
+
+    def test_no_target_means_no_adjustment(self, clock):
+        throttle = BoardThrottle(
+            self._overloaded_board(), target_p99_ms=None, rate=8.0
+        )
         throttle._maybe_adjust()
         assert throttle.bucket.rate == 8.0
+        self._run_chunks(throttle, clock, 3, chunk_s=0.001)
+        assert throttle.bucket.rate == 8.0  # no floor lift either
 
     def test_rejects_bad_parameters(self):
         board = self._board()
-        with pytest.raises(ValueError):
-            BoardThrottle(board, target_p99_ms=-1.0)
-        with pytest.raises(ValueError):
-            BoardThrottle(board, floor_rate=0.0)
+        for kw in (
+            {"target_p99_ms": -1.0},
+            {"target_p99_ms": 0.0},
+            {"max_inflation": 0.0},
+            {"decrease": 1.0},
+            {"increase": 1.0},
+        ):
+            with pytest.raises(ValueError):
+                BoardThrottle(board, **kw)
+
+    def test_stats_keys(self, clock):
+        throttle = BoardThrottle(self._overloaded_board(), target_p99_ms=5.0)
+        self._run_chunks(throttle, clock, 2, chunk_s=0.01)
+        stats = throttle.stats()
+        assert stats["chunks_admitted"] == 2
+        assert stats["ema_chunk_ms"] == pytest.approx(10.0)
+        assert stats["floor_rate"] == pytest.approx(1.0 / (0.01 * 1.35))
+        for key in (
+            "target_p99_ms",
+            "rebuild_rate",
+            "throttle_wait_s",
+            "rate_decreases",
+            "rate_increases",
+            "board_p99_ms",
+        ):
+            assert key in stats
 
 
 class TestSharedServingState:
@@ -480,6 +587,27 @@ class TestShardedServingEngine:
             for shard in report.per_shard:
                 assert shard[f"{part}_p99_ms"] <= gauges[f"serving.{part}_p99_ms"]["peak"]
 
+    def test_wrong_rebuilt_row_is_counted(self, monkeypatch):
+        """The parent checks every rebuilt row against the pristine disk:
+        one corrupted row shows in rebuild_mismatches and fails ok."""
+
+        class CorruptFirstRow(RebuildPipeline):
+            def __init__(self, *args, on_chunk, **kwargs):
+                def corrupt_then_deliver(chunk, rows):
+                    if chunk.chunk_id == 0:
+                        rows[0, 0] ^= 0xFF
+                    on_chunk(chunk, rows)
+
+                super().__init__(*args, on_chunk=corrupt_then_deliver, **kwargs)
+
+        monkeypatch.setattr(sharded_mod, "RebuildPipeline", CorruptFirstRow)
+        codec, disks = build(n_stripes=8)
+        engine = ShardedServingEngine(codec, disks, failed_disk=2, n_shards=1)
+        reqs = hotspot_trace(codec, failed_disk=2, count=50, rate=3000.0)
+        report = engine.serve_trace(reqs, timeout_s=60.0)
+        assert report.rebuild_mismatches == 1
+        assert not report.ok
+
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
     def test_killed_shard_raises_and_leaks_no_shared_memory(self, monkeypatch):
         """A shard SIGKILLed mid-replay (from the rebuild's on_chunk) makes
@@ -512,3 +640,58 @@ class TestShardedServingEngine:
             engine.serve_trace(reqs, timeout_s=60.0, startup_grace_s=0.3)
         assert killed
         assert set(os.listdir("/dev/shm")) - before == set()
+
+
+class TestPlanStoreUnderShards:
+    """The persistent plan store as the real 2-shard engine uses it."""
+
+    CORRUPT = {
+        "not_json": "{not json",
+        "malformed_record": json.dumps(
+            {"version": 1, "plans": {"deadbeef": {"no": "equations"}}}
+        ),
+        "not_an_object": "[]",
+    }
+
+    def _run(self, store_path, algorithm="u"):
+        codec, disks = build(n_stripes=8)
+        engine = ShardedServingEngine(
+            codec, disks, failed_disk=1, n_shards=2, algorithm=algorithm,
+            store_path=store_path, rebuild_chunk_stripes=4,
+        )
+        reqs = hotspot_trace(codec, failed_disk=1, count=200, rate=3000.0)
+        return engine.serve_trace(reqs, timeout_s=120.0)
+
+    @staticmethod
+    def _plans(store_path):
+        payload = json.loads(store_path.read_text())
+        assert payload["version"] == 1
+        return payload["plans"]
+
+    @pytest.mark.parametrize("content", sorted(CORRUPT), ids=str)
+    def test_corrupt_store_warns_once_and_is_rewritten(self, tmp_path, content):
+        store_path = tmp_path / "plans.json"
+        store_path.write_text(self.CORRUPT[content])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = self._run(store_path)
+        assert report.ok and report.mismatches == 0
+        unusable = [w for w in caught if "unusable plan cache" in str(w.message)]
+        assert len(unusable) == 1
+        assert len(self._plans(store_path)) > 0
+
+    def test_back_to_back_engines_union_their_entries(self, tmp_path):
+        shared = tmp_path / "shared.json"
+        alone = tmp_path / "c_alone.json"
+        assert self._run(shared, "u").ok
+        first = set(self._plans(shared))
+        assert self._run(alone, "c").ok
+        second = set(self._plans(alone))
+        assert first and second and not first & second
+        assert self._run(shared, "c").ok
+        assert set(self._plans(shared)) == first | second
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reloaded = SchemePlanCache(shared)
+        assert reloaded.stats()["disk_entries"] == len(first | second)
+

@@ -231,10 +231,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.count("byte-exact") == 1  # no comparison row
 
-    def test_serve_placement_requires_shards(self, capsys):
+    def test_serve_placement_aligns_shard_bounds(self, capsys):
         assert main(["serve", "--family", "rdp", "--disks", "7",
-                     "--placement", "d3"]) == 2
-        assert "--shards" in capsys.readouterr().err
+                     "--stripes", "28", "--element-size", "16",
+                     "--requests", "60", "--element-read-ms", "0.1",
+                     "--placement", "d3", "--shards", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "shard bounds from d3 placement" in out
+        assert "2/2 reported" in out
+        assert "byte-exact" in out
 
     def test_fleet_table(self, capsys):
         assert main(["fleet", "--family", "rdp", "--disks", "5",
