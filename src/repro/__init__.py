@@ -25,6 +25,8 @@ Package map:
   corruption, slow disks, whole-disk death) and the faulty stripe store.
 * :mod:`repro.disksim` — disk-array timing + event-driven on-line recovery.
 * :mod:`repro.analysis` — figure/series generators and metrics.
+* :mod:`repro.runner` — the ordered kernel-thread runner shared by the
+  planner and the rebuild engines.
 """
 
 from repro.analysis import (

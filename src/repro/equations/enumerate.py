@@ -26,11 +26,17 @@ are memoized (the closure per parity-equation set and depth, the enumeration
 additionally per failed set), so repeated scheme generation — the planner's
 per-disk fan-out, benchmark sweeps, all three algorithms on one failure —
 derives each closure once per process.  Callers receive fresh copies and may
-mutate them freely.
+mutate them freely.  Both caches are safe to share between threads (the
+planner enumerates on its kernel threads): every lookup and every insert
+with its evictions holds one module lock.  The derivation itself runs
+outside the lock, so two threads that miss on one key may both derive
+it; the results are equal and the later insert wins.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -138,8 +144,6 @@ def _dedupe_and_prune(
 # ----------------------------------------------------------------------
 def _env_limit(name: str, default: int) -> int:
     """Read a cache bound from the environment, falling back on nonsense."""
-    import os
-
     raw = os.environ.get(name)
     if raw is None:
         return default
@@ -156,6 +160,34 @@ _CLOSURE_CACHE_MAX = _env_limit("REPRO_CLOSURE_CACHE_SIZE", 32)
 _ENUM_CACHE: "OrderedDict[Tuple, RecoveryEquations]" = OrderedDict()
 _ENUM_CACHE_MAX = _env_limit("REPRO_ENUM_CACHE_SIZE", 256)
 
+#: guards both LRUs and their bounds (lookup + touch, insert + evict)
+_CACHE_LOCK = threading.Lock()
+
+
+def _renew_lock_after_fork() -> None:
+    # a fork copies the lock in whatever state another thread left it
+    global _CACHE_LOCK
+    _CACHE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_lock_after_fork)
+
+
+def _lru_get(cache: OrderedDict, key: Tuple):
+    """``cache[key]`` marked most recently used, or ``None``."""
+    with _CACHE_LOCK:
+        value = cache.get(key)
+        if value is not None:
+            cache.move_to_end(key)
+        return value
+
+
+def _evict(cache: OrderedDict, limit: int) -> None:
+    """Drop the oldest entries beyond ``limit`` (caller holds the lock)."""
+    while len(cache) > limit:
+        cache.popitem(last=False)
+
 
 def set_enumeration_cache_limits(
     enum: Optional[int] = None, closure: Optional[int] = None
@@ -169,18 +201,17 @@ def set_enumeration_cache_limits(
     ``REPRO_CLOSURE_CACHE_SIZE`` at import time (256 / 32).
     """
     global _ENUM_CACHE_MAX, _CLOSURE_CACHE_MAX
-    if enum is not None:
-        if enum < 1:
-            raise ValueError(f"enum cache size must be >= 1, got {enum}")
-        _ENUM_CACHE_MAX = enum
-        while len(_ENUM_CACHE) > _ENUM_CACHE_MAX:
-            _ENUM_CACHE.popitem(last=False)
-    if closure is not None:
-        if closure < 1:
-            raise ValueError(f"closure cache size must be >= 1, got {closure}")
-        _CLOSURE_CACHE_MAX = closure
-        while len(_CLOSURE_CACHE) > _CLOSURE_CACHE_MAX:
-            _CLOSURE_CACHE.popitem(last=False)
+    if enum is not None and enum < 1:
+        raise ValueError(f"enum cache size must be >= 1, got {enum}")
+    if closure is not None and closure < 1:
+        raise ValueError(f"closure cache size must be >= 1, got {closure}")
+    with _CACHE_LOCK:
+        if enum is not None:
+            _ENUM_CACHE_MAX = enum
+            _evict(_ENUM_CACHE, enum)
+        if closure is not None:
+            _CLOSURE_CACHE_MAX = closure
+            _evict(_CLOSURE_CACHE, closure)
     _publish_cache_sizes()
     return _ENUM_CACHE_MAX, _CLOSURE_CACHE_MAX
 
@@ -202,8 +233,9 @@ def _publish_cache_sizes() -> None:
 
 def clear_enumeration_caches() -> None:
     """Drop the memoized closures and enumerations (tests, benchmarks)."""
-    _CLOSURE_CACHE.clear()
-    _ENUM_CACHE.clear()
+    with _CACHE_LOCK:
+        _CLOSURE_CACHE.clear()
+        _ENUM_CACHE.clear()
     _publish_cache_sizes()
 
 
@@ -215,18 +247,17 @@ def _cached_closure(equations: Tuple[int, ...], depth: int) -> List[int]:
     three generator algorithms.
     """
     key = (equations, depth)
-    cached = _CLOSURE_CACHE.get(key)
+    cached = _lru_get(_CLOSURE_CACHE, key)
     if cached is not None:
-        _CLOSURE_CACHE.move_to_end(key)
         obs.count("enum.closure_cache_hit")
         return cached
     obs.count("enum.closure_cache_miss")
     with obs.span("enum.closure", depth=depth, n_equations=len(equations)):
         closure = list(combination_closure(equations, depth))
     obs.gauge("enum.closure_size", len(closure))
-    _CLOSURE_CACHE[key] = closure
-    while len(_CLOSURE_CACHE) > _CLOSURE_CACHE_MAX:
-        _CLOSURE_CACHE.popitem(last=False)
+    with _CACHE_LOCK:
+        _CLOSURE_CACHE[key] = closure
+        _evict(_CLOSURE_CACHE, _CLOSURE_CACHE_MAX)
     _publish_cache_sizes()
     return closure
 
@@ -336,9 +367,8 @@ def get_recovery_equations(
         max_options_per_element,
         ensure_complete,
     )
-    cached = _ENUM_CACHE.get(cache_key)
+    cached = _lru_get(_ENUM_CACHE, cache_key)
     if cached is not None:
-        _ENUM_CACHE.move_to_end(cache_key)
         obs.count("enum.cache_hit")
         return _copy_rec_eqs(cached)
     obs.count("enum.cache_miss")
@@ -377,9 +407,9 @@ def get_recovery_equations(
         options=options,
         depth=depth,
     )
-    _ENUM_CACHE[cache_key] = master
-    while len(_ENUM_CACHE) > _ENUM_CACHE_MAX:
-        _ENUM_CACHE.popitem(last=False)
+    with _CACHE_LOCK:
+        _ENUM_CACHE[cache_key] = master
+        _evict(_ENUM_CACHE, _ENUM_CACHE_MAX)
     _publish_cache_sizes()
     return _copy_rec_eqs(master)
 

@@ -25,15 +25,19 @@ Everything lives in a :class:`Recorder`; the process-wide instance is
 managed with :func:`enable` / :func:`disable` (or the ``REPRO_TRACE=1``
 environment variable, checked on first import of :mod:`repro.obs`).
 Counters and gauges are thread-safe (one short lock around the dict
-mutation — the serving frontend feeds them from reader threads while the
-rebuild thread runs).  Spans stay lock-free and single-threaded by
-contract: the span stack is per-recorder, and threaded/multi-process
-callers use counters, or a private per-shard recorder folded back with
-:meth:`Recorder.merge_snapshot` at join time.
+mutation — the planner's kernel threads and the rebuild workers feed them
+concurrently).  Spans are lock-free and per-thread: each thread keeps its
+own span stack, span ids come from one atomic counter, and a thread's
+outermost span is parented to the span open on the recorder's owning
+thread (the one that created it) at that moment — so the planner's
+worker-thread searches nest under the caller's span and one recording
+stays one tree.  Multi-process callers use a private per-shard recorder
+folded back with :meth:`Recorder.merge_snapshot` at join time.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -116,6 +120,13 @@ class _NoopSpan:
 NOOP_SPAN = _NoopSpan()
 
 
+class _ThreadStack(threading.local):
+    """One span stack per thread, created empty on first use."""
+
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
+
+
 class Recorder:
     """Collects spans, counters and gauges for one traced run."""
 
@@ -125,36 +136,45 @@ class Recorder:
         self.spans: List[Span] = []
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
-        self._stack: List[Span] = []
-        self._next_id = 0
+        self._ids = itertools.count()
+        self._local = _ThreadStack()
+        #: the owning thread's span stack; other threads' stacks hang off it
+        self._owner_stack = self._local.stack
         self._metrics_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # spans
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs: Any) -> _SpanHandle:
-        parent = self._stack[-1].span_id if self._stack else None
+        stack = self._local.stack
+        if stack:
+            parent = stack[-1].span_id
+        else:
+            try:  # the owner may close its span meanwhile
+                parent = self._owner_stack[-1].span_id
+            except IndexError:
+                parent = None
         s = Span(
-            span_id=self._next_id,
+            span_id=next(self._ids),
             parent_id=parent,
             name=name,
             t_start_s=time.perf_counter() - self.t0,
             attrs=dict(attrs) if attrs else {},
         )
-        self._next_id += 1
-        self._stack.append(s)
+        stack.append(s)
         return _SpanHandle(self, s)
 
     def _close_span(self, span: Span) -> None:
         now = time.perf_counter() - self.t0
         span.dur_s = now - span.t_start_s
+        stack = self._local.stack
         # close any abandoned children left open by an exception unwind
-        while self._stack and self._stack[-1] is not span:
-            dangling = self._stack.pop()
+        while stack and stack[-1] is not span:
+            dangling = stack.pop()
             dangling.dur_s = now - dangling.t_start_s
             self.spans.append(dangling)
-        if self._stack:
-            self._stack.pop()
+        if stack:
+            stack.pop()
         self.spans.append(span)
 
     # ------------------------------------------------------------------

@@ -5,8 +5,8 @@ iteration (:mod:`repro.pipeline.chunks`) and the zero-copy pipeline
 itself (:mod:`repro.pipeline.engine`), which reads survivors in place
 from the disk image and XORs recovered rows in place into the rebuilt
 image — no staging copy.  Both rebuild engines run their per-chunk
-kernel calls inline or on persistent worker threads through one ordered
-chunk runner (:mod:`repro.pipeline.runner`).  It is wired to the persistent
+kernel calls inline or on persistent worker threads through the ordered
+chunk runner the planner shares (:mod:`repro.runner`).  It is wired to the persistent
 :class:`~repro.recovery.plancache.SchemePlanCache` so repeated rebuilds
 skip scheme search entirely.  Pool-scale rebuild — one
 dead disk of a placed fleet, reads declustered across hundreds of disks —

@@ -14,7 +14,7 @@ whole rebuild as a streaming pipeline —
    image.  No stripe byte is gathered, staged or patched back; only the
    elements the plan names are ever touched;
 3. with ``workers >= 2`` the kernel calls run on the engine's persistent
-   worker threads (:class:`~repro.pipeline.runner.ChunkRunner`): the
+   worker threads (:class:`~repro.runner.ChunkRunner`): the
    kernel releases the GIL, so they XOR in parallel over the same disk
    image into the same private rebuilt image.  The calling thread keeps
    throttle admission, the in-flight bound (two chunks per worker), the
@@ -47,7 +47,7 @@ from repro import obs
 from repro.codec.batch import BatchReconstructor, check_plan
 from repro.codec.image import ArrayImageCodec
 from repro.pipeline.chunks import StripeChunk, iter_chunks
-from repro.pipeline.runner import ChunkRunner
+from repro.runner import ChunkRunner
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.scheme import RecoveryScheme

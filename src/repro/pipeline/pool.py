@@ -43,7 +43,7 @@ import numpy as np
 
 from repro import obs
 from repro.codec.batch import BatchReconstructor, check_plan
-from repro.pipeline.runner import ChunkRunner
+from repro.runner import ChunkRunner
 from repro.placement.pool import PoolStore
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner

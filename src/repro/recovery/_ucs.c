@@ -15,17 +15,109 @@
  * Masks are stored at the geometry's own width, ceil(n_elements / 64)
  * words.  The Python wrapper caps geometries at 512 elements (MAX_W
  * words) and falls back to the pure engine for anything wider and for
- * weighted/opaque cost keys.
+ * weighted and topology cost keys.
  *
  * Compiled on demand by repro.recovery.ckernel via the system C compiler;
  * no build step, no third-party dependency.
  */
 
+#ifdef __linux__
+#define _GNU_SOURCE /* mremap */
+#endif
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 
 #define MAX_W 8 /* mask words: 8 * 64 = 512 element bits */
+
+/* ------------------------------------------------------------------ */
+/* big blocks: private mappings, returned to the system on free        */
+/* ------------------------------------------------------------------ */
+/* The planner runs searches on worker threads.  There glibc serves
+ * malloc from per-thread arenas, which keep what a large search frees,
+ * so every worker would pin its largest search's store for good.  Blocks
+ * of BIG_BLOCK bytes or more therefore live in anonymous mappings: grown
+ * with mremap (elsewhere: map, copy, unmap) and unmapped by blk_free.
+ * Smaller blocks stay on malloc, where reuse is cheap.  Every block
+ * starts with a header recording its length and kind. */
+#define BIG_BLOCK ((size_t)1 << 20)
+
+typedef struct {
+    size_t len;    /* bytes, header included */
+    size_t mapped; /* nonzero: an anonymous mapping, else malloc */
+} blk_hdr;
+
+static blk_hdr *blk_map(size_t len)
+{
+    void *p = mmap(NULL, len, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    return p == MAP_FAILED ? NULL : p;
+}
+
+/* A block of n bytes holding the first bytes of p (which may be NULL);
+ * NULL on failure, when p stays valid.  Mapped memory is zero-filled. */
+static void *blk_realloc(void *p, size_t n)
+{
+    blk_hdr *h = p ? (blk_hdr *)p - 1 : NULL, *nh;
+    size_t len = n + sizeof(blk_hdr);
+    if (h && h->mapped && len <= h->len)
+        return p;
+    if (len < BIG_BLOCK && !(h && h->mapped)) {
+        nh = realloc(h, len);
+        if (!nh)
+            return NULL;
+        nh->mapped = 0;
+    } else if (h && h->mapped) {
+#ifdef __linux__
+        nh = mremap(h, h->len, len, MREMAP_MAYMOVE);
+        if (nh == MAP_FAILED)
+            return NULL;
+#else
+        nh = blk_map(len);
+        if (!nh)
+            return NULL;
+        memcpy(nh, h, h->len);
+        munmap(h, h->len);
+#endif
+    } else {
+        nh = blk_map(len);
+        if (!nh)
+            return NULL;
+        if (h) {
+            memcpy(nh + 1, h + 1, h->len - sizeof(blk_hdr));
+            free(h);
+        }
+        nh->mapped = 1;
+    }
+    nh->len = len;
+    return nh + 1;
+}
+
+/* n zeroed bytes */
+static void *blk_calloc(size_t n)
+{
+    size_t len = n + sizeof(blk_hdr);
+    blk_hdr *h;
+    if (len >= BIG_BLOCK)
+        return blk_realloc(NULL, n); /* fresh mappings are zero-filled */
+    h = calloc(1, len);
+    if (!h)
+        return NULL;
+    h->len = len;
+    return h + 1;
+}
+
+static void blk_free(void *p)
+{
+    blk_hdr *h = p ? (blk_hdr *)p - 1 : NULL;
+    if (!h)
+        return;
+    if (h->mapped)
+        munmap(h, h->len);
+    else
+        free(h);
+}
 
 typedef struct {
     uint64_t expanded;
@@ -55,19 +147,19 @@ static int states_reserve(states_t *s, size_t need)
     if (need <= s->cap)
         return 0;
     ncap = s->cap ? s->cap * 2 : 1024;
-    p = realloc(s->mask, ncap * s->w * sizeof(uint64_t));
+    p = blk_realloc(s->mask, ncap * s->w * sizeof(uint64_t));
     if (!p) return -1;
     s->mask = p;
-    p = realloc(s->parent, ncap * sizeof(uint32_t));
+    p = blk_realloc(s->parent, ncap * sizeof(uint32_t));
     if (!p) return -1;
     s->parent = p;
-    p = realloc(s->next, ncap * sizeof(uint32_t));
+    p = blk_realloc(s->next, ncap * sizeof(uint32_t));
     if (!p) return -1;
     s->next = p;
-    p = realloc(s->opt, ncap * sizeof(int32_t));
+    p = blk_realloc(s->opt, ncap * sizeof(int32_t));
     if (!p) return -1;
     s->opt = p;
-    p = realloc(s->slot, ncap * sizeof(uint16_t));
+    p = blk_realloc(s->slot, ncap * sizeof(uint16_t));
     if (!p) return -1;
     s->slot = p;
     s->cap = ncap;
@@ -126,7 +218,7 @@ static centry *table_find(const table_t *t, uint64_t h, const uint64_t *m,
 static int table_grow(table_t *t, const states_t *st)
 {
     size_t ncap = t->cap * 2, sid;
-    centry *ne = calloc(ncap, sizeof(centry));
+    centry *ne = blk_calloc(ncap * sizeof(centry));
     if (!ne)
         return -1;
     for (sid = 1; sid < st->len; sid++) {
@@ -137,7 +229,7 @@ static int table_grow(table_t *t, const states_t *st)
         ne[j].tag = (uint32_t)(h >> 32);
         ne[j].ref1 = (uint32_t)sid + 1;
     }
-    free(t->e);
+    blk_free(t->e);
     t->e = ne;
     t->cap = ncap;
     return 0;
@@ -240,7 +332,7 @@ int64_t ucs_search(int32_t n_slots,
     for (el = 0; el < n_el; el++)
         disk_of[el] = (uint16_t)(el / k);
     T.cap = 1 << 12;
-    T.e = calloc(T.cap, sizeof(centry));
+    T.e = blk_calloc(T.cap * sizeof(centry));
     head = calloc(2 * n_keys, sizeof(uint32_t));
     if (!T.e || !head || states_reserve(&S, 1))
         goto out;
@@ -373,13 +465,13 @@ int64_t ucs_search(int32_t n_slots,
     }
 
 out:
-    free(S.mask);
-    free(S.parent);
-    free(S.next);
-    free(S.opt);
-    free(S.slot);
+    blk_free(S.mask);
+    blk_free(S.parent);
+    blk_free(S.next);
+    blk_free(S.opt);
+    blk_free(S.slot);
     free(head);
-    free(T.e);
+    blk_free(T.e);
     return ret;
 }
 

@@ -6,17 +6,22 @@ failure situation ahead of time and directly use them whenever they are
 needed."  :class:`RecoveryPlanner` is that cache, with JSON round-tripping so
 plans survive process restarts — the schemes are deterministic, so a reload
 is byte-identical to a regeneration.
-For wide arrays the per-disk searches are independent CPU-bound work, so
-:meth:`RecoveryPlanner.generate_all_parallel` fans them out over a process
-pool — the per-situation precomputation parallelises embarrassingly.
+
+The per-disk searches are independent, and the search kernel is a
+:mod:`ctypes` call that releases the GIL, so
+:meth:`RecoveryPlanner.all_disk_schemes` and
+:meth:`RecoveryPlanner.all_data_disk_schemes` plan their uncached disks on
+one shared :class:`~repro.runner.ChunkRunner` with a thread per usable CPU.
+A worker runs one disk's search; the calling thread consults the plan
+cache before dispatch and fills the caches in disk order, so the result
+is the same as planning the disks one after another.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro import obs
 from repro.codes.base import ErasureCode
@@ -27,38 +32,12 @@ from repro.recovery.naive import naive_scheme
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.scheme import RecoveryScheme
 from repro.recovery.ualgorithm import u_scheme
+from repro.runner import ChunkRunner, usable_cpus
 
-
-#: per-process worker planner, built once by the pool initializer
-_WORKER_PLANNER: Optional["RecoveryPlanner"] = None
-
-
-def _init_worker(code, algorithm, depth, max_expansions) -> None:
-    """Pool initializer: build the worker's planner once per process.
-
-    The code object is pickled to each worker a single time here instead of
-    once per disk, and the worker-local planner keeps the enumeration
-    caches warm across the disks it handles (the combination closure only
-    depends on the code and depth, not the failed disk).
-    """
-    global _WORKER_PLANNER
-    _WORKER_PLANNER = RecoveryPlanner(code, algorithm, depth, max_expansions)
-
-
-def _generate_one(disk: int) -> "RecoveryScheme":
-    """Process-pool worker: generate one disk's scheme (top-level so it
-    pickles).
-
-    Failures are re-raised with the disk id attached — a bare worker
-    traceback surfacing through ``pool.map`` otherwise gives no hint which
-    of the fanned-out searches blew up.
-    """
-    try:
-        return _WORKER_PLANNER._generate(disk)
-    except Exception as exc:
-        raise RuntimeError(
-            f"scheme generation failed for disk {disk}: {exc!r}"
-        ) from exc
+#: kernel threads shared by every planner, one per CPU the process may
+#: use.  One disk's search can cost 100x another's, so every disk is
+#: submitted at once: a slow disk never leaves the other workers idle.
+_RUNNER = ChunkRunner(usable_cpus(), "planner", per_worker=None)
 
 
 class RecoveryPlanner:
@@ -85,7 +64,11 @@ class RecoveryPlanner:
     def scheme_for_disk(self, disk: int) -> RecoveryScheme:
         """The (cached) scheme for a single failed disk."""
         if disk not in self._cache:
-            self._cache[disk] = self._generate(disk)
+            scheme = self._from_plan_cache(disk)
+            if scheme is None:
+                scheme = self._search(disk)
+                self._to_plan_cache(disk, scheme)
+            self._cache[disk] = scheme
         return self._cache[disk]
 
     def _from_plan_cache(self, disk: int) -> Optional[RecoveryScheme]:
@@ -96,10 +79,15 @@ class RecoveryPlanner:
             self.code, disk, self.algorithm, self.depth, self.max_expansions
         )
 
-    def _generate(self, disk: int) -> RecoveryScheme:
-        cached = self._from_plan_cache(disk)
-        if cached is not None:
-            return cached
+    def _to_plan_cache(self, disk: int, scheme: RecoveryScheme) -> None:
+        if self.plan_cache is not None:
+            self.plan_cache.put(
+                self.code, disk, self.algorithm, self.depth, scheme,
+                self.max_expansions,
+            )
+
+    def _search(self, disk: int) -> RecoveryScheme:
+        """Run the configured generator for one disk (no cache involved)."""
         with obs.span("planner.generate", disk=disk, algorithm=self.algorithm):
             obs.count("planner.schemes_generated")
             if self.algorithm == "naive":
@@ -121,97 +109,48 @@ class RecoveryPlanner:
                     self.code, disk, depth=self.depth,
                     max_expansions=self.max_expansions,
                 )
-        if self.plan_cache is not None:
-            self.plan_cache.put(
-                self.code, disk, self.algorithm, self.depth, scheme,
-                self.max_expansions,
-            )
         return scheme
+
+    def _search_on_worker(self, disk: int) -> RecoveryScheme:
+        """:meth:`_search`, with a failure naming the disk it was for."""
+        try:
+            return self._search(disk)
+        except Exception as exc:
+            raise RuntimeError(
+                f"scheme generation failed for disk {disk}: {exc!r}"
+            ) from exc
+
+    def _plan(self, disks: Sequence[int]) -> List[RecoveryScheme]:
+        """The schemes for ``disks``, searching the uncached ones in parallel.
+
+        Plan-cache hits are resolved here, so only genuine searches reach
+        the kernel threads; their schemes are cached (and stored in the
+        plan cache) in disk order as they complete.
+        """
+        todo = []
+        for d in disks:
+            if d in self._cache:
+                continue
+            hit = self._from_plan_cache(d)
+            if hit is not None:
+                self._cache[d] = hit
+            else:
+                todo.append(d)
+
+        def deliver(disk: int, scheme: RecoveryScheme) -> None:
+            self._cache[disk] = scheme
+            self._to_plan_cache(disk, scheme)
+
+        _RUNNER.run(todo, self._search_on_worker, deliver)
+        return [self.scheme_for_disk(d) for d in disks]
 
     def all_data_disk_schemes(self) -> List[RecoveryScheme]:
         """Schemes for every user-data disk (the paper's Fig. 3/4 setup)."""
-        return [self.scheme_for_disk(d) for d in self.code.layout.data_disks]
+        return self._plan(self.code.layout.data_disks)
 
     def all_disk_schemes(self) -> List[RecoveryScheme]:
         """Schemes for every disk, parity included."""
-        return [self.scheme_for_disk(d) for d in range(self.code.layout.n_disks)]
-
-    def generate_all_parallel(
-        self, workers: int = 2, include_parity: bool = True
-    ) -> List[RecoveryScheme]:
-        """Precompute all per-disk schemes on a process pool.
-
-        Each single-disk failure situation is an independent search, so
-        this is an embarrassingly parallel fan-out; results land in the
-        cache exactly as sequential generation would (the searches are
-        deterministic).  Falls back to sequential generation for one
-        worker.
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        disks = (
-            range(self.code.layout.n_disks)
-            if include_parity
-            else self.code.layout.data_disks
-        )
-        todo = [d for d in disks if d not in self._cache]
-        if todo and self.plan_cache is not None:
-            # resolve persistent-cache hits in the parent so only genuine
-            # searches are shipped to the pool
-            still = []
-            for d in todo:
-                hit = self._from_plan_cache(d)
-                if hit is not None:
-                    self._cache[d] = hit
-                else:
-                    still.append(d)
-            todo = still
-        if todo:
-            if workers == 1:
-                for d in todo:
-                    self._cache[d] = self._generate(d)
-            else:
-                n_workers = min(workers, len(todo))
-                with obs.span(
-                    "planner.parallel", workers=n_workers, disks=len(todo)
-                ):
-                    obs.count("planner.parallel_workers", n_workers)
-                    with ProcessPoolExecutor(
-                        max_workers=n_workers,
-                        initializer=_init_worker,
-                        initargs=(
-                            self.code, self.algorithm, self.depth,
-                            self.max_expansions,
-                        ),
-                    ) as pool:
-                        for d, scheme in zip(todo, pool.map(_generate_one, todo)):
-                            self._cache[d] = scheme
-                            self._publish_worker_stats(scheme)
-                            if self.plan_cache is not None:
-                                self.plan_cache.put(
-                                    self.code, d, self.algorithm, self.depth,
-                                    scheme, self.max_expansions,
-                                )
-        return [self._cache[d] for d in disks]
-
-    @staticmethod
-    def _publish_worker_stats(scheme: RecoveryScheme) -> None:
-        """Fold a pool worker's search effort into the parent recorder.
-
-        Workers run in separate processes, so their own recorders (if any)
-        die with them; the stats ride back on the scheme metadata.
-        """
-        recorder = obs.get_recorder()
-        raw = scheme.search_stats
-        if recorder is None or raw is None:
-            return
-        from repro.recovery.search import SearchStats
-
-        known = {
-            k: v for k, v in raw.items() if k in SearchStats.__dataclass_fields__
-        }
-        SearchStats(**known).publish(recorder)
-        recorder.count("planner.schemes_generated")
+        return self._plan(range(self.code.layout.n_disks))
 
     # ------------------------------------------------------------------
     # persistence

@@ -30,9 +30,7 @@ contributes — ``O(new elements)`` per successor via a precomputed
 element-to-disk shift table, instead of the former ``O(n_disks)``
 re-popcount of every k-bit disk window of the whole mask.  Integer-valued
 models additionally pack their lexicographic key into a single int
-(``total << b | max_load``), which makes heap comparisons cheap.  Plain
-callables are still accepted as cost functions and run on a generic
-(slower) evaluation path.
+(``total << b | max_load``), which makes heap comparisons cheap.
 
 Termination uses an *early-goal cutoff*: the engine tracks the best
 ``(key, push order)`` goal state pushed so far and stops as soon as no
@@ -255,22 +253,6 @@ class WeightedCost(CostModel):
         return packed, self._fold(packed)
 
 
-class _OpaqueCost(CostModel):
-    """Adapter running an arbitrary callable key on the generic path."""
-
-    def __init__(self, fn: CostFn) -> None:
-        self.fn = fn
-
-    def key_of_mask(self, mask: int) -> Tuple:
-        return self.fn(mask)
-
-    def initial(self):
-        return 0, self.fn(0)
-
-    def extend(self, state, add, new_mask):
-        return None, self.fn(new_mask)
-
-
 #: exact model types the compiled kernel understands (subclasses excluded:
 #: they may override key semantics the kernel would not honour)
 _CKERNEL_KINDS = {
@@ -352,7 +334,7 @@ class SearchStats:
 
 def generate_scheme(
     rec_eqs: RecoveryEquations,
-    cost_fn: CostFn,
+    cost_fn: CostModel,
     algorithm: str,
     max_expansions: Optional[int] = 2_000_000,
 ) -> RecoveryScheme:
@@ -363,8 +345,8 @@ def generate_scheme(
     rec_eqs:
         Output of :func:`repro.equations.get_recovery_equations`.
     cost_fn:
-        One of the cost factories above (a :class:`CostModel`, evaluated
-        incrementally) or any plain monotone key callable (generic path).
+        A :class:`CostModel` (one of the cost factories above), evaluated
+        incrementally; anything else raises :class:`TypeError`.
     algorithm:
         Label recorded on the scheme.
     max_expansions:
@@ -375,6 +357,10 @@ def generate_scheme(
     ``search.*`` counters, and the engine additionally tracks frontier-key
     bucket transitions (the paper's ``rec_list[r]`` sublist advances).
     """
+    if not isinstance(cost_fn, CostModel):
+        raise TypeError(
+            f"cost_fn must be a CostModel, got {type(cost_fn).__name__}"
+        )
     recorder = obs.get_recorder()
     if recorder is None:
         return _generate_scheme(rec_eqs, cost_fn, algorithm, max_expansions)
@@ -386,7 +372,7 @@ def generate_scheme(
 
 def _generate_scheme(
     rec_eqs: RecoveryEquations,
-    cost_fn: CostFn,
+    model: CostModel,
     algorithm: str,
     max_expansions: Optional[int],
 ) -> RecoveryScheme:
@@ -405,7 +391,6 @@ def _generate_scheme(
         )
     n_slots = rec_eqs.n_failed
     stats = SearchStats(algorithm=algorithm)
-    model = cost_fn if isinstance(cost_fn, CostModel) else _OpaqueCost(cost_fn)
 
     # per-slot option pairs (read_mask, equation), engine-local
     slot_opts: List[List[Tuple[int, int]]] = [

@@ -216,6 +216,71 @@ class TestCacheBounds:
         assert len(enum_mod._ENUM_CACHE) == 1
         assert len(enum_mod._CLOSURE_CACHE) <= 1
 
+    def test_four_threads_share_tiny_lrus(self):
+        """Threads racing on LRUs far smaller than their working set see
+        no KeyError from a lookup or an eviction, and get exactly what a
+        single thread gets."""
+        import sys
+        import threading
+
+        from repro.codes import make_code
+        from repro.equations import (
+            clear_enumeration_caches,
+            set_enumeration_cache_limits,
+        )
+
+        codes = [
+            make_code(family, width)
+            for family in ("rdp", "evenodd", "blaum_roth", "liberation", "star")
+            for width in (7, 8, 9, 10)
+        ]
+        jobs = [(code, code.layout.disk_mask(d)) for code in codes for d in (0, 1)]
+
+        def signature(rec):
+            return rec.failed_eids, [
+                [(o.read_mask, o.equation) for o in opts] for opts in rec.options
+            ]
+
+        expected = [signature(get_recovery_equations(c, m, depth=1))
+                    for c, m in jobs]
+        clear_enumeration_caches()
+        set_enumeration_cache_limits(enum=2, closure=1)
+        n_threads, rounds = 4, 50
+        results = [[None] * len(jobs) for _ in range(n_threads)]
+        errors = []
+        start = threading.Barrier(n_threads)
+
+        def worker(k):
+            start.wait()
+            try:
+                for _ in range(rounds):
+                    for i in range(len(jobs)):
+                        # neighbours lag by one job: most lookups race an
+                        # insert or an eviction of the same few keys
+                        j = (i + k // 2) % len(jobs)
+                        code, mask = jobs[j]
+                        results[k][j] = signature(
+                            get_recovery_equations(code, mask, depth=1)
+                        )
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "a thread hung"
+        assert not errors, [repr(e)[:120] for e in errors[:3]]
+        for got in results:
+            assert got == expected
+
     def test_rejects_nonpositive_limits(self):
         import pytest
 

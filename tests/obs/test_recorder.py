@@ -1,5 +1,6 @@
 """Recorder thread-safety and cross-recorder snapshot merging."""
 
+import sys
 import threading
 
 from repro.obs import Recorder
@@ -81,3 +82,51 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert rec.gauges["depth"].peak == 699
+
+
+class TestThreadedSpans:
+    def test_spans_from_two_threads_form_one_tree(self):
+        """Each thread nests its own spans; a thread's outermost span hangs
+        off the span the owning thread has open."""
+        rec = Recorder()
+        start = threading.Barrier(2)
+
+        def worker(tag):
+            start.wait()
+            for _ in range(1000):
+                with rec.span(f"outer.{tag}"):
+                    with rec.span(f"inner.{tag}"):
+                        pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two threads' spans
+        try:
+            with rec.span("root"):
+                threads = [threading.Thread(target=worker, args=(t,))
+                           for t in "ab"]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "a thread hung"
+
+        spans = {s.span_id: s for s in rec.spans}
+        assert len(spans) == len(rec.spans) == 1 + 2 * 2 * 1000
+        root = next(s for s in rec.spans if s.name == "root")
+        assert root.parent_id is None
+        for s in rec.spans:
+            if s.name.startswith("outer."):
+                assert s.parent_id == root.span_id
+            elif s.name.startswith("inner."):
+                # the outer span of the same thread, never the other's
+                assert spans[s.parent_id].name == "outer." + s.name[-1]
+
+    def test_worker_span_without_an_owner_span_is_a_root(self):
+        rec = Recorder()
+        t = threading.Thread(target=lambda: rec.span("alone").__exit__())
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert [(s.name, s.parent_id) for s in rec.spans] == [("alone", None)]

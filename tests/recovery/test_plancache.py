@@ -74,20 +74,46 @@ class TestCacheHitEquivalence:
         with pytest.raises(ValueError):
             SchemePlanCache(max_entries=0)
 
-    def test_parallel_generation_fills_cache(self, tmp_path):
+    def test_parallel_generation_fills_cache(self, tmp_path, threaded_runner):
         code = make_code("rdp", 7)
         cache = SchemePlanCache(tmp_path / "plans.json")
         planner = RecoveryPlanner(code, algorithm="u", depth=1,
                                   plan_cache=cache)
-        planner.generate_all_parallel(workers=2)
+        planned = planner.all_disk_schemes()
         assert cache.stats()["disk_entries"] == code.layout.n_disks
-        # second parallel pass over a fresh planner is all cache hits
+        assert cache.misses == code.layout.n_disks
+        # second threaded pass over a fresh planner is all cache hits
         cache2 = SchemePlanCache(tmp_path / "plans.json")
         planner2 = RecoveryPlanner(code, algorithm="u", depth=1,
                                    plan_cache=cache2)
-        planner2.generate_all_parallel(workers=2)
+        assert [s.equations for s in planner2.all_disk_schemes()] == [
+            s.equations for s in planned
+        ]
         assert cache2.hits == code.layout.n_disks
         assert cache2.misses == 0
+
+    def test_threaded_pass_searches_only_the_misses(self, tmp_path,
+                                                    threaded_runner):
+        """Disks already in the plan cache never reach the kernel threads."""
+        from repro import obs
+
+        code = make_code("rdp", 7)
+        cache = SchemePlanCache(tmp_path / "plans.json")
+        warm = RecoveryPlanner(code, algorithm="u", depth=1, plan_cache=cache)
+        for d in (0, 2, 4):
+            warm.scheme_for_disk(d)
+        planner = RecoveryPlanner(code, algorithm="u", depth=1,
+                                  plan_cache=cache)
+        rec = obs.enable("misses")
+        try:
+            planner.all_disk_schemes()
+        finally:
+            obs.disable()
+        searched = sorted(
+            s.attrs["disk"] for s in rec.spans if s.name == "planner.generate"
+        )
+        assert searched == [1, 3, 5, 6]
+        assert cache.stats()["disk_entries"] == code.layout.n_disks
 
 
 class TestCorruptedStores:

@@ -107,53 +107,71 @@ class TestPlanner:
         fresh = RecoveryPlanner(code, algorithm="u")
         assert fresh.load(path) == 1
 
-    def test_parallel_generation_matches_sequential(self, code):
+    def test_parallel_generation_matches_sequential(self, code, threaded_runner):
         seq = RecoveryPlanner(code, algorithm="u", depth=1)
         par = RecoveryPlanner(code, algorithm="u", depth=1)
-        a = seq.all_disk_schemes()
-        b = par.generate_all_parallel(workers=2)
+        a = [seq.scheme_for_disk(d) for d in range(code.layout.n_disks)]
+        b = par.all_disk_schemes()
         assert [s.read_mask for s in a] == [s.read_mask for s in b]
         assert [s.equations for s in a] == [s.equations for s in b]
 
-    def test_parallel_single_worker_fallback(self, code):
+    def test_parallel_single_worker_fallback(self, code, monkeypatch):
+        """A one-CPU runner plans inline, with the same schemes."""
+        from repro.recovery import planner as planner_mod
+        from repro.runner import ChunkRunner
+
+        monkeypatch.setattr(
+            planner_mod, "_RUNNER", ChunkRunner(1, "planner", per_worker=None)
+        )
         planner = RecoveryPlanner(code, algorithm="khan", depth=1)
-        schemes = planner.generate_all_parallel(workers=1, include_parity=False)
+        schemes = planner.all_data_disk_schemes()
         assert len(schemes) == code.layout.n_data
+        ref = RecoveryPlanner(code, algorithm="khan", depth=1)
+        assert [s.equations for s in schemes] == [
+            ref.scheme_for_disk(d).equations for d in code.layout.data_disks
+        ]
 
-    def test_parallel_worker_validation(self, code):
-        planner = RecoveryPlanner(code, algorithm="u")
-        import pytest as _pytest
+    def test_parallel_caps_workers_at_todo(self, code, threaded_runner):
+        """Only the uncached disks are searched — one left means one
+        search, run inline — and the run still completes correctly."""
+        from repro import obs
 
-        with _pytest.raises(ValueError):
-            planner.generate_all_parallel(workers=0)
-
-    def test_parallel_caps_workers_at_todo(self, code):
-        """More workers than remaining disks must not spawn idle
-        processes — and the run still completes correctly."""
         planner = RecoveryPlanner(code, algorithm="u", depth=1)
         # pre-fill all but one disk so todo == 1
         for d in range(code.layout.n_disks - 1):
             planner.scheme_for_disk(d)
-        schemes = planner.generate_all_parallel(workers=8)
+        rec = obs.enable("caps")
+        try:
+            schemes = planner.all_disk_schemes()
+        finally:
+            obs.disable()
         assert len(schemes) == code.layout.n_disks
+        assert rec.counters["planner.schemes_generated"].value == 1
 
-    def test_worker_failure_names_the_disk(self, code):
-        """A worker exception carries the disk id instead of surfacing as
-        an opaque pool traceback."""
+    def test_worker_failure_names_the_disk(self, threaded_runner, monkeypatch):
+        """A search failing on a kernel thread raises RuntimeError naming
+        its disk, and the planner stays usable afterwards."""
         from repro.recovery import planner as planner_mod
 
-        planner_mod._init_worker(code, "u", 1, None)
+        code = RdpCode(7)
+        real = planner_mod.u_scheme
 
-        def boom(self, disk):
-            raise RuntimeError("search exploded")
+        def boom(code_, disk, **kw):
+            if disk == 3:
+                raise ValueError("search exploded")
+            return real(code_, disk, **kw)
 
-        original = planner_mod.RecoveryPlanner._generate
-        planner_mod.RecoveryPlanner._generate = boom
-        try:
-            with pytest.raises(RuntimeError, match="disk 3"):
-                planner_mod._generate_one(3)
-        finally:
-            planner_mod.RecoveryPlanner._generate = original
+        planner = RecoveryPlanner(code, algorithm="u", depth=1)
+        monkeypatch.setattr(planner_mod, "u_scheme", boom)
+        with pytest.raises(RuntimeError, match="disk 3") as exc:
+            planner.all_disk_schemes()
+        assert "search exploded" in str(exc.value)
+        assert 3 not in planner._cache
+        monkeypatch.setattr(planner_mod, "u_scheme", real)
+        schemes = planner.all_disk_schemes()
+        assert [s.failed_mask for s in schemes] == [
+            code.layout.disk_mask(d) for d in range(code.layout.n_disks)
+        ]
 
     def test_loaded_schemes_validate(self, code, tmp_path):
         planner = RecoveryPlanner(code, algorithm="u")

@@ -103,6 +103,11 @@ class TestEngine:
         with pytest.raises(ValueError, match="no recovery equations"):
             generate_scheme(rec, khan_cost(lay), "khan")
 
+    def test_bare_callable_cost_rejected(self):
+        lay, rec = tiny_problem()
+        with pytest.raises(TypeError, match="CostModel"):
+            generate_scheme(rec, lambda mask: (mask.bit_count(),), "khan")
+
     def test_stats_recorded_on_scheme(self):
         lay, rec = tiny_problem()
         s = generate_scheme(rec, khan_cost(lay), "khan")

@@ -19,6 +19,7 @@ def _walk_modules():
         for info in pkgutil.iter_modules(pkg.__path__):
             out.append(f"{pkg.__name__}.{info.name}")
     out.append("repro.cli")
+    out.append("repro.runner")
     return out
 
 
