@@ -25,7 +25,7 @@ or without a C compiler (``REPRO_PURE_PYTHON=1`` forces the numpy path).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -117,9 +117,12 @@ class BatchReconstructor:
             offs.append(len(ids))
         self._src_off = np.ascontiguousarray(offs, dtype=np.int64)
         self._src_ids = np.ascontiguousarray(ids, dtype=np.int32)
+        # per slot, the stored element a rebuilt slot is verified against
+        self._check_eids = np.ascontiguousarray(scheme.failed_eids, dtype=np.int32)
         # marshalled once; the arrays above keep the addresses valid
         self._src_off_p = self._src_off.ctypes.data
         self._src_ids_p = self._src_ids.ctypes.data
+        self._check_eids_p = self._check_eids.ctypes.data
 
     @property
     def source_eids(self) -> np.ndarray:
@@ -131,6 +134,9 @@ class BatchReconstructor:
         stripes: Union[ColumnSet, np.ndarray, Sequence[np.ndarray]],
         out: np.ndarray,
         stripe_ids: Optional[np.ndarray] = None,
+        *,
+        out_rows: Optional[np.ndarray] = None,
+        bad_rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Zero-allocation variant: XOR straight into a caller buffer.
 
@@ -147,31 +153,69 @@ class BatchReconstructor:
         accumulators, so nothing is allocated or copied.  Returns ``out``.
 
         With ``stripe_ids`` (a 1-D integer array, any order, repeats
-        allowed) ``stripes`` holds a whole store and output row ``j`` is
+        allowed) ``stripes`` holds a whole store and batch row ``j`` is
         rebuilt from stripe ``stripe_ids[j]``: the kernel reads the store
         in place, so a caller holding a store never copies a batch out of
         it.  An id outside ``[0, n_stripes)`` raises :class:`IndexError`.
+
+        With ``out_rows`` (a 1-D integer array, one entry per batch row)
+        batch row ``j`` is written to ``out[out_rows[j]]``, so ``out`` may
+        be a whole result of any number of rows and the rows not named
+        keep their bytes; which batch row a repeated entry ends up
+        holding is unspecified.  An entry outside ``[0, len(out))``
+        raises :class:`IndexError` and a length other than the batch's
+        raises :class:`ValueError`, both before anything is written.
+
+        With ``bad_rows`` (a writable 1-D bool array, one entry per batch
+        row) each rebuilt slot is also compared with the element it
+        rebuilds, ``failed_eids[i]``, of the same input stripe, and
+        ``bad_rows[j]`` is set to whether any slot of batch row ``j``
+        differs.  The stored elements are comparison targets only, never
+        sources.  The kernel compares each row in the pass that writes
+        it, while it is still in cache.
         """
         cols = self._column_set(stripes)
         n_rows = cols.shape[0]
         if stripe_ids is not None:
-            stripe_ids = np.asarray(stripe_ids)
-            if stripe_ids.ndim != 1 or stripe_ids.dtype.kind not in "iu":
-                raise IndexError(
-                    f"stripe_ids must be a 1-D integer array, got "
-                    f"{stripe_ids.dtype} of shape {stripe_ids.shape}"
-                )
-            stripe_ids = np.ascontiguousarray(stripe_ids, dtype=np.int64)
+            stripe_ids = self._ids(stripe_ids, "stripe_ids")
             n_rows = len(stripe_ids)
         want = (n_rows, len(self._plan), cols.shape[2])
-        if out.shape != want:
-            raise ValueError(f"out shape {out.shape} != {want}")
+        if out_rows is None:
+            if out.shape != want:
+                raise ValueError(f"out shape {out.shape} != {want}")
+        else:
+            out_rows = self._ids(out_rows, "out_rows")
+            if out.ndim != 3 or out.shape[1:] != want[1:]:
+                raise ValueError(
+                    f"out shape {out.shape} != (*, {want[1]}, {want[2]})"
+                )
+            if len(out_rows) != n_rows:
+                raise ValueError(f"out_rows shape {out_rows.shape} != ({n_rows},)")
+        if bad_rows is not None and not (
+            isinstance(bad_rows, np.ndarray) and bad_rows.dtype == bool
+            and bad_rows.shape == (n_rows,) and bad_rows.flags.writeable
+        ):
+            raise ValueError(
+                f"bad_rows must be a writable bool array of shape ({n_rows},)"
+            )
         if cols.bases is not None and ckernel.xor_columns(
             cols.bases, cols.shape, cols.stride, out,
             self._src_off_p, self._src_ids_p, stripe_ids,
+            out_rows, self._check_eids_p, bad_rows,
         ):
             return out
-        return self._recover_into_numpy(cols, out, stripe_ids)
+        return self._recover_into_numpy(cols, out, stripe_ids, out_rows, bad_rows)
+
+    @staticmethod
+    def _ids(ids: np.ndarray, name: str) -> np.ndarray:
+        """``ids`` as C-contiguous int64; :class:`IndexError` unless 1-D ints."""
+        ids = np.asarray(ids)
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise IndexError(
+                f"{name} must be a 1-D integer array, got "
+                f"{ids.dtype} of shape {ids.shape}"
+            )
+        return np.ascontiguousarray(ids, dtype=np.int64)
 
     def _column_set(
         self, stripes: Union[ColumnSet, np.ndarray, Sequence[np.ndarray]]
@@ -190,24 +234,33 @@ class BatchReconstructor:
         stripes: Union[ColumnSet, np.ndarray, Sequence[np.ndarray]],
         out: np.ndarray,
         stripe_ids: Optional[np.ndarray] = None,
+        out_rows: Optional[np.ndarray] = None,
+        bad_rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Pure-numpy fold; reference semantics for the C kernel.
 
         Takes the same inputs as :meth:`recover_batch_into` and folds the
         same views: each source is one row of one column, gathered by
-        ``stripe_ids`` when given.
+        ``stripe_ids`` when given.  With ``out_rows`` the fold runs in a
+        scratch block that is then scattered into ``out``; with
+        ``bad_rows`` each slot is compared with its stored element.
         """
         cols = self._column_set(stripes)
         k = cols.shape[1]
         if stripe_ids is not None:
             ckernel.check_stripe_ids(stripe_ids, cols.shape[0])
+        if out_rows is not None:
+            ckernel.check_stripe_ids(out_rows, len(out), "output row")
+            acc_rows = np.empty((len(out_rows),) + out.shape[1:], np.uint8)
+        else:
+            acc_rows = out
 
         def source(eid: int) -> np.ndarray:
             rows = cols.cols[eid // k][:, eid % k, :]
             return rows if stripe_ids is None else rows[stripe_ids]
 
         for i, (f, surviving, recovered_refs) in enumerate(self._plan):
-            acc = out[:, i, :]
+            acc = acc_rows[:, i, :]
             if surviving:
                 np.copyto(acc, source(surviving[0]))
                 for eid in surviving[1:]:
@@ -215,7 +268,13 @@ class BatchReconstructor:
             else:
                 acc[...] = 0
             for eid in recovered_refs:
-                np.bitwise_xor(acc, out[:, self._slot_of[eid], :], out=acc)
+                np.bitwise_xor(acc, acc_rows[:, self._slot_of[eid], :], out=acc)
+        if bad_rows is not None:
+            bad_rows[...] = False
+            for i, (f, _, _) in enumerate(self._plan):
+                bad_rows |= (acc_rows[:, i, :] != source(f)).any(axis=1)
+        if out_rows is not None:
+            out[out_rows] = acc_rows
         return out
 
 
@@ -225,11 +284,12 @@ def check_plan(recon: BatchReconstructor, role: int) -> None:
     Both rebuild engines read survivors in place — the pool rebuild out
     of the store, the array rebuild out of the disk image — where the dead
     role's rows are still addressable (and, in a test image, intact), so a
-    plan that read one could pass byte verification silently.  Checked
-    statically instead, once per compiled plan: no surviving source may
-    lie in the dead rows, and the distinct sources per logical disk must
-    equal ``scheme.loads`` (the quantity billed).  Raises
-    :class:`ValueError`.
+    plan that read one could pass byte verification silently.  The pool
+    rebuild does read the dead rows, but only as comparison targets of
+    its in-pass verification (``bad_rows``), never as sources.  Checked
+    statically, once per compiled plan: no surviving source may lie in
+    the dead rows, and the distinct sources per logical disk must equal
+    ``scheme.loads`` (the quantity billed).  Raises :class:`ValueError`.
     """
     scheme = recon.scheme
     k = scheme.layout.k_rows
@@ -249,3 +309,32 @@ def check_plan(recon: BatchReconstructor, role: int) -> None:
             f"logical disk {d} (first element {d * k}), but its loads "
             f"say {int(loads[d])}"
         )
+
+
+class PlanMemo:
+    """Compiled, checked plans of one rebuild engine, memoised.
+
+    Calling the memo with ``(role, scheme)`` returns the plan for
+    rebuilding ``role`` with ``scheme``: a :class:`BatchReconstructor`
+    refused by :func:`check_plan` if it reads the dead role or misstates
+    its loads, passed through ``finish`` (identity by default; the pool
+    rebuild attaches its billing arrays there).  The key is the plan's
+    full semantics, so each distinct scheme is compiled and checked once
+    per memo, not once per rebuild.  ``len`` counts the plans held.
+    """
+
+    def __init__(self, finish: Callable[[BatchReconstructor], Any] = lambda r: r):
+        self._finish = finish
+        self._plans: Dict[Tuple, Any] = {}
+
+    def __len__(self) -> int:
+        return len(self._plans)
+
+    def __call__(self, role: int, scheme: RecoveryScheme) -> Any:
+        key = (role, scheme.failed_mask, tuple(scheme.equations), scheme.read_mask)
+        plan = self._plans.get(key)
+        if plan is None:
+            recon = BatchReconstructor(scheme)
+            check_plan(recon, role)
+            plan = self._plans[key] = self._finish(recon)
+        return plan

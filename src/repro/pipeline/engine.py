@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.codec.batch import BatchReconstructor, check_plan
+from repro.codec.batch import PlanMemo
 from repro.codec.image import ArrayImageCodec
 from repro.pipeline.chunks import StripeChunk, iter_chunks
 from repro.runner import ChunkRunner
@@ -143,7 +143,7 @@ class RebuildPipeline:
         self.planner = planner or RecoveryPlanner(
             codec.code, algorithm=algorithm, depth=depth, plan_cache=plan_cache
         )
-        self._plans: Dict[Tuple, BatchReconstructor] = {}
+        self._plans = PlanMemo()
         self._runner = ChunkRunner(workers, "pipeline")
 
     # ------------------------------------------------------------------
@@ -158,20 +158,6 @@ class RebuildPipeline:
         }
         with obs.span("pipeline.plan", roles=len(needed)):
             return {d: self.planner.scheme_for_disk(d) for d in sorted(needed)}
-
-    def _compile(self, role: int, scheme: RecoveryScheme) -> BatchReconstructor:
-        """The compiled, checked plan for rebuilding ``role`` with ``scheme``.
-
-        Memoised on the plan's full semantics, so each distinct scheme is
-        compiled and checked once per engine, not once per rebuild.
-        """
-        key = (role, scheme.failed_mask, tuple(scheme.equations), scheme.read_mask)
-        recon = self._plans.get(key)
-        if recon is None:
-            recon = BatchReconstructor(scheme)
-            check_plan(recon, role)
-            self._plans[key] = recon
-        return recon
 
     def _bill_reads(
         self,
@@ -211,7 +197,7 @@ class RebuildPipeline:
             raise ValueError(f"disks dtype {disks.dtype} != uint8")
 
         schemes = self._schemes_for(failed_physical)
-        compiled = {d: self._compile(d, s) for d, s in schemes.items()}
+        compiled = {d: self._plans(d, s) for d, s in schemes.items()}
         chunks = list(iter_chunks(ns, n, failed_physical, self.chunk_stripes))
         mode = "pipeline" if self._runner.threaded(len(chunks)) else "inline-batch"
         rebuilt = np.empty((ns * k, esz), dtype=np.uint8)

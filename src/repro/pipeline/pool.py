@@ -23,14 +23,18 @@ the lexicographic max-per-{uplink, NIC, disk} load.  The executed billing
 must match the planner's analytic loads exactly (``read_loads`` /
 ``link_read_loads``); the benchmarks enforce that contract.
 
-Each chunk is reconstructed straight out of the store: the kernel is
-handed the whole ``(n_stripes, n_elements, esz)`` store plus the chunk's
-stripe ids and gathers the sources in place, so no batch is copied.  The
-dead rows are therefore readable, and every compiled plan is checked
-statically to read none of them (:func:`~repro.codec.batch.check_plan`).
-Every recovered row is verified byte-identical against the store before
-the result is returned — a placement bug surfaces as a mismatch count,
-never as silent corruption.
+Each chunk is one kernel pass straight out of the store and straight
+into the result: the kernel is handed the whole ``(n_stripes,
+n_elements, esz)`` store plus the chunk's stripe ids and gathers the
+sources in place, writes each rebuilt row into its place in the result
+(``out_rows``), and compares it with the store's dead row while it is
+still in cache (``bad_rows``).  No batch, output block, truth copy or
+comparison array is staged.  The dead rows are read, but only as
+comparison targets: every compiled plan is checked statically to read
+none of them as a source (:func:`~repro.codec.batch.check_plan`).  Every
+recovered row is thereby verified byte-identical against the store
+before the result is returned — a placement bug surfaces as a mismatch
+count, never as silent corruption.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tu
 import numpy as np
 
 from repro import obs
-from repro.codec.batch import BatchReconstructor, check_plan
+from repro.codec.batch import BatchReconstructor, ColumnSet, PlanMemo
 from repro.runner import ChunkRunner
 from repro.placement.pool import PoolStore
 from repro.recovery.plancache import SchemePlanCache
@@ -86,12 +90,20 @@ class _GroupPlan(NamedTuple):
     loads: np.ndarray      #: elements read from each per stripe (float64,
                            #: the weights of one ``np.bincount``)
 
+    @classmethod
+    def of(cls, recon: BatchReconstructor) -> "_GroupPlan":
+        loads = np.asarray(recon.scheme.loads, dtype=np.int64)
+        logicals = np.flatnonzero(loads)
+        return cls(recon, logicals, loads[logicals].astype(np.float64))
+
 
 class _Chunk(NamedTuple):
     """Up to ``chunk_stripes`` affected stripes of one execution group."""
 
-    role: int
-    stripe_ids: np.ndarray
+    stripe_ids: np.ndarray  #: int64, ascending
+    rows_at: np.ndarray     #: each stripe's row in the result
+    bad: np.ndarray         #: per-stripe mismatch flags, a view of the
+                            #: rebuild's flag array
     plan: _GroupPlan
 
 
@@ -117,10 +129,11 @@ class PoolRebuild:
         before it is recovered (QoS point).
     workers:
         Kernel threads, kept for the engine's lifetime, exactly as in
-        :class:`~repro.pipeline.engine.RebuildPipeline`: a thread recovers
-        a chunk, scatters its rows into the result and verifies them;
-        the calling thread admits chunks and bills reads in chunk order.
-        ``<= 1`` runs inline.
+        :class:`~repro.pipeline.engine.RebuildPipeline`: a thread runs a
+        chunk's one kernel pass, which recovers each row into its place
+        in the result and verifies it against the store; the calling
+        thread admits chunks and bills reads in chunk order.  ``<= 1``
+        runs inline.
     """
 
     def __init__(
@@ -149,7 +162,7 @@ class PoolRebuild:
             # fail fast on a planner/placement topology mismatch
             store.placement.require_leaf_of_disk(topo_planner.topology)
         self.topo_planner = topo_planner
-        self._plans: Dict[Tuple, _GroupPlan] = {}
+        self._plans = PlanMemo(_GroupPlan.of)
         self._runner = ChunkRunner(workers, "pool rebuild")
 
     # ------------------------------------------------------------------
@@ -187,23 +200,6 @@ class PoolRebuild:
         return link_loads(self.store.placement, self.read_loads(dead_disk))
 
     # ------------------------------------------------------------------
-    def _compile(self, role: int, scheme: RecoveryScheme) -> _GroupPlan:
-        """The compiled, checked plan for rebuilding ``role`` with ``scheme``.
-
-        Memoised on the plan's full semantics, so a rebuild compiles and
-        checks each distinct scheme once per engine, not once per call.
-        """
-        key = (role, scheme.failed_mask, tuple(scheme.equations), scheme.read_mask)
-        plan = self._plans.get(key)
-        if plan is None:
-            recon = BatchReconstructor(scheme)
-            check_plan(recon, role)
-            loads = np.asarray(scheme.loads, dtype=np.int64)
-            logicals = np.flatnonzero(loads)
-            plan = _GroupPlan(recon, logicals, loads[logicals].astype(np.float64))
-            self._plans[key] = plan
-        return plan
-
     def rebuild(self, dead_disk: int) -> PoolRebuildResult:
         """Recover every row the dead disk held, billing reads per disk."""
         store = self.store
@@ -212,37 +208,45 @@ class PoolRebuild:
             raise RuntimeError("pool store is empty — call encode_random() first")
         t0 = time.perf_counter()
         groups = [
-            (role, ids, self._compile(role, scheme))
+            (ids, self._plans(role, scheme))
             for role, ids, scheme in self.stripe_groups(dead_disk)
         ]
         all_stripes = np.sort(
-            np.concatenate([ids for _, ids, _ in groups] or [np.empty(0, np.int64)])
+            np.concatenate([ids for ids, _ in groups] or [np.empty(0, np.int64)])
         )
         k, esz = store.k_rows, store.element_size
         lay = store.code.layout
 
         rows = np.empty((len(all_stripes), k, esz), dtype=np.uint8)
+        bad = np.empty(len(all_stripes), dtype=bool)
         reads = np.zeros(placement.n_pool, dtype=np.int64)
         mismatches = 0
-        chunks = [
-            _Chunk(role, group_ids[lo : lo + self.chunk_stripes], plan)
-            for role, group_ids, plan in groups
-            for lo in range(0, len(group_ids), self.chunk_stripes)
-        ]
+        chunks: List[_Chunk] = []
+        done = 0  # stripes already chunked: the next chunk's flags start here
+        for group_ids, plan in groups:
+            group_ids = np.ascontiguousarray(group_ids, dtype=np.int64)
+            rows_at = np.searchsorted(all_stripes, group_ids)
+            for lo in range(0, len(group_ids), self.chunk_stripes):
+                hi = min(lo + self.chunk_stripes, len(group_ids))
+                chunks.append(_Chunk(
+                    group_ids[lo:hi], rows_at[lo:hi],
+                    bad[done : done + hi - lo], plan,
+                ))
+                done += hi - lo
+        stripes = ColumnSet(store.stripes)  # marshalled once per rebuild
 
         def work(chunk: _Chunk) -> int:
-            # gathered straight out of the store: no batch copy
-            ids = chunk.stripe_ids
-            out = np.empty((len(ids), k, esz), dtype=np.uint8)
-            chunk.plan.recon.recover_batch_into(store.stripes, out, stripe_ids=ids)
-            rows[np.searchsorted(all_stripes, ids)] = out
-            truth = store.stripes[ids, chunk.role * k : (chunk.role + 1) * k]
-            bad = (out != truth).reshape(len(ids), -1).any(axis=1)
-            return int(np.count_nonzero(bad))
+            # one kernel pass: gathered out of the store, written into its
+            # rows of the result, verified against the dead rows
+            chunk.plan.recon.recover_batch_into(
+                stripes, rows, stripe_ids=chunk.stripe_ids,
+                out_rows=chunk.rows_at, bad_rows=chunk.bad,
+            )
+            return int(np.count_nonzero(chunk.bad))
 
-        def deliver(chunk: _Chunk, bad: int) -> None:
+        def deliver(chunk: _Chunk, n_bad: int) -> None:
             nonlocal mismatches, reads
-            mismatches += bad
+            mismatches += n_bad
             # pool disk hosting each logical disk the plan reads, per
             # stripe: one table lookup, one weighted count
             plan = chunk.plan

@@ -505,17 +505,25 @@ static void xor_into(uint8_t *restrict dst, const uint8_t *restrict src,
  * e / k_rows, so a contiguous (*, n_elements, esz) batch is a single
  * column with k_rows = n_elements, while per-logical-disk views of a disk
  * image (one column per disk, k_rows rows each) are read in place.
- * `out` is the (n_stripes, n_slots, esz) output block, slot i the i-th
- * failed element of the compiled plan, slots esz bytes apart and output
- * rows out_stride bytes apart.  Output row s is rebuilt from input
- * stripe sid[s] when `sid` is given (a gather straight out of a whole
- * store, no staging copy), else from input stripe s; the Python wrapper
- * bounds-checks sid.  The flattened plan lives in (src_off, src_ids):
- * slot i's sources are src_ids[src_off[i] .. src_off[i+1]); an id >= 0
- * names a surviving element of the stripe, an id < 0 names the earlier
- * output slot -(id + 1) (Greenan-style iteration, already in dependency
- * order).  XOR is commutative, so the result is byte-identical to the
- * numpy fold regardless of source order.
+ * `out` is the output block, slot i the i-th failed element of the
+ * compiled plan, slots esz bytes apart and output rows out_stride bytes
+ * apart.  Batch row s is rebuilt from input stripe sid[s] when `sid` is
+ * given (a gather straight out of a whole store, no staging copy), else
+ * from input stripe s, and lands in output row oid[s] when `oid` is
+ * given (a scatter straight into its place in the result), else in
+ * output row s; the Python wrapper bounds-checks sid and oid.  The
+ * flattened plan lives in (src_off, src_ids): slot i's sources are
+ * src_ids[src_off[i] .. src_off[i+1]); an id >= 0 names a surviving
+ * element of the stripe, an id < 0 names the earlier output slot
+ * -(id + 1) (Greenan-style iteration, already in dependency order).  XOR
+ * is commutative, so the result is byte-identical to the numpy fold
+ * regardless of source order.
+ *
+ * With `chk` (one element id per slot) and `bad` (one flag per batch
+ * row), every rebuilt slot is compared with element chk[i] of the same
+ * input stripe right after it is written, while it is still in cache,
+ * and bad[s] is set to 1 when any slot of row s differs, else to 0.  The
+ * compared elements are never sources.
  *
  * Stripe-major loop order keeps the working set to one stripe (its
  * sources plus its output block), so big chunks stream through cache
@@ -527,26 +535,33 @@ int64_t xor_batch(const uint8_t *const *cols, int64_t k_rows,
                   int64_t stripe_stride, const int64_t *sid,
                   int64_t n_stripes, int64_t esz,
                   uint8_t *out, int64_t out_stride, int64_t n_slots,
-                  const int64_t *src_off, const int32_t *src_ids)
+                  const int64_t *src_off, const int32_t *src_ids,
+                  const int64_t *oid, const int32_t *chk, uint8_t *bad)
 {
     int64_t s, i, j, n_src = src_off[n_slots];
-    /* each surviving source's address in stripe 0, resolved once */
-    const uint8_t **base = malloc((size_t)(n_src ? n_src : 1) * sizeof *base);
+    int64_t n_addr = n_src + (bad ? n_slots : 0);
+    /* each surviving source's (then each compared element's) address in
+     * stripe 0, resolved once */
+    const uint8_t **base = malloc((size_t)(n_addr ? n_addr : 1) * sizeof *base);
+    const uint8_t **want;
     if (!base)
         return -1;
+    want = base + n_src;
     for (j = 0; j < n_src; j++)
         if (src_ids[j] >= 0)
             base[j] = cols[src_ids[j] / k_rows] + (src_ids[j] % k_rows) * esz;
+    if (bad)
+        for (i = 0; i < n_slots; i++)
+            want[i] = cols[chk[i] / k_rows] + (chk[i] % k_rows) * esz;
     for (s = 0; s < n_stripes; s++) {
         int64_t in_off = (sid ? sid[s] : s) * stripe_stride;
-        uint8_t *out_base = out + s * out_stride;
+        uint8_t *out_base = out + (oid ? oid[s] : s) * out_stride;
+        uint8_t differs = 0;
         for (i = 0; i < n_slots; i++) {
             uint8_t *dst = out_base + i * esz;
             int64_t a = src_off[i], b = src_off[i + 1];
-            if (a == b) {
+            if (a == b)
                 memset(dst, 0, (size_t)esz);
-                continue;
-            }
             for (j = a; j < b; j++) {
                 const uint8_t *src = src_ids[j] >= 0
                                          ? base[j] + in_off
@@ -556,7 +571,11 @@ int64_t xor_batch(const uint8_t *const *cols, int64_t k_rows,
                 else
                     xor_into(dst, src, esz);
             }
+            if (bad && !differs)
+                differs = memcmp(dst, want[i] + in_off, (size_t)esz) != 0;
         }
+        if (bad)
+            bad[s] = differs;
     }
     free(base);
     return 0;

@@ -17,8 +17,11 @@ Two kernels share one shared object compiled from ``_ucs.c``:
   fusing what the numpy path does in one dispatched pass per equation
   source.  The batch may be handed over as per-column views (one per
   logical disk of a disk image, say), and given stripe ids it reads the
-  batch straight out of a whole store; either way nothing is staged.
-  Exposed here through :func:`xor_batch`.
+  batch straight out of a whole store; given output rows it writes each
+  rebuilt row straight into its place in a larger result, and given
+  per-slot comparison ids it verifies each rebuilt row against the
+  stored one in the same pass.  Nothing is staged.  Exposed here through
+  :func:`xor_batch`.
 
 This module compiles ``_ucs.c`` with the system C compiler the first time
 it is needed, caches the shared object under ``$XDG_CACHE_HOME/repro-ckernel``
@@ -143,6 +146,9 @@ def _open() -> Optional[ctypes.CDLL]:
             ctypes.c_int64,                    # n_slots
             ctypes.c_void_p,                   # int64 src_off (n_slots + 1)
             ctypes.c_void_p,                   # int32 src_ids
+            ctypes.c_void_p,                   # int64 output rows (n,) or NULL
+            ctypes.c_void_p,                   # int32 check eids (n_slots,) or NULL
+            ctypes.c_void_p,                   # bool mismatch flags (n,) or NULL
         ]
         return lib
     except Exception as exc:
@@ -232,19 +238,26 @@ def xor_available() -> bool:
     return lib is not None and hasattr(lib, "xor_batch")
 
 
-def check_stripe_ids(stripe_ids, n_stripes: int) -> None:
+def check_stripe_ids(stripe_ids, n_stripes: int, what: str = "stripe id") -> None:
     """Raise :class:`IndexError` unless every id lies in ``[0, n_stripes)``.
 
-    Checked before any gather, on the kernel and the numpy path alike:
-    numpy's negative indexing would otherwise silently read the store's
-    last stripes, and the kernel would read outside the store.
+    Checked before any gather or scatter, on the kernel and the numpy path
+    alike: numpy's negative indexing would otherwise silently touch the
+    buffer's last rows, and the kernel would address memory outside it.
+    ``what`` names the ids in the message (``"output row"`` for
+    ``out_rows``).
     """
     if stripe_ids.size == 0:
         return
     lo, hi = int(stripe_ids.min()), int(stripe_ids.max())
     if lo < 0 or hi >= n_stripes:
         bad = lo if lo < 0 else hi
-        raise IndexError(f"stripe id {bad} out of range [0, {n_stripes})")
+        raise IndexError(f"{what} {bad} out of range [0, {n_stripes})")
+
+
+def _int64_ids(ids) -> bool:
+    """C-contiguous int64: addressable by the kernel as is."""
+    return ids.dtype.str[1:] == "i8" and ids.flags.c_contiguous
 
 
 def _rows_packed(arr, esz: int) -> bool:
@@ -271,14 +284,19 @@ def marshal_columns(cols) -> Optional[ctypes.Array]:
     return (ctypes.c_void_p * len(cols))(*[col.ctypes.data for col in cols])
 
 
-def xor_columns(bases, shape, stride, out, src_off, src_ids, stripe_ids=None) -> bool:
+def xor_columns(
+    bases, shape, stride, out, src_off, src_ids, stripe_ids=None,
+    out_rows=None, check_eids=None, bad_rows=None,
+) -> bool:
     """Run the kernel over marshalled columns; ``False`` means "use numpy".
 
     ``bases`` comes from :func:`marshal_columns` for columns of ``shape``
     ``(n_stripes, k_rows, esz)`` and stripe stride ``stride``; ``src_off``
     and ``src_ids`` are the addresses of the C-contiguous int64 / int32
-    plan arrays.  Checks only what varies per call — ``out`` and the
-    stripe ids — with the refusals and errors of :func:`xor_batch`.
+    plan arrays, and ``check_eids`` (needed with ``bad_rows``) that of the
+    int32 per-slot comparison ids.  Checks only what varies per call —
+    ``out``, the stripe ids, the output rows and the flags — with the
+    refusals and errors of :func:`xor_batch`.
     """
     lib = load()
     if lib is None:
@@ -286,28 +304,51 @@ def xor_columns(bases, shape, stride, out, src_off, src_ids, stripe_ids=None) ->
     n_stripes, k_rows, esz = shape
     if not (_rows_packed(out, esz) and out.flags.writeable):
         return False
-    sid = None
+    sid = oid = bad = None
     if stripe_ids is not None:
-        if stripe_ids.dtype.str[1:] != "i8" or not stripe_ids.flags.c_contiguous:
+        if not _int64_ids(stripe_ids):
             return False
-        if stripe_ids.shape != (out.shape[0],):
-            raise ValueError(
-                f"stripe_ids shape {stripe_ids.shape} != ({out.shape[0]},)"
-            )
+        rows = out.shape[0] if out_rows is None else len(stripe_ids)
+        if stripe_ids.shape != (rows,):
+            raise ValueError(f"stripe_ids shape {stripe_ids.shape} != ({rows},)")
         check_stripe_ids(stripe_ids, n_stripes)
-        n_stripes = out.shape[0]
+        n_stripes = rows
         sid = stripe_ids.ctypes.data
+    if out_rows is not None:
+        if not _int64_ids(out_rows):
+            return False
+        if out_rows.shape != (n_stripes,):
+            raise ValueError(f"out_rows shape {out_rows.shape} != ({n_stripes},)")
+        check_stripe_ids(out_rows, out.shape[0], "output row")
+        oid = out_rows.ctypes.data
+    if bad_rows is not None:
+        if check_eids is None:
+            raise ValueError("bad_rows needs check_eids")
+        if bad_rows.shape != (n_stripes,):
+            raise ValueError(f"bad_rows shape {bad_rows.shape} != ({n_stripes},)")
+        if not (bad_rows.dtype == bool and bad_rows.flags.c_contiguous
+                and bad_rows.flags.writeable):
+            return False
+        bad = bad_rows.ctypes.data
     n_slots = out.shape[1]
     if n_stripes == 0 or n_slots == 0 or esz == 0:
-        return True  # nothing to XOR; the zero-fill contract is vacuous
+        # nothing to XOR and nothing to differ; the zero-fill contract is
+        # vacuous
+        if bad_rows is not None:
+            bad_rows[...] = False
+        return True
     rc = lib.xor_batch(
         bases, k_rows, stride, sid, n_stripes, esz,
         out.ctypes.data, out.strides[0], n_slots, src_off, src_ids,
+        oid, check_eids if bad is not None else None, bad,
     )
     return rc == 0
 
 
-def xor_batch(stripes, out, src_off, src_ids, stripe_ids=None) -> bool:
+def xor_batch(
+    stripes, out, src_off, src_ids, stripe_ids=None,
+    out_rows=None, check_eids=None, bad_rows=None,
+) -> bool:
     """Run the batched-XOR kernel; ``False`` means "use the numpy path".
 
     Parameters mirror
@@ -320,8 +361,15 @@ def xor_batch(stripes, out, src_off, src_ids, stripe_ids=None) -> bool:
     ``n_slots + 1``) and ``src_ids`` (int32) are the flattened source
     plan (ids ``>= 0`` name stripe elements, ``< 0`` name earlier output
     slots as ``-(slot + 1)``).  With ``stripe_ids`` (int64, one per
-    output row) the input holds a whole store and output row ``j`` is
-    rebuilt from stripe ``stripe_ids[j]``, read in place.
+    batch row) the input holds a whole store and batch row ``j`` is
+    rebuilt from stripe ``stripe_ids[j]``, read in place.  With
+    ``out_rows`` (int64, one per batch row) batch row ``j`` lands in
+    row ``out_rows[j]`` of ``out``, which may then have any number of
+    rows; the others keep their bytes.  With ``bad_rows`` (bool, one per
+    batch row) and ``check_eids`` (int32, one element id per slot) each
+    rebuilt slot ``i`` is compared with element ``check_eids[i]`` of its
+    input stripe in the same pass, and ``bad_rows[j]`` says whether any
+    slot of row ``j`` differs.
 
     Nothing is copied: columns may sit anywhere in memory and stripes and
     output rows may be any number of bytes apart, as long as every column
@@ -329,12 +377,15 @@ def xor_batch(stripes, out, src_off, src_ids, stripe_ids=None) -> bool:
     packed.  The caller owns shape agreement between the plan and the
     buffers; this wrapper refuses what the kernel cannot address — no
     kernel, non-uint8 buffers, unpacked rows, columns with different
-    shapes or stripe strides, a read-only ``out``, stripe ids that are
-    not C-contiguous int64 — by returning ``False`` so the numpy fold
-    (which handles any layout) runs instead.  A stripe id outside the
-    store raises :class:`IndexError` before the kernel runs, and a
-    ``stripe_ids`` whose length is not ``out``'s row count raises
-    :class:`ValueError`.  Output bytes are identical either way.
+    shapes or stripe strides, a read-only ``out``, stripe ids or output
+    rows that are not C-contiguous int64, flags that are not a
+    C-contiguous writable bool array — by returning ``False`` so the
+    numpy fold (which handles any layout) runs instead.  A stripe id
+    outside the store or an output row outside ``out`` raises
+    :class:`IndexError` before the kernel runs, and a ``stripe_ids``,
+    ``out_rows`` or ``bad_rows`` of the wrong length raises
+    :class:`ValueError`.  Output bytes and flags are identical either
+    way.
 
     This marshals everything on every call; a caller that runs many
     calls over the same columns and plan marshals them once
@@ -346,9 +397,12 @@ def xor_batch(stripes, out, src_off, src_ids, stripe_ids=None) -> bool:
     bases = marshal_columns(cols)
     if bases is None:
         return False
-    if not (src_off.flags.c_contiguous and src_ids.flags.c_contiguous):
+    plan = (src_off, src_ids) + ((check_eids,) if check_eids is not None else ())
+    if not all(a.flags.c_contiguous for a in plan):
         return False
     return xor_columns(
         bases, cols[0].shape, cols[0].strides[0], out,
         src_off.ctypes.data, src_ids.ctypes.data, stripe_ids,
+        out_rows, None if check_eids is None else check_eids.ctypes.data,
+        bad_rows,
     )

@@ -22,6 +22,12 @@ The prepared form (a :class:`~repro.codec.batch.ColumnSet`, marshalled
 once and reused by a serving shard for every degraded read) must equal
 the plain list of views and the numpy fold, call after call.
 
+So is the fused form the pool rebuild uses (``out_rows=`` and
+``bad_rows=``): each rebuilt row is written to its named row of a larger
+result, the other rows keep their bytes, and each row's mismatch flag
+equals an independent numpy comparison with the stored elements — on
+both legs, with out-of-range rows refused before anything is written.
+
 A plan that cannot run in list order is refused when compiled, on both
 legs, with the same :class:`ValueError` the per-element executor raises.
 """
@@ -254,6 +260,118 @@ class TestGatheredKernel:
         with leg_context(leg), pytest.raises(IndexError, match="integer"):
             recon.recover_batch_into(store, out, stripe_ids=np.asarray([1.0]))
 
+
+
+@st.composite
+def scatter_case(draw):
+    """A gather case plus a scatter target, flags and corrupted bytes.
+
+    ``out_rows`` names distinct rows of an output ``spare`` rows larger
+    than the batch, in shuffled order; ``flips`` are store positions
+    ``(stripe, element, byte)`` whose bits are inverted before the run,
+    so rebuilt rows and stored rows disagree on some stripes.
+    """
+    code, disk, element_size, n_store, ids, seed = draw(gather_case())
+    spare = draw(st.integers(0, 4))
+    n_out = len(ids) + spare
+    out_rows = draw(st.permutations(range(n_out)))[: len(ids)]
+    flips = draw(st.lists(
+        st.tuples(
+            st.integers(0, n_store - 1),
+            st.integers(0, code.layout.n_elements - 1),
+            st.integers(0, element_size - 1),
+        ),
+        max_size=4,
+    ))
+    return (code, disk, element_size, n_store, ids, seed, n_out,
+            np.asarray(out_rows, dtype=np.int64), flips)
+
+
+class TestScatteredVerifiedKernel:
+    """``out_rows`` + ``bad_rows``: each rebuilt row lands in its place in
+    a larger result and is compared with the stored element in the same
+    pass, on both legs, against an independent numpy oracle."""
+
+    @pytest.mark.parametrize("leg", LEGS)
+    @settings(max_examples=60, deadline=None)
+    @given(case=scatter_case())
+    def test_scatter_and_flags_match_an_independent_oracle(self, leg, case):
+        (code, disk, element_size, n_store, ids, seed, n_out, out_rows,
+         flips) = case
+        scheme = scheme_for_disk(code, disk, algorithm="u", depth=1)
+        store = encode_batch(code, element_size, n_store, seed)
+        for s, e, b in flips:
+            store[s, e, b] ^= 0xFF
+        recon = BatchReconstructor(scheme)
+        n_failed = len(scheme.failed_eids)
+        sentinel = np.random.default_rng(seed).integers(
+            0, 256, size=(n_out, n_failed, element_size), dtype=np.uint8
+        )
+        out = sentinel.copy()
+        flags = np.ones(len(ids), dtype=bool)
+        with leg_context(leg):
+            got = recon.recover_batch_into(
+                store, out, stripe_ids=ids, out_rows=out_rows, bad_rows=flags
+            )
+        assert got is out
+        dense = np.empty((len(ids), n_failed, element_size), np.uint8)
+        recon._recover_into_numpy(np.ascontiguousarray(store[ids]), dense)
+        assert np.array_equal(out[out_rows], dense)
+        untouched = np.setdiff1d(np.arange(n_out), out_rows)
+        assert np.array_equal(out[untouched], sentinel[untouched])
+        stored = store[ids][:, scheme.failed_eids]
+        expected = (dense != stored).any(axis=(1, 2))
+        assert np.array_equal(flags, expected)
+
+    @pytest.mark.parametrize("leg", LEGS)
+    @pytest.mark.parametrize("bad", [-1, 3, 2**40])
+    def test_out_of_range_row_raises_before_anything_is_written(self, leg, bad):
+        recon, store, _ = rdp_store()
+        out = np.arange(3 * len(recon.scheme.failed_eids) * 16, dtype=np.uint8)
+        out = out.reshape(3, -1, 16)
+        before = out.copy()
+        flags = np.ones(2, dtype=bool)
+        with leg_context(leg), pytest.raises(IndexError, match=f"output row {bad} "):
+            recon.recover_batch_into(
+                store, out, stripe_ids=np.asarray([0, 1]),
+                out_rows=np.asarray([2, bad]), bad_rows=flags,
+            )
+        assert np.array_equal(out, before)
+        assert flags.all()
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_wrong_length_rows_or_flags_raise(self, leg):
+        recon, store, _ = rdp_store()
+        out = np.zeros((4, len(recon.scheme.failed_eids), 16), dtype=np.uint8)
+        ids = np.asarray([0, 1, 2])
+        with leg_context(leg):
+            with pytest.raises(ValueError, match="out_rows shape"):
+                recon.recover_batch_into(store, out, stripe_ids=ids,
+                                         out_rows=np.asarray([0, 1]))
+            with pytest.raises(ValueError, match="bad_rows"):
+                recon.recover_batch_into(store, out[:3], stripe_ids=ids,
+                                         bad_rows=np.zeros(2, dtype=bool))
+            with pytest.raises(ValueError, match="bad_rows"):
+                recon.recover_batch_into(store, out, stripe_ids=ids,
+                                         out_rows=np.asarray([3, 0, 1]),
+                                         bad_rows=np.zeros(4, dtype=bool))
+        assert not out.any()
+
+    @kernel
+    def test_direct_wrapper_scatters_and_flags(self):
+        recon, store, scheme = rdp_store()
+        store[2, scheme.failed_eids[0], 5] ^= 1  # a dead byte: flagged
+        ids = np.asarray([4, 2, 0], dtype=np.int64)
+        rows = np.asarray([1, 3, 0], dtype=np.int64)
+        out = np.zeros((4, len(scheme.failed_eids), 16), dtype=np.uint8)
+        flags = np.zeros(3, dtype=bool)
+        assert ckernel.xor_batch(store, out, recon._src_off, recon._src_ids,
+                                 ids, rows, recon._check_eids, flags)
+        dense = np.empty((3,) + out.shape[1:], np.uint8)
+        recon._recover_into_numpy(store[ids], dense)
+        assert np.array_equal(out[rows], dense)
+        assert not out[2].any()
+        assert flags.tolist() == [False, True, False]
 
 
 class TestGatheredWrapper:

@@ -129,7 +129,7 @@ class PoisonedKernel:
         self.running = 0
         self.started = 0
 
-        def patched(recon, stripes, out, stripe_ids=None):
+        def patched(recon, stripes, out, stripe_ids=None, **kwargs):
             with self.lock:
                 self.running += 1
                 self.started += 1
@@ -137,7 +137,7 @@ class PoisonedKernel:
                 time.sleep(delay_s)
                 if self.armed and case.chunk_of(stripes, out, stripe_ids) == target:
                     raise ValueError("poisoned kernel")
-                return real(recon, stripes, out, stripe_ids)
+                return real(recon, stripes, out, stripe_ids, **kwargs)
             finally:
                 with self.lock:
                     self.running -= 1

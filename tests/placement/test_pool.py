@@ -18,6 +18,7 @@ from tests.doctored import (
     scheme_misstating_loads,
     scheme_reading_dead_row,
 )
+from tests.legs import LEGS, leg_context
 
 
 def build_store(name="declustered", code=None, n_pool=40, n_stripes=300,
@@ -190,6 +191,76 @@ class TestStaticDeadRowGuard:
         assert n_plans == len(list(engine.stripe_groups(3)))
         engine.rebuild(3)
         assert len(engine._plans) == n_plans
+
+
+class TestPoolMismatchOracle:
+    """The in-pass verification counts exactly the stripes whose stored
+    dead rows disagree with what their survivors rebuild, as an
+    independent oracle (the per-stripe scalar executor) counts them, on
+    both legs, inline and threaded."""
+
+    DEAD = 3
+
+    @staticmethod
+    def _bits(mask):
+        return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+    def _target(self, engine, kind):
+        """``(stripe, element)`` to corrupt for ``kind``."""
+        store = engine.store
+        k = store.k_rows
+        for role, ids, scheme in engine.stripe_groups(self.DEAD):
+            dead = range(role * k, (role + 1) * k)
+            read = self._bits(scheme.read_mask)
+            unread = [e for e in range(store.code.layout.n_elements)
+                      if e not in read and e not in dead]
+            pick = {"dead": list(dead), "read": read, "unread": unread}[kind]
+            if len(ids) and pick:
+                return int(ids[len(ids) // 2]), pick[-1]
+        raise AssertionError(f"no {kind} element in any group")
+
+    @staticmethod
+    def _oracle(engine, dead_disk):
+        """Stripes whose stored dead rows differ from the scalar rebuild."""
+        store = engine.store
+        k = store.k_rows
+        bad = 0
+        for role, ids, scheme in engine.stripe_groups(dead_disk):
+            for s in ids:
+                rec = execute_scheme(scheme, store.stripes[s])
+                bad += any(
+                    not np.array_equal(rec[role * k + r],
+                                       store.stripes[s, role * k + r])
+                    for r in range(k)
+                )
+        return bad
+
+    @pytest.mark.parametrize("leg", LEGS)
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize(
+        "kind, expected", [("dead", 1), ("read", 1), ("unread", 0)]
+    )
+    def test_one_flipped_byte(self, leg, workers, kind, expected):
+        store = build_store("declustered", n_pool=20, n_stripes=160,
+                            element_size=16)
+        pristine = store.stripes.copy()
+        engine = PoolRebuild(store, chunk_stripes=8, workers=workers)
+        stripe, element = self._target(engine, kind)
+        store.stripes[stripe, element, 7] ^= 0x5A
+        with leg_context(leg):
+            res = engine.rebuild(self.DEAD)
+        assert self._oracle(engine, self.DEAD) == expected
+        assert res.mismatches == expected
+        assert res.stats["chunks"] >= 2
+        if kind != "read":
+            # the rebuild read only intact survivors: every row is the
+            # dead disk's original content
+            k = store.k_rows
+            stripes, roles = store.placement.roles_of_disk(self.DEAD)
+            order = np.argsort(stripes)
+            eids = roles[order, None] * k + np.arange(k)
+            assert np.array_equal(res.rows,
+                                  pristine[stripes[order, None], eids])
 
 
 #: 3 racks x 2 machines x 2 disks: 12 leaves
