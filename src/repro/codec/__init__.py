@@ -7,7 +7,7 @@ sequence of XOR reductions — the CPU cost the paper measures as negligible
 next to disk reads.
 """
 
-from repro.codec.batch import BatchReconstructor, ColumnSet
+from repro.codec.batch import BatchReconstructor, ColumnSet, CompiledPlanCache
 from repro.codec.encoder import StripeCodec
 from repro.codec.image import ArrayImageCodec
 from repro.codec.reconstructor import execute_scheme
@@ -22,6 +22,7 @@ __all__ = [
     "ArrayImageCodec",
     "BatchReconstructor",
     "ColumnSet",
+    "CompiledPlanCache",
     "StripeCodec",
     "element_checksum",
     "execute_scheme",

@@ -25,10 +25,13 @@ or without a C compiler (``REPRO_PURE_PYTHON=1`` forces the numpy path).
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import obs
 from repro.recovery import ckernel
 from repro.recovery.scheme import RecoveryScheme
 
@@ -338,3 +341,44 @@ class PlanMemo:
             check_plan(recon, role)
             plan = self._plans[key] = self._finish(recon)
         return plan
+
+
+class CompiledPlanCache:
+    """Memoised :class:`BatchReconstructor` per plan.
+
+    Building a reconstructor compiles the scheme's equations into
+    flattened index arrays for the batched-XOR kernel — cheap, but not
+    free, and the serving hot path and the fault ladder ask for the same
+    few plans over and over.  Keyed by ``(layout, failed_mask,
+    equations)`` — the full XOR semantics of a plan, over a stripe of the
+    layout's width, so one cache may serve several codes — bounded LRU,
+    thread-safe.  Traffic is published as ``codec.compiled_plan_hit`` /
+    ``codec.compiled_plan_miss`` obs counters.
+    """
+
+    def __init__(self, max_entries: int = 256) -> None:
+        if max_entries < 1:
+            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+        self.max_entries = max_entries
+        self._cache: "OrderedDict[Tuple, BatchReconstructor]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def reconstructor(self, plan: RecoveryScheme) -> BatchReconstructor:
+        key = (plan.layout, plan.failed_mask, tuple(plan.equations))
+        with self._lock:
+            recon = self._cache.get(key)
+            if recon is not None:
+                self._cache.move_to_end(key)
+                obs.count("codec.compiled_plan_hit")
+                return recon
+        recon = BatchReconstructor(plan)
+        with self._lock:
+            self._cache[key] = recon
+            self._cache.move_to_end(key)
+            while len(self._cache) > self.max_entries:
+                self._cache.popitem(last=False)
+        obs.count("codec.compiled_plan_miss")
+        return recon
+
+    def __len__(self) -> int:
+        return len(self._cache)

@@ -28,7 +28,7 @@ from repro.disksim.placement import (
     RotatedPlacement,
     recovery_under_placement,
 )
-from repro.disksim.rebuild import RebuildResult, simulate_rebuild
+from repro.disksim.rebuild import RebuildTiming, simulate_rebuild
 from repro.disksim.recovery_sim import RecoveryResult, simulate_stack_recovery
 from repro.disksim.reliability import (
     ReliabilityResult,
@@ -54,7 +54,7 @@ __all__ = [
     "OnlineRecoveryResult",
     "PoissonWorkload",
     "SequentialScanWorkload",
-    "RebuildResult",
+    "RebuildTiming",
     "RecoveryResult",
     "ReliabilityResult",
     "Request",

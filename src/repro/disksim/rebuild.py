@@ -25,7 +25,7 @@ from repro.recovery.scheme import RecoveryScheme
 
 
 @dataclass(frozen=True)
-class RebuildResult:
+class RebuildTiming:
     """Timing decomposition of a pipelined rebuild."""
 
     read_limited_s: float    # sum of per-stripe read times (paper's metric)
@@ -47,7 +47,7 @@ def simulate_rebuild(
     stacks: int = 20,
     params: "DiskParams | Sequence[DiskParams]" = SAVVIO_10K3,
     spare: DiskParams = SAVVIO_10K3,
-) -> RebuildResult:
+) -> RebuildTiming:
     """Pipelined rebuild of one failed disk onto a hot spare.
 
     Per stripe the reads (parallel, max over disks) and the spare's ``k``
@@ -75,7 +75,7 @@ def simulate_rebuild(
     write_total *= stacks
     makespan = pipeline * stacks + last_write  # final drain
 
-    return RebuildResult(
+    return RebuildTiming(
         read_limited_s=read_total,
         write_limited_s=write_total,
         makespan_s=makespan,

@@ -101,6 +101,13 @@ class FaultyStripeStore:
         returns silently corrupted bytes for a corruption fault — the
         caller must compare against :meth:`checksum` to notice.
         """
+        return self.read_into(stripe, eid, np.empty_like(self.stripes[stripe][eid]))
+
+    def read_into(self, stripe: int, eid: int, out: np.ndarray) -> np.ndarray:
+        """:meth:`read`, landing the bytes in ``out`` (one element's worth
+        of uint8, such as a row of the reader's stripe buffer) instead of
+        a fresh array; returns ``out``, which a raising read leaves as it
+        was."""
         disk = self.layout.disk_of(eid)
         row = self.layout.row_of(eid)
         self.reads_per_disk[disk] = self.reads_per_disk.get(disk, 0) + 1
@@ -109,7 +116,7 @@ class FaultyStripeStore:
             raise DiskDeadError(stripe, disk, row)
         if self.plan.lse_at(stripe, disk, row):
             raise ReadError(stripe, disk, row, "unrecoverable medium error")
-        data = self.stripes[stripe][eid].copy()
+        out[...] = self.stripes[stripe][eid]
         if self.plan.corrupt_at(stripe, disk, row):
-            np.bitwise_xor(data, CORRUPTION_XOR, out=data)
-        return data
+            np.bitwise_xor(out, CORRUPTION_XOR, out=out)
+        return out

@@ -13,6 +13,10 @@ free elements; this module plans the continuation properly:
 * the resulting scheme's sentinel slots are skipped at execution time and
   their payloads taken from the caller's in-memory copies, which the
   remaining slots then read like surviving elements.
+
+:func:`execute_in_place` is the fault ladder's only byte path: the
+:class:`~repro.recovery.resilient.ResilientExecutor` runs every stripe,
+escalated or not, through it as one compiled batch-of-1 kernel pass.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from repro.codec.batch import BatchReconstructor
+from repro.codec.batch import ColumnSet, CompiledPlanCache
 from repro.codes.base import ErasureCode
 from repro.equations.enumerate import (
     EquationOption,
@@ -35,6 +39,9 @@ from repro.recovery.search import (
     khan_cost,
     unconditional_cost,
 )
+
+#: the fault ladder's compiled plans, shared by every executor
+_COMPILED = CompiledPlanCache()
 
 
 def escalated_scheme(
@@ -100,11 +107,24 @@ def execute_escalated(
     stripe: np.ndarray,
     in_memory: Dict[int, np.ndarray],
 ) -> Dict[int, np.ndarray]:
-    """Execute an escalated plan against one stripe.
+    """:func:`execute_in_place` on a copy of ``stripe``."""
+    return execute_in_place(scheme, ColumnSet(stripe.copy()[None]), in_memory)
 
-    ``in_memory`` maps already-recovered eids to their payloads; sentinel
-    slots are served from it, and the compiled executor reads those
-    payloads as ordinary sources of the remaining slots (a batch of 1).
+
+def execute_in_place(
+    scheme: RecoveryScheme,
+    stripe: ColumnSet,
+    in_memory: Dict[int, np.ndarray],
+) -> Dict[int, np.ndarray]:
+    """Execute a plan, sentinel slots included, on a stripe buffer.
+
+    ``stripe`` is a caller-owned ``(n_elements, element_size)`` buffer
+    holding every surviving element the plan reads, as a batch-of-1
+    :class:`~repro.codec.batch.ColumnSet`.  ``in_memory`` maps
+    already-recovered eids to their payloads; each sentinel slot's
+    payload is written into its row, and the compiled plan (memoised
+    per module) reads it like a survivor.  Returns the rebuilt elements
+    by eid, sentinel payloads included.
 
     Slots run in *dependency* order, not list order: an equation may
     reference a failed element whose slot appears later in
@@ -112,6 +132,7 @@ def execute_escalated(
     equation).  A genuinely unsatisfiable plan — circular or missing
     dependencies — raises :class:`ValueError` naming the stuck elements.
     """
+    buf = stripe.cols[0][0]
     failed_mask = scheme.failed_mask
     out: Dict[int, np.ndarray] = {}
     sentinels = 0
@@ -120,7 +141,7 @@ def execute_escalated(
         if eq == 1 << f:  # sentinel: already recovered
             if f not in in_memory:
                 raise KeyError(f"element {f} marked in-memory but not supplied")
-            out[f] = in_memory[f]
+            out[f] = buf[f] = in_memory[f]
             sentinels |= 1 << f
         else:
             pending.append((f, eq))
@@ -145,19 +166,18 @@ def execute_escalated(
             )
         pending = waiting
 
-    # the sentinels leave the failed mask and their payloads sit in the
-    # stripe buffer, so the compiled plan reads them like survivors
-    runnable = replace(
-        scheme,
-        failed_mask=failed_mask & ~sentinels,
-        failed_eids=[f for f, _ in order],
-        equations=[eq for _, eq in order],
-    )
-    buf = stripe.copy()
-    for f, payload in out.items():
-        buf[f] = payload
-    rows = np.empty((1, len(order), stripe.shape[1]), dtype=np.uint8)
-    BatchReconstructor(runnable).recover_batch_into(buf[None], rows)
-    for slot, (f, _) in enumerate(order):
-        out[f] = rows[0, slot]
+    eids = [f for f, _ in order]
+    runnable = scheme
+    if eids != scheme.failed_eids:
+        # the sentinels leave the failed mask and their payloads sit in
+        # the buffer, so the compiled plan reads them like survivors
+        runnable = replace(
+            scheme,
+            failed_mask=failed_mask & ~sentinels,
+            failed_eids=eids,
+            equations=[eq for _, eq in order],
+        )
+    rows = np.empty((1, len(eids), buf.shape[1]), dtype=np.uint8)
+    _COMPILED.reconstructor(runnable).recover_batch_into(stripe, rows)
+    out.update(zip(eids, rows[0]))
     return out

@@ -1,9 +1,8 @@
 """Fault-tolerant scheme execution: retry, substitute, escalate.
 
-The plain :mod:`~repro.codec.reconstructor` assumes every surviving read
-succeeds.  :class:`ResilientExecutor` executes a recovery scheme
-stripe-by-stripe against a :class:`~repro.faults.store.FaultyStripeStore`
-and climbs a three-rung ladder when reads go wrong:
+:class:`ResilientExecutor` recovers a scheme stripe by stripe against a
+:class:`~repro.faults.store.FaultyStripeStore` whose reads may go wrong,
+and climbs a three-rung ladder when they do:
 
 1. **retry** — a failed or checksum-mismatching element read is retried up
    to ``max_retries`` times (transient errors, none in the injected model,
@@ -13,18 +12,22 @@ and climbs a three-rung ladder when reads go wrong:
    alternative recovery equation from
    :func:`~repro.equations.enumerate.get_recovery_equations` whose read set
    avoids every known-bad element (and whose failed members are already
-   rebuilt) — the other slots keep their planned equations;
+   decided) — the other slots keep their planned equations;
 3. **escalate** — a whole surviving disk dying mid-rebuild voids the plan;
    the executor re-plans via
    :func:`~repro.recovery.escalation.escalated_scheme`, crediting the rows
    of the primary disk already rebuilt in the current stripe, and continues
    with a full double-failure scheme for the remaining stripes.
 
-Silent corruption is caught by comparing each read against the store's
-per-element CRC32 (:func:`repro.codec.verify.element_checksum`) — the read
-path *always* verifies, which is what makes rung 2 reachable for
-corruptions at all.  Every action is recorded in a
-:class:`~repro.faults.report.FaultReport`.
+Each stripe runs in two steps.  **Decide**: walk the slots in order and
+read every surviving member of each slot's equation, ascending eid, into
+one stripe buffer, each read checked against the store's per-element
+CRC32 (:func:`repro.codec.verify.element_checksum`, which is what makes
+rung 2 reachable for silent corruption).  The walk chooses the equations
+and keeps the :class:`~repro.faults.report.FaultReport`; it XORs nothing.
+**Compute**: :func:`~repro.recovery.escalation.execute_in_place` runs the
+chosen equations, sentinel slots of an escalated plan included, as one
+compiled batch-of-1 kernel pass over that buffer.
 
 With no faults injected the executor performs exactly the planned reads in
 the planned order and its output is byte-identical to
@@ -33,18 +36,19 @@ the planned order and its output is byte-identical to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
+from repro.codec.batch import ColumnSet
 from repro.codec.verify import element_checksum
 from repro.codes.base import ErasureCode
 from repro.equations.enumerate import get_recovery_equations
 from repro.faults.report import FaultReport
 from repro.faults.store import DiskDeadError, FaultyStripeStore, ReadError
-from repro.recovery.escalation import escalated_scheme
+from repro.recovery.escalation import escalated_scheme, execute_in_place
 from repro.recovery.multifailure import UnrecoverableError
 from repro.recovery.scheme import RecoveryScheme
 
@@ -114,18 +118,19 @@ class ResilientExecutor:
         self.max_expansions = max_expansions
         self.report = FaultReport()
 
-        lay = code.layout
         # escalation needs to know which single disk the plan rebuilds
-        disks = {lay.disk_of(f) for f in scheme.failed_eids}
-        self.primary_disk: Optional[int] = None
-        if len(disks) == 1:
-            d = disks.pop()
-            if scheme.failed_mask == lay.disk_mask(d):
-                self.primary_disk = d
+        lay = code.layout
+        d = lay.disk_of(scheme.failed_eids[0]) if scheme.failed_eids else 0
+        self.primary_disk: Optional[int] = (
+            d if scheme.failed_mask == lay.disk_mask(d) else None
+        )
         self.secondary_disk: Optional[int] = None
         self._continuation: Optional[RecoveryScheme] = None
         self._stripe_read_mask = 0
-        self._read_cache: Dict[int, np.ndarray] = {}
+        #: the current stripe's verified reads, and which rows hold one
+        self._buf = np.empty((0, 0), dtype=np.uint8)
+        self._cached = 0
+        self._stripe: Optional[ColumnSet] = None  # the kernel's view of _buf
         self._bad_eids: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
@@ -152,9 +157,7 @@ class ResilientExecutor:
     def _active_scheme(self) -> RecoveryScheme:
         """The plan in effect: the original one, or the double-failure
         continuation after an escalation."""
-        if self.secondary_disk is None:
-            return self.scheme
-        if self._continuation is None:
+        if self.secondary_disk is not None and self._continuation is None:
             self._continuation = escalated_scheme(
                 self.code,
                 self.primary_disk,
@@ -164,31 +167,39 @@ class ResilientExecutor:
                 depth=self.depth,
                 max_expansions=self.max_expansions,
             )
-        return self._continuation
+        return self._continuation or self.scheme
 
     def _recover_stripe(self, s: int) -> Dict[int, np.ndarray]:
         scheme = self._active_scheme()
+        shape = self.store.stripes[s].shape
+        if self._buf.shape != shape:
+            self._buf = np.empty(shape, dtype=np.uint8)
+            self._stripe = ColumnSet(self._buf[None])
         self._stripe_read_mask = 0
         # each surviving element is read from the media once per stripe and
-        # reused from memory — the paper's read-cost model, and what makes
-        # elements_read comparable to scheme.total_reads; proven-bad
+        # reused from the buffer — the paper's read-cost model, and what
+        # makes elements_read comparable to scheme.total_reads; proven-bad
         # elements are remembered so no later equation retries them
-        self._read_cache: Dict[int, np.ndarray] = {}
-        self._bad_eids: Dict[int, str] = {}
-        out: Dict[int, np.ndarray] = {}
+        self._cached = 0
+        self._bad_eids = {}
+        chosen: List[int] = []
+        in_memory: Dict[int, np.ndarray] = {}
         try:
-            self._execute(s, scheme, out, preset={})
-            planned = scheme.total_reads
+            self._choose(s, scheme, chosen)
         except DiskDeadError as exc:
-            out, planned = self._escalate(s, exc.disk, out)
-        self.report.planned_reads += planned
+            scheme, in_memory = self._escalate(s, exc.disk, scheme, chosen)
+            chosen = []
+            self._choose(s, scheme, chosen)
+        self.report.planned_reads += scheme.total_reads
         self.report.per_stripe_read_masks.append(self._stripe_read_mask)
-        return out
+        return execute_in_place(_decided(scheme, chosen), self._stripe, in_memory)
 
     def _escalate(
-        self, s: int, dead_disk: int, partial: Dict[int, np.ndarray]
+        self, s: int, dead_disk: int, scheme: RecoveryScheme, chosen: List[int]
     ):
-        """A surviving disk died mid-stripe: re-plan and re-execute."""
+        """A surviving disk died mid-stripe: rebuild the slots decided so
+        far and re-plan around them.  Returns the escalated plan and the
+        rebuilt elements that feed its sentinel slots."""
         if self.secondary_disk is not None:
             raise UnrecoverableError(
                 f"disk {dead_disk} died after disk {self.secondary_disk} "
@@ -201,12 +212,8 @@ class ResilientExecutor:
                 f"failure mask {self.scheme.failed_mask:#x}: escalation "
                 "needs a single-disk primary plan"
             )
-        lay = self.code.layout
-        recovered_rows = sorted(
-            lay.row_of(f)
-            for f in partial
-            if lay.disk_of(f) == self.primary_disk
-        )
+        partial = execute_in_place(_decided(scheme, chosen), self._stripe, {})
+        recovered_rows = sorted(self.code.layout.row_of(f) for f in partial)
         esc = escalated_scheme(
             self.code,
             self.primary_disk,
@@ -219,117 +226,80 @@ class ResilientExecutor:
         self.secondary_disk = dead_disk
         obs.count("executor.escalations")
         self.report.escalations.append(
-            {
-                "stripe": s,
-                "secondary_disk": dead_disk,
-                "recovered_rows": recovered_rows,
-            }
+            {"stripe": s, "secondary_disk": dead_disk, "recovered_rows": recovered_rows}
         )
-        # re-execute this stripe under the escalated plan; the partial
-        # rebuild feeds the sentinel slots instead of being re-read
-        out: Dict[int, np.ndarray] = {}
-        self._execute(s, esc, out, preset=partial)
-        return out, esc.total_reads
+        return esc, partial
 
     # ------------------------------------------------------------------
-    def _execute(
-        self,
-        s: int,
-        scheme: RecoveryScheme,
-        out: Dict[int, np.ndarray],
-        preset: Dict[int, np.ndarray],
-    ) -> None:
-        """Run one scheme over stripe ``s``, mutating ``out`` slot by slot
-        (partial progress survives a mid-stripe :class:`DiskDeadError`)."""
+    def _choose(self, s: int, scheme: RecoveryScheme, chosen: List[int]) -> None:
+        """Decide stripe ``s``'s equations: append one per slot to ``chosen``
+        (slots decided before a mid-stripe :class:`DiskDeadError` stay
+        there), reading every surviving member into the stripe buffer.  An
+        unreadable member swaps the slot's equation for a substitute whose
+        members are then read the same way; sentinel slots read nothing."""
         failed_mask = scheme.failed_mask
+        done = 0  # failed elements whose slot is decided
         bad_mask = 0  # surviving elements proven unreadable on this stripe
         for f, eq in zip(scheme.failed_eids, scheme.equations):
-            if eq == 1 << f:  # sentinel: already rebuilt before escalation
-                if f not in preset:
-                    raise KeyError(
-                        f"element {f} marked in-memory but not supplied"
-                    )
-                out[f] = preset[f]
-                continue
-            while True:
-                try:
-                    out[f] = self._xor_equation(s, f, eq, failed_mask, out)
-                    break
-                except ElementUnreadable as bad:
-                    bad_mask |= 1 << bad.eid
-                    eq = self._substitute(
-                        s, f, eq, failed_mask, bad_mask, out, bad.reason
-                    )
+            members = eq & ~(1 << f)
+            while members:
+                low = members & -members
+                eid = low.bit_length() - 1
+                members ^= low
+                if (failed_mask >> eid) & 1:
+                    if not (done >> eid) & 1:
+                        raise UnrecoverableError(
+                            f"equation for element {f} needs failed element "
+                            f"{eid} which is not yet recovered"
+                        )
+                elif not (self._cached >> eid) & 1:
+                    try:
+                        self._read_verified(s, eid)
+                    except ElementUnreadable as bad:
+                        bad_mask |= 1 << eid
+                        eq = self._substitute(
+                            s, f, eq, failed_mask, bad_mask, done, bad.reason
+                        )
+                        members = eq & ~(1 << f)  # walk the substitute
+            chosen.append(eq)
+            done |= 1 << f
 
-    def _xor_equation(
-        self,
-        s: int,
-        f: int,
-        eq: int,
-        failed_mask: int,
-        out: Dict[int, np.ndarray],
-    ) -> np.ndarray:
-        element_size = self.store.stripes[s].shape[1]
-        acc = np.zeros(element_size, dtype=np.uint8)
-        members = eq & ~(1 << f)
-        while members:
-            low = members & -members
-            eid = low.bit_length() - 1
-            members ^= low
-            if (failed_mask >> eid) & 1:
-                if eid not in out:
-                    raise UnrecoverableError(
-                        f"equation for element {f} needs failed element "
-                        f"{eid} which is not yet recovered"
-                    )
-                source = out[eid]
-            else:
-                source = self._read_verified(s, eid)
-            np.bitwise_xor(acc, source, out=acc)
-        return acc
-
-    def _read_verified(self, s: int, eid: int) -> np.ndarray:
-        """Read one surviving element with checksum verification and
-        bounded retries; raises :class:`ElementUnreadable` when it stays
-        bad and lets :class:`DiskDeadError` propagate (escalation)."""
-        cached = self._read_cache.get(eid)
-        if cached is not None:
-            return cached
+    def _read_verified(self, s: int, eid: int) -> None:
+        """Read one surviving element into the stripe buffer, checksum
+        verified, with bounded retries; raises :class:`ElementUnreadable`
+        when it stays bad and lets :class:`DiskDeadError` propagate."""
         if eid in self._bad_eids:
             raise ElementUnreadable(eid, self._bad_eids[eid])
-        disk = self.store.layout.disk_of(eid)
         attempt = 0
         while True:
             try:
-                data = self.store.read(s, eid)
+                data = self.store.read_into(s, eid, self._buf[eid])
             except DiskDeadError:
                 # the disk is gone: the attempt costs a controller timeout,
                 # not spindle time, so it stays out of the read mask
                 raise
             except ReadError:
-                self._stripe_read_mask |= 1 << eid
-                if attempt < self.max_retries:
-                    attempt += 1
-                    self.report.record_retry(disk)
-                    obs.count("executor.retries")
-                    continue
-                self.report.latent_errors += 1
-                obs.count("executor.latent_errors")
-                self._bad_eids[eid] = "latent sector error"
-                raise ElementUnreadable(eid, "latent sector error") from None
+                reason = "latent sector error"
+            else:
+                if element_checksum(data) == self.store.checksum(s, eid):
+                    self._stripe_read_mask |= 1 << eid
+                    self._cached |= 1 << eid
+                    return
+                reason = "checksum mismatch"
             self._stripe_read_mask |= 1 << eid
-            if element_checksum(data) == self.store.checksum(s, eid):
-                self._read_cache[eid] = data
-                return data
             if attempt < self.max_retries:
                 attempt += 1
-                self.report.record_retry(disk)
+                self.report.record_retry(self.store.layout.disk_of(eid))
                 obs.count("executor.retries")
                 continue
-            self.report.corruptions_detected += 1
-            obs.count("executor.corruptions")
-            self._bad_eids[eid] = "checksum mismatch"
-            raise ElementUnreadable(eid, "checksum mismatch")
+            if reason == "checksum mismatch":
+                self.report.corruptions_detected += 1
+                obs.count("executor.corruptions")
+            else:
+                self.report.latent_errors += 1
+                obs.count("executor.latent_errors")
+            self._bad_eids[eid] = reason
+            raise ElementUnreadable(eid, reason)
 
     def _substitute(
         self,
@@ -338,7 +308,7 @@ class ResilientExecutor:
         failed_eq: int,
         failed_mask: int,
         bad_mask: int,
-        out: Dict[int, np.ndarray],
+        done: int,
         reason: str,
     ) -> int:
         """The cheapest alternative equation for slot ``f`` that avoids
@@ -350,11 +320,9 @@ class ResilientExecutor:
         touches a bad element, re-enumerate with the bad elements *promoted
         into the failure mask* — ``ensure_complete`` then guarantees a
         (possibly dense) Gaussian decoding equation whenever the combined
-        failure is still within the code's tolerance.
+        failure is still within the code's tolerance.  ``done`` holds the
+        failed elements whose slot is already decided.
         """
-        available = 0
-        for eid in out:
-            available |= 1 << eid
         for ext_mask in (failed_mask, failed_mask | bad_mask):
             rec = get_recovery_equations(
                 self.code, ext_mask, depth=self.depth, ensure_complete=True
@@ -366,7 +334,7 @@ class ResilientExecutor:
                 if opt.read_mask & bad_mask:
                     continue
                 deps = opt.equation & ext_mask & ~(1 << f)
-                if deps & ~available:
+                if deps & ~done:
                     continue
                 obs.count("executor.substitutions")
                 self.report.substitutions.append(
@@ -383,3 +351,11 @@ class ResilientExecutor:
             f"no recovery equation for element {f} avoids the bad elements "
             f"{bad_mask:#x} on stripe {s} ({reason})"
         )
+
+
+def _decided(scheme: RecoveryScheme, equations: List[int]) -> RecoveryScheme:
+    """``scheme`` cut to the slots decided so far, with their equations."""
+    if equations == scheme.equations:
+        return scheme
+    n = len(equations)
+    return replace(scheme, failed_eids=scheme.failed_eids[:n], equations=equations)

@@ -17,21 +17,26 @@ there in two layers:
 Cache traffic is published as ``serving.plan_hit`` / ``serving.plan_miss``
 obs counters; a benchmark asserting "warm cache, zero search" watches
 these plus the ``search.*`` family.
+
+:class:`~repro.codec.batch.CompiledPlanCache`, the memo of compiled
+plans a shard keeps next to this one, lives with the kernel it feeds and
+is re-exported here.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro import obs
-from repro.codec.batch import BatchReconstructor
+from repro.codec.batch import CompiledPlanCache
 from repro.codes.base import ErasureCode
 from repro.recovery.degraded_read import slice_degraded_plan
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.scheme import RecoveryScheme
+
+__all__ = ["CompiledPlanCache", "DegradedPlanCache"]
 
 
 class DegradedPlanCache:
@@ -119,42 +124,3 @@ class DegradedPlanCache:
 
     def __len__(self) -> int:
         return len(self._plans)
-
-
-class CompiledPlanCache:
-    """Memoised :class:`~repro.codec.batch.BatchReconstructor` per plan.
-
-    Building a reconstructor compiles the scheme's equations into
-    flattened index arrays for the batched-XOR kernel — cheap, but not
-    free, and the serving hot path asks for the same few plans millions
-    of times.  Keyed by ``(failed_mask, equations)`` (the full XOR
-    semantics of a plan), bounded LRU.
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._cache: "OrderedDict[Tuple[int, Tuple[int, ...]], BatchReconstructor]"
-        self._cache = OrderedDict()
-        self._lock = threading.Lock()
-
-    def reconstructor(self, plan: RecoveryScheme) -> BatchReconstructor:
-        key = (plan.failed_mask, tuple(plan.equations))
-        with self._lock:
-            recon = self._cache.get(key)
-            if recon is not None:
-                self._cache.move_to_end(key)
-                obs.count("serving.compiled_plan_hit")
-                return recon
-        recon = BatchReconstructor(plan)
-        with self._lock:
-            self._cache[key] = recon
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.max_entries:
-                self._cache.popitem(last=False)
-        obs.count("serving.compiled_plan_miss")
-        return recon
-
-    def __len__(self) -> int:
-        return len(self._cache)

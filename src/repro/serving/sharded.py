@@ -60,7 +60,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.codec.batch import BatchReconstructor, ColumnSet
+from repro.codec.batch import BatchReconstructor, ColumnSet, CompiledPlanCache
 from repro.codec.image import ArrayImageCodec
 from repro.disksim.workload import Request
 from repro.faults.plan import FaultPlan
@@ -71,7 +71,7 @@ from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.resilient import ResilientExecutor
 from repro.serving.frontend import partition_trace, shard_bounds, trace_arrays
 from repro.serving.iomodel import NullIoModel, SimulatedDisksIoModel
-from repro.serving.plans import CompiledPlanCache, DegradedPlanCache
+from repro.serving.plans import DegradedPlanCache
 from repro.serving.qos import TokenBucket, percentile
 from repro.serving.shm import (
     BOARD_BACKLOG,
@@ -749,6 +749,44 @@ class ShardedReport:
         )
 
 
+def _collect_results(
+    results_q, procs: Sequence, timeout_s: float
+) -> Tuple[Dict[int, Dict[str, object]], List[str]]:
+    """Gather each shard's ``(status, shard_id, payload)`` from ``results_q``.
+
+    Returns the ``"ok"`` payloads by shard and one error per shard that
+    failed, or sent nothing before it died or ``timeout_s`` ran out.  A
+    shard's liveness is read *before* each poll of the queue: a shard
+    flushes its result before it exits, so one seen dead before a
+    non-blocking poll finds the queue empty truly sent nothing, while a
+    shard that sends and exits while the poll waits is still heard.
+    """
+    results: Dict[int, Dict[str, object]] = {}
+    errors: List[str] = []
+    deadline = time.monotonic() + timeout_s
+    pending = set(range(len(procs)))
+    while pending and time.monotonic() < deadline:
+        dead = any(not procs[i].is_alive() for i in pending)
+        try:
+            status, shard_id, payload = results_q.get(block=not dead, timeout=1.0)
+        except queue_mod.Empty:
+            if dead:
+                break
+            continue
+        pending.discard(shard_id)
+        if status == "ok":
+            results[shard_id] = payload
+        else:
+            errors.append(f"shard {shard_id} failed:\n{payload}")
+    for shard_id in sorted(pending):
+        proc = procs[shard_id]
+        state_note = (
+            "still running" if proc.is_alive() else f"exit code {proc.exitcode}"
+        )
+        errors.append(f"shard {shard_id} produced no result ({state_note})")
+    return results, errors
+
+
 class ShardedServingEngine:
     """Parent orchestrator: shared state + shard workers + inline rebuild.
 
@@ -890,8 +928,6 @@ class ShardedServingEngine:
             self.codec.element_size,
             self.n_shards,
         )
-        errors: List[str] = []
-        results_by_shard: Dict[int, Dict[str, object]] = {}
         throttle_stats: Dict[str, float] = {}
         throttle = BoardThrottle(
             state.board,
@@ -959,29 +995,7 @@ class ShardedServingEngine:
                 )
                 rebuild_thread.start()
 
-            deadline = time.monotonic() + timeout_s
-            pending = set(range(self.n_shards))
-            while pending and time.monotonic() < deadline:
-                try:
-                    status, shard_id, payload = results_q.get(timeout=1.0)
-                except queue_mod.Empty:
-                    if any(not p.is_alive() for i, p in enumerate(procs)
-                           if i in pending):
-                        # a pending worker died without reporting
-                        break
-                    continue
-                pending.discard(shard_id)
-                if status == "ok":
-                    results_by_shard[shard_id] = payload
-                else:
-                    errors.append(f"shard {shard_id} failed:\n{payload}")
-            for shard_id in sorted(pending):
-                proc = procs[shard_id]
-                state_note = (
-                    "still running" if proc.is_alive()
-                    else f"exit code {proc.exitcode}"
-                )
-                errors.append(f"shard {shard_id} produced no result ({state_note})")
+            results_by_shard, errors = _collect_results(results_q, procs, timeout_s)
             for p in procs:
                 p.join(timeout=10.0)
             if rebuild_thread is not None:

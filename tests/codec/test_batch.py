@@ -1,11 +1,14 @@
 """Tests for the vectorized batch reconstructor."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.codec import StripeCodec, execute_scheme
-from repro.codec.batch import BatchReconstructor
+from repro.codec.batch import BatchReconstructor, CompiledPlanCache
 from repro.codes import CauchyRSCode, RdpCode
+from repro.codes.layout import CodeLayout
 from repro.recovery import u_scheme
 
 
@@ -110,3 +113,34 @@ class TestBatchReconstructor:
         assert set(scheme.failed_eids) == set(ref)
         for slot, eid in enumerate(scheme.failed_eids):
             assert np.array_equal(out[:, slot], ref[eid])
+
+
+class TestCompiledPlanCache:
+    def test_one_compile_per_plan_and_layout(self, rdp5):
+        """Plans with the same mask and equations over layouts of
+        different width are different entries: a cache shared by several
+        codes must not hand one code a plan compiled for another."""
+        scheme = u_scheme(rdp5, 0, depth=1)
+        lay = rdp5.layout
+        wider = replace(
+            scheme,
+            layout=CodeLayout(lay.n_data + 1, lay.m_parity, lay.k_rows),
+        )
+        cache = CompiledPlanCache()
+        first = cache.reconstructor(scheme)
+        assert cache.reconstructor(replace(scheme)) is first
+        other = cache.reconstructor(wider)
+        assert other is not first and other.scheme.layout == wider.layout
+        assert len(cache) == 2
+
+    def test_bounded_lru(self, rdp5):
+        schemes = [u_scheme(rdp5, d, depth=1) for d in range(3)]
+        cache = CompiledPlanCache(max_entries=2)
+        a, b = (cache.reconstructor(s) for s in schemes[:2])
+        assert cache.reconstructor(schemes[0]) is a  # a is now most recent
+        cache.reconstructor(schemes[2])  # evicts b
+        assert len(cache) == 2
+        assert cache.reconstructor(schemes[0]) is a
+        assert cache.reconstructor(schemes[1]) is not b
+        with pytest.raises(ValueError):
+            CompiledPlanCache(max_entries=0)

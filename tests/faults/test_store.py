@@ -87,3 +87,28 @@ class TestFaultyReads:
             store.read(1, eid)
         with pytest.raises(DiskDeadError):
             store.read(2, eid)
+
+
+class TestReadInto:
+    def test_lands_in_the_given_row_faults_applied(self, code, stripes):
+        lay = code.layout
+        eid = lay.eid(2, 0)
+        store = FaultyStripeStore(lay, stripes, FaultPlan([SilentCorruption(2, 0)]))
+        buf = np.zeros((lay.n_elements, 16), dtype=np.uint8)
+        out = store.read_into(0, 1, buf[1])
+        assert np.shares_memory(out, buf) and np.array_equal(buf[1], stripes[0][1])
+        store.read_into(0, eid, buf[eid])
+        assert np.array_equal(buf[eid], stripes[0][eid] ^ CORRUPTION_XOR)
+        assert store.total_read_attempts == 2
+
+    def test_a_raising_read_leaves_the_row_alone(self, code, stripes):
+        lay = code.layout
+        plan = FaultPlan([LatentSectorError(1, 2), DiskFailure(3, at_stripe=0)])
+        store = FaultyStripeStore(lay, stripes, plan)
+        row = np.full(16, 7, dtype=np.uint8)
+        with pytest.raises(ReadError):
+            store.read_into(0, lay.eid(1, 2), row)
+        with pytest.raises(DiskDeadError):
+            store.read_into(0, lay.eid(3, 0), row)
+        assert (row == 7).all()
+        assert store.total_read_attempts == 2

@@ -3,6 +3,7 @@
 import json
 import multiprocessing as mp
 import os
+import queue as queue_mod
 import signal
 import threading
 import time
@@ -640,6 +641,65 @@ class TestShardedServingEngine:
             engine.serve_trace(reqs, timeout_s=60.0, startup_grace_s=0.3)
         assert killed
         assert set(os.listdir("/dev/shm")) - before == set()
+
+
+class FakeShard:
+    """A shard process that reads alive once, then dead (exit code 0)."""
+
+    exitcode = 0
+
+    def __init__(self):
+        self.seen_dead = False
+        self._alive_reads = 1
+
+    def is_alive(self):
+        if self._alive_reads:
+            self._alive_reads -= 1
+            return True
+        self.seen_dead = True
+        return False
+
+
+class LateQueue:
+    """A result queue whose item is readable only once its shard has read
+    as dead: the shard sent it and exited while a poll was waiting."""
+
+    def __init__(self, shard, item):
+        self.shard = shard
+        self.items = [item]
+        self.polls = []
+
+    def get(self, block=True, timeout=None):
+        self.polls.append(block)
+        if self.shard.seen_dead and self.items:
+            return self.items.pop()
+        raise queue_mod.Empty
+
+
+class TestResultCollection:
+    def test_result_sent_just_before_exit_is_collected(self):
+        shard = FakeShard()
+        q = LateQueue(shard, ("ok", 0, {"served": 3}))
+        results, errors = sharded_mod._collect_results(q, [shard], timeout_s=30.0)
+        assert errors == []
+        assert results == {0: {"served": 3}}
+        # one blocking poll while alive, one non-blocking poll once dead
+        assert q.polls == [True, False]
+
+    def test_dead_shard_with_nothing_queued_is_resultless(self):
+        shard = FakeShard()
+        q = LateQueue(shard, None)
+        q.items = []
+        results, errors = sharded_mod._collect_results(q, [shard], timeout_s=30.0)
+        assert results == {}
+        assert errors == ["shard 0 produced no result (exit code 0)"]
+
+    def test_failed_shard_reports_its_traceback(self):
+        shard = FakeShard()
+        q = LateQueue(shard, ("error", 0, "Traceback: boom"))
+        results, errors = sharded_mod._collect_results(q, [shard], timeout_s=30.0)
+        assert results == {}
+        assert errors == ["shard 0 failed:\nTraceback: boom"]
 
 
 class TestPlanStoreUnderShards:
