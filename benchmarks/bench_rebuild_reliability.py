@@ -14,12 +14,9 @@ import pytest
 from conftest import STACKS, emit
 
 from repro.codes import make_code
-from repro.disksim import simulate_stack_recovery
+from repro.disksim import recovery_hours_for_disk, simulate_stack_recovery
 from repro.disksim.rebuild import simulate_rebuild
-from repro.disksim.reliability import (
-    recovery_hours_for_disk,
-    simulate_reliability,
-)
+from repro.fleet import simulate_fleet, uniform_windows
 from repro.recovery import RecoveryPlanner
 
 FAMILY, N_DISKS = "rdp", 12
@@ -64,9 +61,10 @@ def test_reliability_translation(benchmark, schemes_by_alg, results_dir):
                 code, by_alg[alg], stacks=STACKS
             ).speed_mb_s
             hours = recovery_hours_for_disk(300.0, speed)
-            rel = simulate_reliability(
-                code,
-                hours * 50,  # stressed window so the MC signal is strong
+            rel = simulate_fleet(
+                # stressed window so the MC signal is strong
+                uniform_windows(code.layout.n_disks, hours * 50),
+                tolerance=code.fault_tolerance,
                 disk_mttf_hours=20_000.0,
                 trials=400,
                 seed=29,
@@ -82,10 +80,10 @@ def test_reliability_translation(benchmark, schemes_by_alg, results_dir):
     for alg, speed, hours, rel in rows:
         lines.append(
             f"  {alg:5s}: {speed:6.1f} MB/s -> {hours:5.2f} h rebuild; "
-            f"P(loss) {rel.data_loss_probability:.4f}, "
+            f"P(loss) {rel.loss_probability:.4f}, "
             f"degraded {rel.mean_degraded_fraction * 100:.2f}% of mission"
         )
     emit(results_dir, "ext_reliability", "\n".join(lines))
 
     (k_alg, _, _, k_rel), (u_alg, _, _, u_rel) = rows
-    assert u_rel.data_loss_probability <= k_rel.data_loss_probability
+    assert u_rel.loss_probability <= k_rel.loss_probability

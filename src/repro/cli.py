@@ -545,7 +545,14 @@ def _cmd_serve(args) -> int:
             + ("uncapped" if final == float("inf") else f"{final:.1f} chunks/s")
         )
     if fault_plan:
-        print(f"faults  : {paths['resilient']} read(s) went resilient")
+        f = report.fault_counts
+        print(
+            f"faults  : {paths['resilient']} read(s) went resilient; "
+            f"{f['retries']} retries, {f['latent_errors']} latent error(s), "
+            f"{f['corruptions']} corruption(s) caught, "
+            f"{f['substitutions']} substitution(s), "
+            f"{f['escalations']} escalation(s)"
+        )
     verdict = "byte-exact" if report.ok else (
         f"{report.mismatches} MISMATCHES, "
         f"{report.rebuild_mismatches} rebuilt row(s) wrong"

@@ -22,18 +22,11 @@ on-line recovery competing with user traffic.
 from repro.disksim.array import DiskArraySimulator
 from repro.disksim.disk import SAVVIO_10K3, DiskParams
 from repro.disksim.events import EventDrivenArray, OnlineRecoveryResult
-from repro.disksim.placement import (
-    FlatPlacement,
-    PlacementRecovery,
-    RotatedPlacement,
-    recovery_under_placement,
-)
 from repro.disksim.rebuild import RebuildTiming, simulate_rebuild
-from repro.disksim.recovery_sim import RecoveryResult, simulate_stack_recovery
-from repro.disksim.reliability import (
-    ReliabilityResult,
+from repro.disksim.recovery_sim import (
+    RecoveryResult,
     recovery_hours_for_disk,
-    simulate_reliability,
+    simulate_stack_recovery,
 )
 from repro.disksim.workload import (
     HotspotWorkload,
@@ -46,21 +39,15 @@ __all__ = [
     "DiskArraySimulator",
     "DiskParams",
     "EventDrivenArray",
-    "FlatPlacement",
     "HotspotWorkload",
-    "PlacementRecovery",
-    "RotatedPlacement",
-    "recovery_under_placement",
     "OnlineRecoveryResult",
     "PoissonWorkload",
     "SequentialScanWorkload",
     "RebuildTiming",
     "RecoveryResult",
-    "ReliabilityResult",
     "Request",
     "SAVVIO_10K3",
     "recovery_hours_for_disk",
     "simulate_rebuild",
-    "simulate_reliability",
     "simulate_stack_recovery",
 ]

@@ -105,9 +105,3 @@ class DiskArraySimulator:
             self.per_disk_read_times(layout, read_mask, stripe), default=0.0
         )
 
-    def stripe_recovery_time_serial(
-        self, layout: CodeLayout, read_mask: int
-    ) -> float:
-        """Hypothetical single-spindle time (sum over disks) — the quantity
-        minimized by Khan's algorithm; exposed for ablation comparisons."""
-        return sum(self.per_disk_read_times(layout, read_mask))

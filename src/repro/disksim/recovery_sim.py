@@ -8,12 +8,14 @@ proceeds stripe by stripe — the per-stripe reads are issued in parallel and
 the stripe completes when its most loaded disk finishes — and the recovery
 speed is recovered bytes over total read time.  Write-back of recovered data
 is excluded, exactly as the paper defines recovery time (Sec. I).
+:func:`recovery_hours_for_disk` turns a simulated speed into the repair
+window that :mod:`repro.fleet` prices in data-loss probability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 from repro.codes.base import ErasureCode
 from repro.disksim.array import DiskArraySimulator
@@ -35,6 +37,16 @@ class RecoveryResult:
         if self.recovery_time_s == 0:
             return float("inf")
         return self.data_recovered_mb / self.recovery_time_s
+
+
+def recovery_hours_for_disk(
+    disk_capacity_gb: float, recovery_speed_mb_s: float
+) -> float:
+    """Hours to rebuild a whole disk at the given recovery speed."""
+    if recovery_speed_mb_s <= 0:
+        raise ValueError("recovery speed must be positive")
+    seconds = disk_capacity_gb * 1024.0 / recovery_speed_mb_s
+    return seconds / 3600.0
 
 
 def simulate_stack_recovery(
@@ -85,15 +97,3 @@ def simulate_stack_recovery(
         n_stripes=len(schemes) * stacks,
     )
 
-
-def compare_schemes_speed(
-    code: ErasureCode,
-    schemes_by_algorithm: Dict[str, Sequence[RecoveryScheme]],
-    stacks: int = 20,
-    params: "DiskParams | Sequence[DiskParams]" = SAVVIO_10K3,
-) -> Dict[str, float]:
-    """Recovery speed (MB/s) per algorithm for the same failure situations."""
-    return {
-        alg: simulate_stack_recovery(code, schemes, stacks, params).speed_mb_s
-        for alg, schemes in schemes_by_algorithm.items()
-    }

@@ -16,13 +16,13 @@ storage stack without end-to-end integrity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.codec.verify import element_checksum
 from repro.codes.layout import CodeLayout
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, LatentSectorError
 
 #: XOR pattern applied by silent corruption — any non-zero pattern breaks
 #: the CRC, this one flips bits in every nibble.
@@ -77,6 +77,12 @@ class FaultyStripeStore:
                     f"{layout.n_elements}"
                 )
         self.plan = plan or FaultPlan()
+        # the plan is immutable, so each read finds its element's latent
+        # sector errors and corruptions here instead of scanning the plan
+        self._n_elements = layout.n_elements
+        self._element_faults: Dict[Tuple[int, int], List] = {}
+        for f in self.plan.element_faults():
+            self._element_faults.setdefault((f.disk, f.row), []).append(f)
         self._checksums: List[List[int]] = [
             [element_checksum(s[eid]) for eid in range(layout.n_elements)]
             for s in self.stripes
@@ -107,16 +113,24 @@ class FaultyStripeStore:
         """:meth:`read`, landing the bytes in ``out`` (one element's worth
         of uint8, such as a row of the reader's stripe buffer) instead of
         a fresh array; returns ``out``, which a raising read leaves as it
-        was."""
-        disk = self.layout.disk_of(eid)
-        row = self.layout.row_of(eid)
+        was.  A dead disk outranks a latent sector error, which outranks a
+        corruption of the same element."""
+        if not 0 <= eid < self._n_elements:
+            raise IndexError(f"eid {eid} out of range [0, {self._n_elements})")
+        disk, row = divmod(eid, self.layout.k_rows)
         self.reads_per_disk[disk] = self.reads_per_disk.get(disk, 0) + 1
         self.total_read_attempts += 1
         if self.plan.dead_at(disk, stripe):
             raise DiskDeadError(stripe, disk, row)
-        if self.plan.lse_at(stripe, disk, row):
-            raise ReadError(stripe, disk, row, "unrecoverable medium error")
+        corrupt = False
+        for f in self._element_faults.get((disk, row), ()):
+            if f.stripe is None or f.stripe == stripe:
+                if isinstance(f, LatentSectorError):
+                    raise ReadError(
+                        stripe, disk, row, "unrecoverable medium error"
+                    )
+                corrupt = True
         out[...] = self.stripes[stripe][eid]
-        if self.plan.corrupt_at(stripe, disk, row):
+        if corrupt:
             np.bitwise_xor(out, CORRUPTION_XOR, out=out)
         return out

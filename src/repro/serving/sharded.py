@@ -30,7 +30,8 @@ table and one batched-XOR kernel call
 (:meth:`~repro.codec.batch.BatchReconstructor.recover_batch_into`) that
 reads its stripes in place from the disk image.  With a
 :class:`~repro.faults.plan.FaultPlan`, a group runs through the
-:class:`~repro.recovery.resilient.ResilientExecutor` ladder instead.
+:class:`~repro.recovery.resilient.ResilientExecutor` ladder instead,
+and the shard sums each group's fault report (:data:`FAULT_COUNTERS`).
 
 The parent steers rebuild admission with :class:`BoardThrottle` on the
 shared latency *board* each shard publishes its p99 to.
@@ -84,6 +85,17 @@ from repro.serving.shm import (
     BOARD_SERVED,
     SharedServingState,
     ServingStateSpec,
+)
+
+#: :class:`~repro.faults.report.FaultReport` counts each shard sums over
+#: its resilient groups.  ``elements_read`` is not one of them: it counts
+#: every read of the shard's store, not one group's.
+FAULT_COUNTERS = (
+    "retries",
+    "latent_errors",
+    "corruptions",
+    "substitutions",
+    "escalations",
 )
 
 
@@ -328,6 +340,7 @@ class ShardServer:
         self.n_degraded = 0
         self.n_batches = 0
         self.n_resilient = 0
+        self.fault_counts = dict.fromkeys(FAULT_COUNTERS, 0)
         self.mismatches = 0
 
     def _group_plan(self, key: int) -> _GroupPlan:
@@ -471,6 +484,7 @@ class ShardServer:
         The :class:`~repro.recovery.resilient.ResilientExecutor` reads the
         fault store (retry, substitute, escalate), so latent sector errors
         and silent corruption on surviving disks still answer exactly.
+        The group's fault report is added to :attr:`fault_counts`.
         """
         role, r = divmod(key, self._k)
         planner = self.plans.planner
@@ -482,9 +496,15 @@ class ShardServer:
             depth=max(planner.depth, 2),
         )
         eid = self.codec.code.layout.eid(role, r)
-        recovered = executor.run(stripes).recovered
+        result = executor.run(stripes)
+        report, counts = result.report, self.fault_counts
+        counts["retries"] += report.total_retries
+        counts["latent_errors"] += report.latent_errors
+        counts["corruptions"] += report.corruptions_detected
+        counts["substitutions"] += len(report.substitutions)
+        counts["escalations"] += len(report.escalations)
         self.n_resilient += len(stripes)
-        return np.stack([out[eid] for out in recovered])
+        return np.stack([out[eid] for out in result.recovered])
 
     def read(self, disk: int, row: int) -> np.ndarray:
         """Serve one request (test/CLI convenience; the trace loop batches)."""
@@ -594,6 +614,7 @@ class ShardServer:
             "degraded": self.n_degraded,
             "batches": self.n_batches,
             "resilient": self.n_resilient,
+            "faults": dict(self.fault_counts),
             "duration_s": max(t_end - t_start, 1e-9),
             "latencies": lat,
             "wake_lags": wake,
@@ -738,6 +759,14 @@ class ShardedReport:
     throttle: Dict[str, float] = field(default_factory=dict)
     #: rebuilt rows that differ from the failed disk's pristine bytes
     rebuild_mismatches: int = 0
+
+    @property
+    def fault_counts(self) -> Dict[str, int]:
+        """Every shard's :data:`FAULT_COUNTERS`, summed."""
+        return {
+            key: sum(int(s["faults"][key]) for s in self.per_shard)
+            for key in FAULT_COUNTERS
+        }
 
     @property
     def ok(self) -> bool:

@@ -112,3 +112,26 @@ class TestReadInto:
             store.read_into(0, lay.eid(3, 0), row)
         assert (row == 7).all()
         assert store.total_read_attempts == 2
+
+    def test_out_of_range_eid_raises_before_counting(self, code, stripes):
+        lay = code.layout
+        store = FaultyStripeStore(lay, stripes)
+        row = np.zeros(16, dtype=np.uint8)
+        for eid in (-1, lay.n_elements):
+            with pytest.raises(IndexError):
+                store.read_into(0, eid, row)
+        assert store.total_read_attempts == 0
+
+    def test_lse_outranks_corruption_of_the_same_element(self, code, stripes):
+        lay = code.layout
+        eid = lay.eid(1, 2)
+        plan = FaultPlan([
+            SilentCorruption(1, 2), LatentSectorError(1, 2, stripe=1),
+        ])
+        store = FaultyStripeStore(lay, stripes, plan)
+        row = np.zeros(16, dtype=np.uint8)
+        with pytest.raises(ReadError):
+            store.read_into(1, eid, row)
+        # stripe 0 has only the corruption
+        store.read_into(0, eid, row)
+        assert np.array_equal(row, stripes[0][eid] ^ CORRUPTION_XOR)

@@ -185,6 +185,27 @@ class TestFaultPath:
         resilient = sum(int(s["resilient"]) for s in report.per_shard)
         degraded = sum(int(s["degraded"]) for s in report.per_shard)
         assert resilient == degraded > 0
+        assert report.fault_counts["latent_errors"] > 0
+
+    @pytest.mark.parametrize("faulty", [True, False])
+    def test_shard_result_keeps_group_fault_reports(self, faulty):
+        """Each resilient group's FaultReport reaches the shard result: an
+        LSE the degraded plans read is counted, a clean store counts 0."""
+        codec, disks = build(n_stripes=4)
+        plan = lse_everywhere(codec) if faulty else None
+        server, _ = server_for(codec, disks, failed_disk=0, fault_plan=plan)
+        n_rows = codec.n_stripes * codec.code.layout.k_rows
+        res = server.serve_trace(
+            np.zeros(n_rows),
+            np.zeros(n_rows, dtype=np.int64),
+            np.arange(n_rows),
+            t_start=0.0,
+        )
+        assert res["mismatches"] == 0
+        assert res["degraded"] == n_rows
+        assert (res["faults"]["latent_errors"] >= 1) == faulty
+        if not faulty:
+            assert set(res["faults"].values()) == {0}
 
     def test_empty_fault_plan_uses_fast_path(self):
         codec, disks = build(n_stripes=4)
