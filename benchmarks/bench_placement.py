@@ -7,8 +7,9 @@ strategy, recording where the rebuild's element reads land:
 * ``flat`` — fixed groups of ``width`` disks; every read of a rebuild
   hits the dead disk's ``width - 1`` group mates (the baseline an array
   deployment gives you);
-* ``declustered`` — cyclic difference-set placement; the same reads fan
-  out over the whole pool;
+* ``declustered`` — design-based placement (AG(2,q) lines, cyclic
+  translates of a Sidon block, or D3's table); the same reads fan out
+  over the whole pool;
 * ``d3`` — deterministic coprime-stride distribution (D3-style);
 * ``random`` — seeded uniform placement, the spread upper bound.
 
@@ -30,15 +31,17 @@ Results land in ``BENCH_placement.json`` at the repo root::
                   "throughput_mb_s": {"flat": ..., ...}}
     }
 
-``--check`` enforces the acceptance bar: on a pool of >= 100 disks the
+``--check`` enforces the acceptance bars: on a pool of >= 100 disks the
 declustered placement's max-per-disk rebuild read load must be at least
-2x lower than flat's, and every rebuild must be byte-identical.
+2x lower than flat's; on a design geometry (an AG(2,q) or PG(2,q) layout,
+where every pair of disks shares stripes equally) it must be within 1.1x
+of the mean survivor load; and every rebuild must be byte-identical.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_placement.py           # full grid
     PYTHONPATH=src python benchmarks/bench_placement.py --quick   # CI smoke
-    ... --check   # additionally enforce the 2x declustering floor
+    ... --check   # additionally enforce the declustering bars
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ FULL_GRID = [
     ("cauchy_rs", 8, 160, 8000, 16, 1),
 ]
 QUICK_GRID = [
+    ("rdp", 8, 64, 1200, 16, 5),
     ("rdp", 8, 120, 1500, 16, 5),
     ("evenodd", 7, 100, 1200, 16, 3),
 ]
@@ -81,6 +85,15 @@ def _geomean(values: List[float]) -> float:
     if not vals:
         return 0.0
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
+
+
+def _is_design(construction: str, n_pool: int, width: int) -> bool:
+    """AG(2,q) lines, or a Singer block (a perfect difference set, whose
+    translates are the lines of PG(2,q)): every pair of disks shares
+    stripes equally."""
+    return construction.startswith("ag(") or (
+        construction == "sidon" and n_pool == width * (width - 1) + 1
+    )
 
 
 def measure_point(
@@ -112,10 +125,12 @@ def measure_point(
             )
         load = res.stats["read_load"]
         per_strategy[name] = {
+            "construction": pm.construction,
             "affected_stripes": res.stats["affected_stripes"],
             "max_read_load": res.max_read_load,
             "busy_disks": load["busy_disks"],
             "mean_busy": load["mean_busy"],
+            "mean_survivor": float(res.reads_per_disk.sum()) / (n_pool - 1),
             "spread": res.read_spread,
             "rebuilt_mb_s": res.stats["rebuilt_mb_s"],
         }
@@ -145,6 +160,9 @@ def measure_point(
         "dead_disk": dead_disk,
         "per_strategy": per_strategy,
         "reduction_vs_flat": reduction,
+        "design": _is_design(
+            per_strategy["declustered"]["construction"], n_pool, width
+        ),
         "byte_identical": ok,
     }
 
@@ -156,7 +174,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--output", default=str(REPO_ROOT / "BENCH_placement.json"))
     ap.add_argument("--check", action="store_true",
-                    help="enforce the 2x declustering floor on >= 100 disks")
+                    help="enforce the 2x declustering floor on >= 100 disks "
+                    "and the 1.1x survivor-balance bar on design geometries")
     ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
 
@@ -226,6 +245,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"declustered only {r:.2f}x lower max-per-disk load "
                     f"than flat on {p['n_pool']} disks (< 2x)"
                 )
+        design = [p for p in points if p["design"]]
+        if not design:
+            failures.append("no grid point has a design geometry")
+        for p in design:
+            dec = p["per_strategy"]["declustered"]
+            ratio = dec["max_read_load"] / dec["mean_survivor"]
+            if ratio > 1.1:
+                failures.append(
+                    f"declustered max-per-disk load {ratio:.3f}x the mean "
+                    f"survivor load on the {dec['construction']} design "
+                    f"over {p['n_pool']} disks (> 1.1x)"
+                )
         if not all(p["byte_identical"] for p in points):
             failures.append("a rebuild was not byte-identical")
         if failures:
@@ -234,7 +265,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 1
         if verbose:
             print("checks passed: declustered >= 2x lower max-per-disk "
-                  "rebuild reads on 100+ disk pools, all rebuilds byte-exact")
+                  "rebuild reads on 100+ disk pools, <= 1.1x the mean "
+                  "survivor load on design geometries, all rebuilds "
+                  "byte-exact")
     return 0
 
 

@@ -292,13 +292,14 @@ def _rebuild_pool(args) -> int:
         f"pool    : {args.pool_disks} disks, {args.stripes} stripes of "
         f"width {width}, disk {args.failed_disk} dead"
     )
-    print(f"{'placement':<12} {'max_reads':>9} {'busy':>5} {'spread':>7} "
-          f"{'MB/s':>8} verify")
+    print(f"{'placement':<12} {'built':<9} {'max_reads':>9} {'busy':>5} "
+          f"{'spread':>7} {'MB/s':>8} verify")
     for name in names:
         r = results[name]
         load = r.stats["read_load"]
         print(
-            f"{name:<12} {r.max_read_load:>9} {load['busy_disks']:>5} "
+            f"{name:<12} {r.stats['construction']:<9} "
+            f"{r.max_read_load:>9} {load['busy_disks']:>5} "
             f"{r.read_spread:>7.2f} {r.stats['rebuilt_mb_s']:>8.1f} "
             + ("byte-exact" if r.ok else f"{r.mismatches} MISMATCHES")
         )

@@ -288,6 +288,7 @@ class PoolRebuild:
         rebuilt_bytes = rows.nbytes
         stats = {
             "placement": placement.name,
+            "construction": placement.construction,
             "n_pool": placement.n_pool,
             "width": lay.n_disks,
             "affected_stripes": int(len(all_stripes)),

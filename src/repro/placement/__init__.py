@@ -2,8 +2,9 @@
 
 Turns "one 16-disk array" into "a storage fleet": a
 :class:`~repro.placement.map.PlacementMap` decides which ``w`` pool disks
-host each stripe (flat RAID groups, cyclic block-design declustering,
-D3-style deterministic distribution, or seeded random), and a
+host each stripe (flat RAID groups, block-design declustering on AG(2,q)
+or Sidon/Singer lines with D3 as the fallback, D3-style deterministic
+distribution, or seeded random), and a
 :class:`~repro.placement.pool.PoolStore` holds the encoded bytes the pool
 rebuild in :mod:`repro.pipeline.pool` recovers.  See docs/placement.md.
 """

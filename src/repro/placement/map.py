@@ -10,11 +10,14 @@ interface:
   pool is carved into ``n_pool // w`` disjoint groups and every stripe
   lives entirely inside one group.  A dead disk's rebuild reads all land
   on its ``w - 1`` group mates, no matter how big the pool is.
-* :class:`DeclusteredPlacement` — parity declustering via a cyclic block
-  design: one base block with (greedily) distinct pairwise differences is
-  translated around the pool, so the set of disks co-placed with any one
-  disk spans up to ``w * (w - 1)`` neighbours and rebuild reads spread
-  pool-wide (Dau et al., *Parity Declustering via t-designs*).
+* :class:`DeclusteredPlacement` — parity declustering via block designs
+  (Dau et al., *Parity Declustering via t-designs*): the lines of the
+  affine plane AG(2, q) when ``n_pool = q²`` and ``w = q``; else the
+  cyclic translates of a block with distinct pairwise differences (a
+  Singer set, i.e. PG(2, q), when ``n_pool = w² - w + 1``); else D3's
+  table.  On AG/PG geometries every pair of disks shares stripes equally
+  and each role visits every disk equally, so a rebuild's reads spread
+  evenly over every survivor.
 * :class:`D3Placement` — deterministic-distribution layout in the spirit
   of D3 (Xu et al., arXiv:2004.03998): stripes walk the pool with a
   start offset and a stride that cycles through the units mod ``n_pool``,
@@ -43,10 +46,13 @@ map (disk -> affected stripes) is exactly what a rebuild needs to know.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.gf2.field import PRIMITIVE_POLYS, GF2w
 
 
 class PlacementMap:
@@ -66,6 +72,10 @@ class PlacementMap:
         run of stripes sharing one disk set) begins.  Used to align
         serving shard bounds to group boundaries; strategies whose disk
         set changes every stripe leave it ``None`` (any bound aligns).
+    construction:
+        How the table was built, when a strategy has more than one way
+        (``declustered``: ``"ag(2,q)"``, ``"sidon"`` or ``"d3"``);
+        defaults to ``name``.
     """
 
     def __init__(
@@ -74,6 +84,7 @@ class PlacementMap:
         table: np.ndarray,
         name: str,
         group_starts: Optional[np.ndarray] = None,
+        construction: Optional[str] = None,
     ) -> None:
         table = np.ascontiguousarray(table, dtype=np.int32)
         if table.ndim != 2:
@@ -94,6 +105,7 @@ class PlacementMap:
         self.n_pool = n_pool
         self.table = table
         self.name = name
+        self._construction = construction or name
         self.group_starts = (
             None
             if group_starts is None
@@ -112,6 +124,11 @@ class PlacementMap:
     @property
     def width(self) -> int:
         return int(self.table.shape[1])
+
+    @property
+    def construction(self) -> str:
+        """Which construction built the table (see ``construction``)."""
+        return self._construction
 
     # ------------------------------------------------------------------
     # forward map
@@ -256,50 +273,140 @@ def FlatPlacement(n_pool: int, n_stripes: int, width: int) -> PlacementMap:
     return PlacementMap(n_pool, table, "flat", group_starts=starts)
 
 
-def _difference_base_block(n_pool: int, width: int) -> np.ndarray:
-    """Greedy base block whose pairwise differences mod ``n_pool`` are as
-    distinct as possible (a Sidon-set approximation — the cyclic
-    block-design ingredient)."""
-    offsets = [0]
-    diffs = set()
-    cand = 1
-    while len(offsets) < width and cand < n_pool:
-        new = []
-        ok = True
-        for o in offsets:
-            for d in ((cand - o) % n_pool, (o - cand) % n_pool):
-                if d in diffs or d == 0:
-                    ok = False
+def _is_prime(q: int) -> bool:
+    return q >= 2 and all(q % f for f in range(2, math.isqrt(q) + 1))
+
+
+def _affine_lines(n_pool: int, width: int) -> Optional[np.ndarray]:
+    """The ``q * q + q`` lines of the affine plane AG(2, q), or ``None``.
+
+    Applies when ``n_pool == q * q`` and ``width == q`` for a prime ``q``
+    (arithmetic mod ``q``) or ``q = 2**m`` (:class:`~repro.gf2.field.GF2w`).
+    Point ``(x, y)`` is pool disk ``q * x + y``.  Lines ``y = m * x + b``
+    (row ``m * q + b``, points in ``x`` order) come first, then the
+    verticals ``x = c`` (row ``q * q + c``, points in ``y`` order).  Any
+    two points lie on exactly one line: a 2-(q², q, 1) design.
+    """
+    q = width
+    if n_pool != q * q:
+        return None
+    x = np.arange(q, dtype=np.int64)
+    if _is_prime(q):
+        mul = np.outer(x, x) % q
+        add = (x[:, None] + x[None, :]) % q
+    elif q & (q - 1) == 0 and q.bit_length() - 1 in PRIMITIVE_POLYS:
+        field = GF2w(q.bit_length() - 1)
+        mul = np.asarray([[field.mul(a, b) for b in range(q)] for a in range(q)])
+        add = x[:, None] ^ x[None, :]
+    else:
+        return None
+    # y[m, b, x] = m * x + b
+    y = add[mul[:, None, :], x[None, :, None]]
+    slopes = (q * x[None, None, :] + y).reshape(q * q, q)
+    verticals = q * x[:, None] + x[None, :]
+    return np.concatenate([slopes, verticals])
+
+
+#: candidates one Sidon search may try before it gives up.  The first
+#: Singer sets need at most 21.6k, at (57,8); (73,9) needs 4.7k.  A
+#: search that spends it all takes ~40 ms on a 2-vCPU Xeon VM.
+_SIDON_BUDGET = 40_000
+
+
+def _search_sidon(n_pool: int, width: int, budget: int) -> Optional[Tuple[int, ...]]:
+    """Lexicographically first Sidon block ``0 = b0 < ... < b_{w-1}`` mod
+    ``n_pool`` (all ``w (w - 1)`` differences ``bi - bj`` distinct), or
+    ``None`` when none exists or ``budget`` candidates were tried first.
+
+    Depth-first in ascending order, so its first leaf is the greedy
+    first-fit block whenever that one completes.
+    """
+    block = [0]
+    tried = 0
+
+    def extend(used: int, lo: int) -> bool:
+        nonlocal tried
+        if len(block) == width:
+            return True
+        for c in range(lo, n_pool - (width - len(block)) + 1):
+            tried += 1
+            if tried > budget:
+                return False
+            bits = 0
+            for b in block:
+                d = c - b
+                mask = (1 << d) | (1 << (n_pool - d))
+                # a difference of n_pool / 2 is its own negative: a repeat
+                if (used | bits) & mask or 2 * d == n_pool:
                     break
-                new.append(d)
-            if not ok:
-                break
-        if ok:
-            offsets.append(cand)
-            diffs.update(new)
-        cand += 1
-    if len(offsets) < width:
-        # dense regime (w(w-1) ~ n_pool): fall back to any unused offsets —
-        # differences repeat, which only means some neighbour pairs carry
-        # double weight, never an invalid stripe
-        unused = [c for c in range(n_pool) if c not in offsets]
-        offsets.extend(unused[: width - len(offsets)])
-    return np.asarray(sorted(offsets[:width]), dtype=np.int64)
+                bits |= mask
+            else:
+                block.append(c)
+                if extend(used | bits, c + 1):
+                    return True
+                block.pop()
+        return False
+
+    return tuple(block) if extend(0, 1) else None
+
+
+@functools.lru_cache(maxsize=None)
+def _sidon_block(n_pool: int, width: int) -> Optional[Tuple[int, ...]]:
+    """:func:`_search_sidon` memoised per geometry; ``None`` without
+    searching when ``w (w - 1) > n_pool - 1`` (too few differences)."""
+    if width * (width - 1) > n_pool - 1:
+        return None
+    return _search_sidon(n_pool, width, _SIDON_BUDGET)
+
+
+def _rotate_roles(lines: np.ndarray, n_stripes: int) -> np.ndarray:
+    """Lay stripes on ``lines`` with every role visiting every point.
+
+    Stripe ``s`` takes line ``s % P`` (``P = len(lines)``).  In pass
+    ``t = s // P`` its role ``l`` goes on point ``(l + t) % w`` of that
+    line and is stored at slot ``(l + s) % w``, the map's rotation
+    convention.  Without the pass shift a cyclic design with
+    ``n_pool % w == 0`` pins each slot, hence each role, to one point.
+    """
+    n_lines, width = lines.shape
+    s = np.arange(n_stripes, dtype=np.int64)[:, None]
+    role = (np.arange(width, dtype=np.int64)[None, :] - s) % width
+    return lines[s % n_lines, (role + s // n_lines) % width]
 
 
 def DeclusteredPlacement(n_pool: int, n_stripes: int, width: int) -> PlacementMap:
-    """Cyclic block-design declustering: translates of a difference block.
+    """Design-based declustering, from the first construction that fits.
 
-    Stripe ``s`` occupies ``(B + s) mod n_pool`` where ``B`` has distinct
-    pairwise differences, so any dead disk is co-placed with up to
-    ``w * (w - 1)`` distinct neighbours and its rebuild reads spread over
-    them near-uniformly.
+    1. ``ag(2,q)`` — the lines of the affine plane AG(2, q) when
+       ``n_pool = q²`` and ``w = q`` for a prime or power-of-two ``q``:
+       every pair of disks shares exactly one line.
+    2. ``sidon`` — the ``n_pool`` cyclic translates of a block whose
+       differences are all distinct (:func:`_sidon_block`), so every pair
+       of disks shares at most one line.  Where ``n_pool = w² - w + 1``
+       the search returns a Singer perfect difference set, and the lines
+       are those of PG(2, w - 1).
+    3. ``d3`` — :func:`D3Placement`'s table, when no such block exists or
+       the search ran out of budget.
+
+    The design constructions lay stripes out by :func:`_rotate_roles`,
+    so within every ``w`` passes each disk plays each role equally
+    often.  :attr:`PlacementMap.construction` names the one used
+    (Dau et al., *Parity Declustering via t-designs*; Xu et al., D3).
     """
     _check_geometry(n_pool, n_stripes, width)
-    base = _difference_base_block(n_pool, width)
-    s = np.arange(n_stripes, dtype=np.int64)
-    table = (base[None, :] + s[:, None]) % n_pool
-    return PlacementMap(n_pool, table, "declustered")
+    lines = _affine_lines(n_pool, width)
+    if lines is not None:
+        construction = f"ag(2,{width})"
+    else:
+        block = _sidon_block(n_pool, width)
+        if block is None:
+            table = D3Placement(n_pool, n_stripes, width).table
+            return PlacementMap(n_pool, table, "declustered", construction="d3")
+        lines = (np.asarray(block, dtype=np.int64)[None, :]
+                 + np.arange(n_pool, dtype=np.int64)[:, None]) % n_pool
+        construction = "sidon"
+    table = _rotate_roles(lines, n_stripes)
+    return PlacementMap(n_pool, table, "declustered", construction=construction)
 
 
 def D3Placement(n_pool: int, n_stripes: int, width: int) -> PlacementMap:

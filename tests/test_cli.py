@@ -224,6 +224,14 @@ class TestCommands:
         assert "lower max-per-disk load than flat" in out
         assert "MISMATCH" not in out
 
+    def test_rebuild_pool_names_the_construction(self, capsys):
+        assert main(["rebuild", "--family", "rdp", "--disks", "8",
+                     "--placement", "declustered", "--pool-disks", "64",
+                     "--stripes", "200", "--element-size", "16"]) == 0
+        out = capsys.readouterr().out
+        assert "built" in out
+        assert "declustered  ag(2,8)" in out
+
     def test_rebuild_pool_flat_baseline_only(self, capsys):
         assert main(["rebuild", "--family", "rdp", "--disks", "5",
                      "--placement", "flat", "--pool-disks", "24",
