@@ -424,7 +424,7 @@ def _cmd_rebuild(args) -> int:
     stats = result.stats
     print(code.describe())
     print(
-        f"rebuild : disk {args.failed_disk}, {stats['stripes']} stripes x "
+        f"rebuild : disk {args.failed_disk}, {stats['affected_stripes']} stripes x "
         f"{args.element_size} B elements ({stats['rebuilt_bytes'] / 2**20:.1f} "
         f"MB) via {stats['mode']}"
     )
@@ -436,7 +436,7 @@ def _cmd_rebuild(args) -> int:
         f"speed   : {stats['rebuilt_mb_s']:.1f} MB/s "
         f"({stats['wall_s'] * 1e3:.1f} ms)"
     )
-    print(f"reads   : {result.reads_per_disk} per physical disk")
+    print(f"reads   : {result.reads_per_disk.tolist()} per physical disk")
     if plan_cache is not None:
         pc = plan_cache.stats()
         print(

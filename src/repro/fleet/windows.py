@@ -9,9 +9,10 @@ deliver.  This module prices one rebuild window per pool disk:
    recovery scheme (naive / khan / C / U) whose ``loads`` say how many
    elements each surviving logical disk reads;
 2. :func:`~repro.placement.rebuild_read_loads` composes those loads with
-   the placement table, giving the element reads every surviving *pool*
-   disk serves for the dead disk's stripes — the bottleneck disk's total
-   is the read-side window;
+   the placement table, one execution group per role the disk plays,
+   giving the element reads every surviving *pool* disk serves for the
+   dead disk's stripes — the bottleneck disk's total is the read-side
+   window;
 3. when the placement carries a :class:`~repro.topology.Topology`, the
    max-min fair-share flow simulator
    (:func:`~repro.topology.rebuild_makespan`) prices the same reads
@@ -218,10 +219,7 @@ def price_repair_windows(
         n_pool=placement.n_pool,
     ):
         planner = RecoveryPlanner(code, algorithm=algorithm, depth=depth)
-        loads_by_role = {
-            role: planner.scheme_for_disk(role).loads
-            for role in range(placement.width)
-        }
+        schemes = [planner.scheme_for_disk(role) for role in range(placement.width)]
         mb_per_element = element_size * policy.capacity_scale / 2**20
         effective_bw = policy.disk_bw_mb_s * policy.rebuild_headroom
 
@@ -229,7 +227,14 @@ def price_repair_windows(
         max_reads = 0
         max_makespan_s = 0.0
         for disk in range(placement.n_pool):
-            reads = rebuild_read_loads(placement, disk, loads_by_role)
+            reads = rebuild_read_loads(
+                placement,
+                disk,
+                (
+                    (role, stripe_ids, schemes[role])
+                    for role, stripe_ids in placement.role_groups(disk)
+                ),
+            )
             bottleneck = int(reads.max())
             max_reads = max(max_reads, bottleneck)
             rebuild_s = bottleneck * mb_per_element / effective_bw
@@ -260,7 +265,7 @@ def price_repair_windows(
             "max_bottleneck_reads": float(max_reads),
             "max_makespan_s": max_makespan_s,
             "scheme_total_reads": float(
-                sum(sum(loads) for loads in loads_by_role.values())
+                sum(sum(scheme.loads) for scheme in schemes)
             ),
             "depth": float(depth),
             "element_size": float(element_size),

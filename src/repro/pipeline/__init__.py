@@ -1,37 +1,26 @@
-"""``repro.pipeline`` — high-throughput whole-disk rebuild engine.
+"""``repro.pipeline`` — the whole-disk rebuild engine.
 
-The streaming data plane for single-disk recovery: chunked stripe
-iteration (:mod:`repro.pipeline.chunks`) and the zero-copy pipeline
-itself (:mod:`repro.pipeline.engine`), which reads survivors in place
-from the disk image and XORs recovered rows in place into the rebuilt
-image — no staging copy.  Both rebuild engines run their per-chunk
-kernel calls inline or on persistent worker threads through the ordered
-chunk runner the planner shares (:mod:`repro.runner`).  It is wired to the persistent
-:class:`~repro.recovery.plancache.SchemePlanCache` so repeated rebuilds
-skip scheme search entirely.  Pool-scale rebuild — one
-dead disk of a placed fleet, reads declustered across hundreds of disks —
-lives in :mod:`repro.pipeline.pool`.  See the "Rebuild throughput" section
-of ``docs/performance.md`` and ``docs/placement.md``.
+One engine (:class:`~repro.pipeline.pool.PoolRebuild`) rebuilds a dead
+disk of any placement: it groups the affected stripes by the role the
+dead disk plays, cuts each group into chunks, and runs each chunk as one
+kernel pass that reads the survivors in place, writes the recovered rows
+into the result and verifies them against the stored rows.  The chunks
+run inline or on persistent worker threads through the ordered chunk
+runner the planner shares (:mod:`repro.runner`), and reads are billed per
+disk through the placement table.  A rotated array is the one-group flat
+pool: :class:`~repro.pipeline.engine.RebuildPipeline` rebuilds a disk
+image in place through the same engine.  Either can be wired to the
+persistent :class:`~repro.recovery.plancache.SchemePlanCache` so repeated
+rebuilds skip scheme search entirely.  See the "Rebuild throughput"
+section of ``docs/performance.md`` and ``docs/placement.md``.
 """
 
-from repro.pipeline.chunks import StripeChunk, iter_chunks, rotation_classes
-from repro.pipeline.engine import RebuildPipeline, RebuildResult, rebuild_disk
-from repro.pipeline.pool import (
-    PoolRebuild,
-    PoolRebuildResult,
-    compare_placements,
-    rebuild_pool_disk,
-)
+from repro.pipeline.engine import RebuildPipeline
+from repro.pipeline.pool import PoolRebuild, RebuildChunk, RebuildResult
 
 __all__ = [
     "PoolRebuild",
-    "PoolRebuildResult",
+    "RebuildChunk",
     "RebuildPipeline",
     "RebuildResult",
-    "StripeChunk",
-    "compare_placements",
-    "iter_chunks",
-    "rebuild_disk",
-    "rebuild_pool_disk",
-    "rotation_classes",
 ]

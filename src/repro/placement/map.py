@@ -39,16 +39,18 @@ signature.
 Every strategy materialises a ``(n_stripes, w)`` table of pool-disk ids
 (position = *slot*), validated to hold ``w`` distinct disks per stripe.
 Within a stripe the logical role ``l`` sits at slot ``(l + s) % w`` — the
-paper's per-stripe rotation, kept so rotation-class chunking (and the
-dedicated-parity hotspot fix) survives the move to a pool.  The inverse
-map (disk -> affected stripes) is exactly what a rebuild needs to know.
+paper's per-stripe rotation, kept so the dedicated-parity hotspot fix
+survives the move to a pool, and so a rotated array is exactly the
+one-group :func:`FlatPlacement` with ``n_pool = w``, rebuilt by the same
+engine as any pool.  The inverse map (disk -> affected stripes, grouped
+by role) is exactly what a rebuild needs to know.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -164,6 +166,16 @@ class PlacementMap:
         """``(stripe_ids, logical_roles)`` this disk plays — rebuild's view."""
         stripes, slots = self.stripes_of_disk(disk)
         return stripes, (slots - stripes) % self.width
+
+    def role_groups(self, disk: int) -> Iterator[Tuple[int, np.ndarray]]:
+        """``(role, stripe_ids)`` per logical role ``disk`` plays, ascending.
+
+        The grouping every rebuild of ``disk`` starts from: stripes in
+        which the disk plays one role share one recovery scheme.
+        """
+        stripes, roles = self.roles_of_disk(disk)
+        for role in np.unique(roles):
+            yield int(role), np.sort(stripes[roles == role])
 
     def stripes_per_disk(self) -> np.ndarray:
         """How many stripes each pool disk hosts (capacity balance)."""
@@ -569,31 +581,28 @@ def make_placement(
 # rebuild-load analysis (no bytes moved — the planning/benchmark view)
 # ----------------------------------------------------------------------
 def rebuild_read_loads(
-    placement: PlacementMap,
-    dead_disk: int,
-    loads_by_role: Mapping[int, Sequence[int]],
+    placement: PlacementMap, dead_disk: int, groups: Iterable[Tuple]
 ) -> np.ndarray:
     """Element reads each surviving pool disk serves to rebuild ``dead_disk``.
 
-    ``loads_by_role`` maps the logical role the dead disk plays to that
-    role's recovery-scheme per-logical-disk read loads (the paper's
-    ``scheme.loads``) — composition of the per-stripe load-balanced
-    schemes with the pool placement.
+    ``groups`` iterates the rebuild's execution groups, ``(role,
+    stripe_ids, scheme)``: the dead disk plays logical ``role`` in those
+    stripes, and ``scheme.loads`` (the paper's per-logical-disk read
+    loads) is what each of them reads.  The executed rebuild bills the
+    same groups chunk by chunk, so planned and executed loads agree by
+    construction.
     """
     reads = np.zeros(placement.n_pool, dtype=np.int64)
-    stripes, roles = placement.roles_of_disk(dead_disk)
-    for role in np.unique(roles):
-        sel = stripes[roles == role]
-        loads = loads_by_role[int(role)]
+    for role, stripe_ids, scheme in groups:
+        loads = scheme.loads
         if len(loads) != placement.width:
             raise ValueError(
                 f"role {role}: expected {placement.width} loads, got {len(loads)}"
             )
         for logical, load in enumerate(loads):
-            if not load:
-                continue
-            hosts = placement.disk_of_role(sel, logical)
-            reads += load * np.bincount(hosts, minlength=placement.n_pool)
+            if load:
+                hosts = placement.disk_of_role(stripe_ids, logical)
+                reads += load * np.bincount(hosts, minlength=placement.n_pool)
     if reads[dead_disk]:
         raise AssertionError("a recovery scheme read the dead disk")
     return reads

@@ -66,7 +66,8 @@ from repro.codec.image import ArrayImageCodec
 from repro.disksim.workload import Request
 from repro.faults.plan import FaultPlan
 from repro.faults.store import FaultyStripeStore
-from repro.pipeline.engine import RebuildPipeline, RebuildResult
+from repro.pipeline.engine import RebuildPipeline
+from repro.pipeline.pool import RebuildResult
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.resilient import ResilientExecutor
@@ -757,7 +758,8 @@ class ShardedReport:
     rebuild_wall_s: Optional[float]
     per_shard: List[Dict[str, object]] = field(default_factory=list)
     throttle: Dict[str, float] = field(default_factory=dict)
-    #: rebuilt rows that differ from the failed disk's pristine bytes
+    #: rebuilt stripes that differ from the failed disk's pristine bytes
+    #: (the rebuild's own in-pass verification)
     rebuild_mismatches: int = 0
 
     @property
@@ -908,18 +910,6 @@ class ShardedServingEngine:
         if self.plans.store is not None:
             self.plans.store.save()
         return count
-
-    def _frontier_per_disk(
-        self, chunk, n_stripes: int
-    ) -> Dict[int, int]:
-        """Physical-disk read counts of one chunk's sub-range (shard share)."""
-        scheme = self.planner.scheme_for_disk(chunk.logical_disk)
-        n = self.codec.code.layout.n_disks
-        return {
-            (ldisk + chunk.rotation) % n: load * n_stripes
-            for ldisk, load in enumerate(scheme.loads)
-            if load
-        }
 
     def serve_trace(
         self,
@@ -1085,18 +1075,9 @@ class ShardedServingEngine:
             rebuild_wall_s=rebuild_wall[0],
             per_shard=per_shard,
             throttle=throttle_stats,
-            rebuild_mismatches=self._rebuild_mismatches(rebuild_result[0]),
-        )
-
-    def _rebuild_mismatches(self, result: Optional[RebuildResult]) -> int:
-        """Rebuilt rows that differ from the failed disk's pristine bytes
-        (compared slice by slice, so no image-sized temporary)."""
-        if result is None:
-            return 0
-        truth = self.disks[self.failed_disk]
-        return sum(
-            int(np.any(result.image[i:i + 256] != truth[i:i + 256], axis=1).sum())
-            for i in range(0, len(truth), 256)
+            rebuild_mismatches=(
+                rebuild_result[0].mismatches if rebuild_result[0] is not None else 0
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -1121,8 +1102,7 @@ class ShardedServingEngine:
                 # the chunk's own disk service time: survivor reads fan
                 # out across spindles, so the chunk takes as long as its
                 # busiest disk
-                scheme = self.planner.scheme_for_disk(chunk.logical_disk)
-                busiest = max(scheme.loads) * chunk.n_stripes
+                busiest = chunk.plan.loads.max() * chunk.n_stripes
                 time.sleep(busiest * erm * 1e-3)
 
         def _on_chunk(chunk, rows: np.ndarray) -> None:
@@ -1135,9 +1115,16 @@ class ShardedServingEngine:
             # publication point each owning shard synchronizes on
             shard_of = np.searchsorted(self.bounds, chunk.stripe_ids,
                                        side="right") - 1
+            # a chunk is one rotation class: each logical disk its plan
+            # reads sits on one physical disk for every stripe in it
+            plan = chunk.plan
+            hosts = self.codec.physical_disk(plan.logicals, int(chunk.stripe_ids[0]))
             for shard in np.unique(shard_of):
                 ids = chunk.stripe_ids[shard_of == shard]
-                per_disk = self._frontier_per_disk(chunk, len(ids))
+                per_disk = {
+                    int(disk): int(load) * len(ids)
+                    for disk, load in zip(hosts, plan.loads)
+                }
                 try:
                     ctrls[int(shard)].send(("frontier", ids, per_disk))
                 except BrokenPipeError:

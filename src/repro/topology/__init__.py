@@ -17,7 +17,6 @@ from repro.topology.planner import (
     TopologyAwarePlanner,
     canonical_signature,
     link_loads,
-    plan_read_loads,
 )
 from repro.topology.simulate import (
     FlowSimResult,
@@ -34,7 +33,6 @@ __all__ = [
     "TopologyCost",
     "canonical_signature",
     "link_loads",
-    "plan_read_loads",
     "rebuild_flows",
     "rebuild_makespan",
     "simulate_flows",

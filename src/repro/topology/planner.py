@@ -25,6 +25,7 @@ from repro import obs
 from repro.codes.base import ErasureCode
 from repro.equations.enumerate import get_recovery_equations
 from repro.obs import LinkLoadMap
+from repro.placement.map import rebuild_read_loads
 from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.scheme import RecoveryScheme
 from repro.recovery.search import generate_scheme
@@ -144,10 +145,7 @@ class TopologyAwarePlanner:
         """
         topo = self.topology
         leaf = placement.require_leaf_of_disk(topo)
-        stripes, roles = placement.roles_of_disk(dead_disk)
-        for role in np.unique(roles):
-            role = int(role)
-            sel = np.sort(stripes[roles == role])
+        for role, sel in placement.role_groups(dead_disk):
             # (n_sel, width) pool disks hosting each logical disk
             hosts = np.stack(
                 [
@@ -178,29 +176,10 @@ class TopologyAwarePlanner:
         No bytes move; the executed rebuild's billing must match these
         arrays exactly (the contract the benchmarks verify).
         """
-        groups = self.stripe_groups(placement, dead_disk)
-        per_disk = plan_read_loads(groups, placement, dead_disk)
-        links = link_loads(placement, per_disk)
-        return per_disk, links
-
-
-def plan_read_loads(groups, placement, dead_disk: int) -> np.ndarray:
-    """Per-pool-disk element reads of a planned rebuild (no bytes moved).
-
-    ``groups`` iterates ``(role, stripe_ids, scheme)`` — the output of
-    :meth:`TopologyAwarePlanner.stripe_groups` or
-    :meth:`repro.pipeline.pool.PoolRebuild.stripe_groups`.
-    """
-    per_disk = np.zeros(placement.n_pool, dtype=np.int64)
-    for role, stripe_ids, scheme in groups:
-        for logical, load in enumerate(scheme.loads):
-            if not load or logical == role:
-                continue
-            hosts = placement.disk_of_role(stripe_ids, logical)
-            per_disk += load * np.bincount(hosts, minlength=placement.n_pool)
-    if per_disk[dead_disk]:
-        raise AssertionError("a recovery scheme read the dead disk")
-    return per_disk
+        per_disk = rebuild_read_loads(
+            placement, dead_disk, self.stripe_groups(placement, dead_disk)
+        )
+        return per_disk, link_loads(placement, per_disk)
 
 
 def link_loads(placement, per_disk: np.ndarray) -> LinkLoadMap:

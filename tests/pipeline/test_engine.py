@@ -6,7 +6,7 @@ import pytest
 
 from repro.codec import ArrayImageCodec, BatchReconstructor
 from repro.codes import make_code
-from repro.pipeline import RebuildPipeline, rebuild_disk
+from repro.pipeline import RebuildPipeline
 from repro.recovery import RecoveryPlanner, SchemePlanCache
 
 from tests.doctored import (
@@ -39,7 +39,7 @@ class TestInlinePaths:
         pipe = RebuildPipeline(codec, workers=1, chunk_stripes=5)
         result = pipe.rebuild(disks, 2)
         assert np.array_equal(result.image, legacy["image"])
-        assert result.reads_per_disk == legacy["reads_per_disk"]
+        assert result.reads_per_disk.tolist() == legacy["reads_per_disk"]
 
     def test_chunk_size_one(self):
         codec, disks = build_image(n_stripes=9)
@@ -68,7 +68,7 @@ class TestInlinePaths:
         result = RebuildPipeline(codec, workers=1).rebuild(disks, 0)
         stats = result.stats
         assert stats["mode"] == "inline-batch"
-        assert stats["stripes"] == codec.n_stripes
+        assert stats["affected_stripes"] == codec.n_stripes
         assert stats["rebuilt_bytes"] == result.image.nbytes
         assert stats["rebuilt_mb_s"] > 0
         assert result.mb_per_s == stats["rebuilt_mb_s"]
@@ -106,7 +106,7 @@ class TestParallelPipeline:
             a = par.rebuild(disks, failed)
             b = seq.rebuild(disks, failed)
             assert np.array_equal(a.image, b.image)
-            assert a.reads_per_disk == b.reads_per_disk
+            assert np.array_equal(a.reads_per_disk, b.reads_per_disk)
 
     def test_single_chunk_falls_back_inline(self):
         # < 2 chunks cannot pipeline; must degrade, not hang
@@ -120,7 +120,7 @@ class TestParallelPipeline:
         codec, disks = build_image(element_size=16, n_stripes=21)
         pipe = RebuildPipeline(codec, workers=2, chunk_stripes=2)
 
-        def broken(self, stripes, out, stripe_ids=None):
+        def broken(self, stripes, out, stripe_ids=None, **kwargs):
             raise ValueError("poisoned plan")
 
         # patched on the class, so the worker threads run it too
@@ -171,18 +171,50 @@ class TestDeadRoleGuard:
         assert len(pipe._plans) == n_plans
 
 
+class TestInPassVerification:
+    """Every rebuilt stripe is compared with the failed disk's stored rows
+    in the kernel pass that writes it; ``mismatches`` counts stripes."""
+
+    def test_intact_image_verifies_clean(self):
+        codec, disks = build_image()
+        result = RebuildPipeline(codec, workers=1, chunk_stripes=4).rebuild(disks, 4)
+        assert result.ok and result.mismatches == 0
+
+    def test_flipped_survivor_byte_is_one_stripe(self):
+        codec, disks = build_image()
+        lay = codec.code.layout
+        planner = RecoveryPlanner(codec.code, "u", depth=1)
+        # stripe 0 has rotation 0: the failed disk plays its own role
+        scheme = planner.scheme_for_disk(2)
+        ldisk, row = next(iter(lay.iter_elements(scheme.read_mask)))
+        disks[ldisk, row, 0] ^= 0xFF
+        pipe = RebuildPipeline(codec, workers=1, chunk_stripes=4, planner=planner)
+        assert pipe.rebuild(disks, 2).mismatches == 1
+
+    def test_dead_disk_garbage_counts_every_stripe(self):
+        codec, disks = build_image()
+        trashed = disks.copy()
+        trashed[3] = 0xAB
+        result = RebuildPipeline(codec, workers=2, chunk_stripes=4).rebuild(trashed, 3)
+        assert np.array_equal(result.image, disks[3])
+        assert result.mismatches == codec.n_stripes
+
+
 class TestConvenienceAndPlanCache:
     def test_rebuild_disk_wrapper(self):
+        # the one-call form: construct and rebuild in one expression
         codec, disks = build_image()
-        result = rebuild_disk(codec, disks, 1, workers=1, chunk_stripes=4)
+        result = RebuildPipeline(codec, workers=1, chunk_stripes=4).rebuild(disks, 1)
         assert np.array_equal(result.image, disks[1])
 
     def test_plan_cache_round_trip(self, tmp_path):
         store = tmp_path / "plans.json"
         codec, disks = build_image()
-        r1 = rebuild_disk(codec, disks, 2, workers=1, plan_cache=SchemePlanCache(store))
+        r1 = RebuildPipeline(
+            codec, workers=1, plan_cache=SchemePlanCache(store)
+        ).rebuild(disks, 2)
         cache2 = SchemePlanCache(store)
-        r2 = rebuild_disk(codec, disks, 2, workers=1, plan_cache=cache2)
+        r2 = RebuildPipeline(codec, workers=1, plan_cache=cache2).rebuild(disks, 2)
         assert np.array_equal(r1.image, r2.image)
         assert cache2.misses == 0 and cache2.hits > 0
         assert r2.stats["plan_cache"]["hits"] == cache2.hits

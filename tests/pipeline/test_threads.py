@@ -1,4 +1,4 @@
-"""Both rebuild engines on worker threads: threaded == inline, and the
+"""Both rebuild entry points on worker threads: threaded == inline, and the
 failure paths — a kernel error names its chunk, drains the chunks in
 flight and leaves the engine usable, and a forked child gets threads of
 its own."""
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.codec import ArrayImageCodec, BatchReconstructor
 from repro.codes import EvenOddCode, RdpCode, make_code
-from repro.pipeline import PoolRebuild, RebuildPipeline, iter_chunks
+from repro.pipeline import PoolRebuild, RebuildPipeline
 from repro.placement import PoolStore, make_placement
 from repro.recovery import RecoveryPlanner
 from repro.topology import Topology, TopologyAwarePlanner
@@ -30,8 +30,18 @@ _TIMEOUT_S = 60
 
 
 # ----------------------------------------------------------------------
-# the two engines, each with the chunk a kernel call belongs to
+# the two entry points, each with the chunk a kernel call belongs to
 # ----------------------------------------------------------------------
+def _first_stripes(engine, dead, chunk_stripes):
+    """Each chunk's first stripe -> its chunk id (stripes are per group)."""
+    firsts = [
+        int(ids[lo])
+        for _, ids, _ in engine.stripe_groups(dead)
+        for lo in range(0, len(ids), chunk_stripes)
+    ]
+    return {s: i for i, s in enumerate(firsts)}
+
+
 class ArrayCase:
     """A threaded :class:`RebuildPipeline` over an ``rdp``-7 image."""
 
@@ -47,18 +57,11 @@ class ArrayCase:
         self.failed = 3
         self.delivered = []
         self.remake(workers=2, chunk_stripes=self.CHUNK)
-        k = code.layout.k_rows
-        self._row_bytes = k * self.codec.element_size
-        chunks = iter_chunks(self.codec.n_stripes, code.layout.n_disks,
-                             self.failed, self.CHUNK)
-        self._chunk_of = {int(c.stripe_ids[0]): c.chunk_id for c in chunks}
+        self._chunk_of = _first_stripes(self.engine, self.failed, self.CHUNK)
         self.n_chunks = len(self._chunk_of)
 
     def chunk_of(self, stripes, out, stripe_ids):
-        # ``out`` is a view of the rebuilt image: its offset names the
-        # chunk's first stripe
-        start = (out.ctypes.data - out.base.ctypes.data) // self._row_bytes
-        return self._chunk_of[start]
+        return self._chunk_of[int(stripe_ids[0])]
 
     def remake(self, **kwargs):
         self.engine = RebuildPipeline(
@@ -89,13 +92,8 @@ class PoolCase:
         self.dead = 4
         self.delivered = []
         self.remake(workers=2, chunk_stripes=self.CHUNK)
-        firsts = [
-            int(ids[lo])
-            for _, ids, _ in self.engine.stripe_groups(self.dead)
-            for lo in range(0, len(ids), self.CHUNK)
-        ]
-        self._chunk_of = {s: i for i, s in enumerate(firsts)}
-        self.n_chunks = len(firsts)
+        self._chunk_of = _first_stripes(self.engine, self.dead, self.CHUNK)
+        self.n_chunks = len(self._chunk_of)
         self.n_affected = int(self.store.placement.stripes_per_disk()[self.dead])
 
     def chunk_of(self, stripes, out, stripe_ids):
@@ -294,7 +292,7 @@ def test_threaded_pipeline_equals_inline(leg, case):
     assert got.stats["mode"] == ("pipeline" if threaded else "inline-batch")
     assert np.array_equal(ref.image, disks[case["failed"]])
     assert np.array_equal(got.image, ref.image)
-    assert got.reads_per_disk == ref.reads_per_disk
+    assert np.array_equal(got.reads_per_disk, ref.reads_per_disk)
     assert throttled == ref_throttled == list(range(n_chunks))
     assert [d[0] for d in delivered] == list(range(n_chunks))
     assert [d[:2] for d in delivered] == [d[:2] for d in ref_delivered]
@@ -349,7 +347,8 @@ def test_threaded_pool_rebuild_equals_inline(leg, case):
         throttled = []
         engine = PoolRebuild(
             store, chunk_stripes=case["chunk"], planner=planner,
-            topo_planner=topo_planner, throttle=throttled.append,
+            topo_planner=topo_planner,
+            throttle=lambda chunk: throttled.append(chunk.stripe_ids),
             workers=workers,
         )
         return engine.rebuild(case["dead"]), throttled

@@ -1,5 +1,7 @@
 """Placement-map unit tests: strategies, both lookup directions, bounds."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,14 @@ from repro.placement import (
 )
 
 STRATEGIES = list_placements()
+
+
+def groups(pm, dead, loads_by_role):
+    """``dead``'s execution groups, each read as ``loads_by_role[role]``."""
+    return [
+        (role, ids, SimpleNamespace(loads=loads_by_role[role]))
+        for role, ids in pm.role_groups(dead)
+    ]
 
 
 class TestFactory:
@@ -75,6 +85,23 @@ class TestLookups:
             back = pm.disk_of_role(stripes, roles)
             assert np.all(back == disk)
 
+    @pytest.mark.parametrize("name", STRATEGIES)
+    def test_role_groups_partition_the_inverse_map(self, name):
+        pm = make_placement(name, 40, 60, 5, seed=2)
+        for disk in (0, 13, 39):
+            stripes, roles = pm.roles_of_disk(disk)
+            groups = list(pm.role_groups(disk))
+            assert [r for r, _ in groups] == sorted(set(roles.tolist()))
+            for role, ids in groups:
+                assert np.all(np.diff(ids) > 0)
+                assert np.array_equal(ids, np.sort(stripes[roles == role]))
+
+    def test_array_is_the_one_group_flat_pool(self):
+        # role l of stripe s on disk (l + s) mod n: the rotated array
+        pm = FlatPlacement(n_pool=7, n_stripes=30, width=7)
+        s, l = np.meshgrid(np.arange(30), np.arange(7), indexing="ij")
+        assert np.array_equal(pm.disk_of_role(s, l), (l + s) % 7)
+
     def test_stripes_per_disk_sums_to_placements(self):
         pm = make_placement("declustered", 30, 90, 6)
         counts = pm.stripes_per_disk()
@@ -131,7 +158,7 @@ class TestRebuildReadLoads:
 
     def test_dead_disk_never_read(self):
         pm = make_placement("declustered", 50, 200, 5)
-        loads = rebuild_read_loads(pm, 7, self._uniform_loads(5))
+        loads = rebuild_read_loads(pm, 7, groups(pm, 7, self._uniform_loads(5)))
         assert loads[7] == 0
         affected, _ = pm.stripes_of_disk(7)
         assert loads.sum() == len(affected) * 4
@@ -141,8 +168,8 @@ class TestRebuildReadLoads:
         flat = FlatPlacement(pool, 4000, width)
         dec = DeclusteredPlacement(pool, 4000, width)
         loads = self._uniform_loads(width)
-        f = rebuild_read_loads(flat, 3, loads)
-        d = rebuild_read_loads(dec, 3, loads)
+        f = rebuild_read_loads(flat, 3, groups(flat, 3, loads))
+        d = rebuild_read_loads(dec, 3, groups(dec, 3, loads))
         # total work is (width - 1) reads per affected stripe either way...
         assert f.sum() == len(flat.stripes_of_disk(3)[0]) * (width - 1)
         assert d.sum() == len(dec.stripes_of_disk(3)[0]) * (width - 1)
@@ -153,11 +180,11 @@ class TestRebuildReadLoads:
         flat = FlatPlacement(pool, 4000, width)
         d3 = D3Placement(pool, 4000, width)
         loads = self._uniform_loads(width)
-        assert rebuild_read_loads(flat, 3, loads).max() >= 2 * rebuild_read_loads(
-            d3, 3, loads
-        ).max()
+        f = rebuild_read_loads(flat, 3, groups(flat, 3, loads))
+        d = rebuild_read_loads(d3, 3, groups(d3, 3, loads))
+        assert f.max() >= 2 * d.max()
 
     def test_wrong_load_width_rejected(self):
         pm = RandomPlacement(20, 50, 4, seed=0)
         with pytest.raises(ValueError, match="expected 4 loads"):
-            rebuild_read_loads(pm, 0, {r: [1, 0, 1] for r in range(4)})
+            rebuild_read_loads(pm, 0, groups(pm, 0, {r: [1, 0, 1] for r in range(4)}))

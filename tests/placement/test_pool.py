@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from repro.codec import execute_scheme
 from repro.codec.encoder import StripeCodec
 from repro.codes import CauchyRSCode, EvenOddCode, RdpCode
-from repro.pipeline import PoolRebuild, compare_placements, rebuild_pool_disk
-from repro.placement import FlatPlacement, PoolStore, make_placement
+from repro.pipeline import PoolRebuild
+from repro.placement import PoolStore, make_placement
 from repro.recovery import RecoveryPlanner
 from repro.topology import Topology, TopologyAwarePlanner
 
@@ -67,7 +67,7 @@ class TestPoolRebuild:
     @pytest.mark.parametrize("name", ["flat", "declustered", "d3", "random"])
     def test_rebuild_is_byte_exact(self, name):
         store = build_store(name, n_pool=30, n_stripes=200)
-        res = rebuild_pool_disk(store, dead_disk=4, chunk_stripes=32)
+        res = PoolRebuild(store, chunk_stripes=32).rebuild(dead_disk=4)
         assert res.ok
         assert res.mismatches == 0
         stripes, _ = store.placement.roles_of_disk(4)
@@ -81,7 +81,7 @@ class TestPoolRebuild:
     )
     def test_rebuild_across_codes(self, code):
         store = build_store("d3", code=code, n_pool=25, n_stripes=120)
-        res = rebuild_pool_disk(store, dead_disk=7)
+        res = PoolRebuild(store).rebuild(dead_disk=7)
         assert res.ok
 
     def test_planned_loads_equal_executed_loads(self):
@@ -94,7 +94,7 @@ class TestPoolRebuild:
     def test_idle_flat_spare_disk_rebuilds_to_nothing(self):
         # 4*6=24 disks in groups, disks 24..27 spare and hold no stripes
         store = build_store("flat", code=RdpCode(5), n_pool=28, n_stripes=96)
-        res = rebuild_pool_disk(store, dead_disk=26)
+        res = PoolRebuild(store).rebuild(dead_disk=26)
         assert res.ok
         assert len(res.stripe_ids) == 0
         assert res.reads_per_disk.sum() == 0
@@ -102,11 +102,12 @@ class TestPoolRebuild:
     def test_declustered_halves_flat_max_load(self):
         # the ISSUE acceptance bar, at test scale: >= 2x reduction in
         # max-per-disk rebuild reads on a 100+ disk pool
-        results = compare_placements(
-            lambda name: build_store(name, n_pool=120, n_stripes=2000),
-            ["flat", "declustered"],
-            dead_disk=5,
-        )
+        results = {
+            name: PoolRebuild(
+                build_store(name, n_pool=120, n_stripes=2000)
+            ).rebuild(dead_disk=5)
+            for name in ["flat", "declustered"]
+        }
         assert all(r.ok for r in results.values())
         flat, dec = results["flat"], results["declustered"]
         assert flat.max_read_load >= 2 * dec.max_read_load
@@ -120,7 +121,7 @@ class TestPoolRebuild:
         engine = PoolRebuild(store, chunk_stripes=16, throttle=seen.append)
         res = engine.rebuild(dead_disk=2)
         assert res.ok
-        assert sum(len(c) for c in seen) == len(res.stripe_ids)
+        assert sum(c.n_stripes for c in seen) == len(res.stripe_ids)
         assert len(seen) == res.stats["chunks"]
 
     def test_bad_chunk_size_rejected(self):
@@ -136,7 +137,7 @@ class TestPoolRebuild:
 
     def test_stats_shape(self):
         store = build_store("random", n_pool=30, n_stripes=100)
-        res = rebuild_pool_disk(store, dead_disk=1)
+        res = PoolRebuild(store).rebuild(dead_disk=1)
         for key in ("placement", "n_pool", "affected_stripes", "chunks",
                     "rebuilt_mb_s", "read_load"):
             assert key in res.stats
@@ -321,7 +322,7 @@ class TestPoolRebuildOracle:
                 if case["aware"]
                 else None
             ),
-            throttle=seen.append,
+            throttle=lambda chunk: seen.append(chunk.stripe_ids),
         )
         for dead in range(pm.n_pool):
             seen.clear()

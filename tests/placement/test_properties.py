@@ -5,6 +5,8 @@ map round-trips, and declustered placement's rebuild-read spread beats
 flat placement's max-per-disk load on random pools.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -88,8 +90,13 @@ def test_declustered_spread_beats_flat_on_random_pools(case):
     flat = make_placement("flat", n_pool, n_stripes, width)
     dec = make_placement("declustered", n_pool, n_stripes, width)
     loads = {r: [1] * r + [0] + [1] * (width - r - 1) for r in range(width)}
-    f = rebuild_read_loads(flat, dead, loads)
-    d = rebuild_read_loads(dec, dead, loads)
+    f, d = (
+        rebuild_read_loads(pm, dead, [
+            (role, ids, SimpleNamespace(loads=loads[role]))
+            for role, ids in pm.role_groups(dead)
+        ])
+        for pm in (flat, dec)
+    )
     if f.max() == 0:
         return  # dead disk held no stripes; nothing to spread
     if dec.stripes_per_disk()[dead] == 0:

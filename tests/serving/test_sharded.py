@@ -589,19 +589,21 @@ class TestShardedServingEngine:
                 assert shard[f"{part}_p99_ms"] <= gauges[f"serving.{part}_p99_ms"]["peak"]
 
     def test_wrong_rebuilt_row_is_counted(self, monkeypatch):
-        """The parent checks every rebuilt row against the pristine disk:
-        one corrupted row shows in rebuild_mismatches and fails ok."""
+        """The rebuild verifies every stripe it writes against the pristine
+        disk: a survivor byte flipped under it shows as one stripe in
+        rebuild_mismatches and fails ok."""
 
-        class CorruptFirstRow(RebuildPipeline):
-            def __init__(self, *args, on_chunk, **kwargs):
-                def corrupt_then_deliver(chunk, rows):
-                    if chunk.chunk_id == 0:
-                        rows[0, 0] ^= 0xFF
-                    on_chunk(chunk, rows)
+        class CorruptFirstStripe(RebuildPipeline):
+            def rebuild(self, disks, failed_physical, patch=False):
+                # stripe 0 has rotation 0: the failed disk plays its own role
+                scheme = self.planner.scheme_for_disk(failed_physical)
+                lay = self.codec.code.layout
+                ldisk, row = next(iter(lay.iter_elements(scheme.read_mask)))
+                disks = disks.copy()
+                disks[ldisk, row, 0] ^= 0xFF
+                return super().rebuild(disks, failed_physical, patch)
 
-                super().__init__(*args, on_chunk=corrupt_then_deliver, **kwargs)
-
-        monkeypatch.setattr(sharded_mod, "RebuildPipeline", CorruptFirstRow)
+        monkeypatch.setattr(sharded_mod, "RebuildPipeline", CorruptFirstStripe)
         codec, disks = build(n_stripes=8)
         engine = ShardedServingEngine(codec, disks, failed_disk=2, n_shards=1)
         reqs = hotspot_trace(codec, failed_disk=2, count=50, rate=3000.0)
