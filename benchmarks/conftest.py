@@ -1,9 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
 Scheme generation is the expensive part, so one session-scoped
-:class:`~repro.analysis.SchemeCache` (backed by ``benchmarks/.scheme_cache``
-JSON files) is shared by every figure bench — the first full run sweeps the
-search once, replays are second-scale.
+:class:`~repro.analysis.SchemeCache` (backed by one plan store,
+``benchmarks/.scheme_cache/plans.json``) is shared by every figure bench —
+the first full run sweeps the search once, replays are second-scale.
+Deleting the store forces regeneration.
 
 Environment knobs:
 

@@ -20,10 +20,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import improvement_percent
-from repro.codes.base import ErasureCode
 from repro.codes.registry import make_code
 from repro.disksim.disk import SAVVIO_10K3, DiskParams
 from repro.disksim.recovery_sim import simulate_stack_recovery
+from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.scheme import RecoveryScheme
 
@@ -37,9 +37,11 @@ FIGURE_DISK_RANGE: Tuple[int, ...] = tuple(range(7, 17))
 class SchemeCache:
     """Cache of per-data-disk schemes keyed by (family, n_disks, algorithm).
 
-    With a ``cache_dir`` the schemes persist across processes as JSON (via
-    :meth:`RecoveryPlanner.save`/``load``), which turns the multi-minute
-    figure sweeps into second-scale replays.
+    With a ``cache_dir`` the schemes persist across processes in one
+    :class:`~repro.recovery.plancache.SchemePlanCache` store,
+    ``cache_dir / "plans.json"``, which turns the multi-minute figure
+    sweeps into second-scale replays.  Deleting the file forces
+    regeneration.
     """
 
     def __init__(
@@ -50,41 +52,26 @@ class SchemeCache:
     ) -> None:
         self.depth = depth
         self.max_expansions = max_expansions
-        self.cache_dir = Path(cache_dir) if cache_dir else None
-        if self.cache_dir:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        #: the persistent store every planner of this cache shares
+        self.store = (
+            SchemePlanCache(Path(cache_dir) / "plans.json") if cache_dir else None
+        )
         self._mem: Dict[Tuple[str, int, str], List[RecoveryScheme]] = {}
-
-    def _path(self, family: str, n_disks: int, algorithm: str) -> Optional[Path]:
-        if not self.cache_dir:
-            return None
-        return self.cache_dir / f"{family}_{n_disks}_{algorithm}_d{self.depth}.json"
 
     def schemes(
         self, family: str, n_disks: int, algorithm: str
     ) -> List[RecoveryScheme]:
         """Schemes for every data disk of ``family`` at ``n_disks``."""
         key = (family, n_disks, algorithm)
-        if key in self._mem:
-            return self._mem[key]
-        code = make_code(family, n_disks)
-        planner = RecoveryPlanner(
-            code,
-            algorithm=algorithm,
-            depth=self.depth,
-            max_expansions=self.max_expansions,
-        )
-        path = self._path(family, n_disks, algorithm)
-        if path and path.exists():
-            planner.load(path)
-        schemes = planner.all_data_disk_schemes()
-        if path and not path.exists():
-            planner.save(path)
-        self._mem[key] = schemes
-        return schemes
-
-    def code(self, family: str, n_disks: int) -> ErasureCode:
-        return make_code(family, n_disks)
+        if key not in self._mem:
+            self._mem[key] = RecoveryPlanner(
+                make_code(family, n_disks),
+                algorithm=algorithm,
+                depth=self.depth,
+                max_expansions=self.max_expansions,
+                plan_cache=self.store,
+            ).all_data_disk_schemes()
+        return self._mem[key]
 
 
 def figure3_series(
@@ -115,7 +102,7 @@ def figure4_series(
     cache = cache or SchemeCache()
     out: Dict[str, List[float]] = {alg: [] for alg in algorithms}
     for n in disk_range:
-        code = cache.code(family, n)
+        code = make_code(family, n)
         for alg in algorithms:
             schemes = cache.schemes(family, n, alg)
             result = simulate_stack_recovery(code, schemes, stacks=stacks, params=params)

@@ -885,7 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pool size for --placement (0 = 4 groups of the "
                    "code's width)")
     p.add_argument("--plan-cache", default=None, metavar="PATH",
-                   help="persistent JSON degraded-plan cache")
+                   help="persistent JSON scheme-plan store (degraded "
+                   "plans are sliced from its whole-disk schemes)")
     p.add_argument(
         "--inject",
         action="append",

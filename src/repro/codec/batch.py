@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -284,15 +284,15 @@ class BatchReconstructor:
 def check_plan(recon: BatchReconstructor, role: int) -> None:
     """Refuse a plan that reads the dead role or misstates its loads.
 
-    Both rebuild engines read survivors in place — the pool rebuild out
-    of the store, the array rebuild out of the disk image — where the dead
-    role's rows are still addressable (and, in a test image, intact), so a
-    plan that read one could pass byte verification silently.  The pool
-    rebuild does read the dead rows, but only as comparison targets of
-    its in-pass verification (``bad_rows``), never as sources.  Checked
-    statically, once per compiled plan: no surviving source may lie in
-    the dead rows, and the distinct sources per logical disk must equal
-    ``scheme.loads`` (the quantity billed).  Raises :class:`ValueError`.
+    The rebuild and the serving shards read survivors in place — out of
+    a pool store or a disk image — where the dead role's rows are still
+    addressable (and, in a test image, intact), so a plan that read one
+    could pass byte verification silently.  The rebuild does read the
+    dead rows, but only as comparison targets of its in-pass
+    verification (``bad_rows``), never as sources.  Checked statically,
+    once per compiled plan: no surviving source may lie in the dead rows,
+    and the distinct sources per logical disk must equal ``scheme.loads``
+    (the quantity billed).  Raises :class:`ValueError`.
     """
     scheme = recon.scheme
     k = scheme.layout.k_rows
@@ -314,42 +314,58 @@ def check_plan(recon: BatchReconstructor, role: int) -> None:
         )
 
 
-class PlanMemo:
-    """Compiled, checked plans of one rebuild engine, memoised.
+class CompiledPlan(NamedTuple):
+    """One scheme compiled and checked for one dead role: kernel plan
+    plus the billing of one stripe."""
 
-    Calling the memo with ``(role, scheme)`` returns the plan for
-    rebuilding ``role`` with ``scheme``: a :class:`BatchReconstructor`
-    refused by :func:`check_plan` if it reads the dead role or misstates
-    its loads, passed through ``finish`` (identity by default; the pool
-    rebuild attaches its billing arrays there).  The key is the plan's
-    full semantics, so each distinct scheme is compiled and checked once
-    per memo, not once per rebuild.  ``len`` counts the plans held.
+    recon: BatchReconstructor
+    logicals: np.ndarray   #: logical disks the plan reads, ascending
+    loads: np.ndarray      #: elements read from each per stripe (float64,
+                           #: the weights of one ``np.bincount``)
+
+
+class PlanMemo:
+    """Compiled, checked plans, memoised.
+
+    Calling the memo with ``(role, scheme)`` returns the
+    :class:`CompiledPlan` for recovering elements of the dead ``role``
+    with ``scheme``, whose :class:`BatchReconstructor` is refused by
+    :func:`check_plan` if it reads the dead role or misstates its loads.
+    The key is the plan's full semantics, so each distinct scheme is
+    compiled and checked once per memo, not once per rebuild or per
+    serving shard's table entry.  ``len`` counts the plans held.
     """
 
-    def __init__(self, finish: Callable[[BatchReconstructor], Any] = lambda r: r):
-        self._finish = finish
-        self._plans: Dict[Tuple, Any] = {}
+    def __init__(self) -> None:
+        self._plans: Dict[Tuple, CompiledPlan] = {}
 
     def __len__(self) -> int:
         return len(self._plans)
 
-    def __call__(self, role: int, scheme: RecoveryScheme) -> Any:
+    def __call__(self, role: int, scheme: RecoveryScheme) -> CompiledPlan:
         key = (role, scheme.failed_mask, tuple(scheme.equations), scheme.read_mask)
         plan = self._plans.get(key)
         if plan is None:
             recon = BatchReconstructor(scheme)
             check_plan(recon, role)
-            plan = self._plans[key] = self._finish(recon)
+            loads = np.asarray(scheme.loads, dtype=np.int64)
+            logicals = np.flatnonzero(loads)
+            plan = self._plans[key] = CompiledPlan(
+                recon, logicals, loads[logicals].astype(np.float64)
+            )
         return plan
 
 
 class CompiledPlanCache:
-    """Memoised :class:`BatchReconstructor` per plan.
+    """Memoised :class:`BatchReconstructor` per plan, unchecked.
 
-    Building a reconstructor compiles the scheme's equations into
-    flattened index arrays for the batched-XOR kernel — cheap, but not
-    free, and the serving hot path and the fault ladder ask for the same
-    few plans over and over.  Keyed by ``(layout, failed_mask,
+    The fault ladder's memo: a ladder plan recovers whatever failed set
+    the faults left and may read elements it recovered earlier straight
+    from the stripe buffer, so :func:`check_plan`'s one-dead-role guard
+    (and :class:`PlanMemo`) cannot vouch for it.  Building a reconstructor
+    compiles the scheme's equations into flattened index arrays for the
+    batched-XOR kernel — cheap, but not free, and the ladder asks for the
+    same few plans over and over.  Keyed by ``(layout, failed_mask,
     equations)`` — the full XOR semantics of a plan, over a stripe of the
     layout's width, so one cache may serve several codes — bounded LRU,
     thread-safe.  Traffic is published as ``codec.compiled_plan_hit`` /

@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.codec.batch import BatchReconstructor, ColumnSet, PlanMemo
+from repro.codec.batch import ColumnSet, CompiledPlan, PlanMemo
 from repro.placement.map import rebuild_read_loads
 from repro.placement.pool import PoolStore
 from repro.recovery.plancache import SchemePlanCache
@@ -96,21 +96,6 @@ class RebuildResult:
         return float(self.max_read_load / busy.mean()) if busy.size else 1.0
 
 
-class _GroupPlan(NamedTuple):
-    """One scheme compiled for a rebuild: kernel plan plus billing."""
-
-    recon: BatchReconstructor
-    logicals: np.ndarray   #: logical disks the plan reads, ascending
-    loads: np.ndarray      #: elements read from each per stripe (float64,
-                           #: the weights of one ``np.bincount``)
-
-    @classmethod
-    def of(cls, recon: BatchReconstructor) -> "_GroupPlan":
-        loads = np.asarray(recon.scheme.loads, dtype=np.int64)
-        logicals = np.flatnonzero(loads)
-        return cls(recon, logicals, loads[logicals].astype(np.float64))
-
-
 @dataclass(frozen=True, eq=False)
 class RebuildChunk:
     """Up to ``chunk_stripes`` affected stripes of one execution group.
@@ -121,7 +106,7 @@ class RebuildChunk:
     chunk_id: int           #: dense, in emission (and delivery) order
     role: int               #: logical role the dead disk plays in them
     stripe_ids: np.ndarray  #: int64, ascending
-    plan: _GroupPlan        #: the group's compiled plan and its billing
+    plan: CompiledPlan      #: the group's compiled plan and its billing
     columns: ColumnSet      #: the bytes the group's stripes are read from
     rows_at: np.ndarray     #: each stripe's row in the result
     bad: np.ndarray         #: per-stripe mismatch flags, a view of the
@@ -203,7 +188,7 @@ class PoolRebuild:
             # fail fast on a planner/placement topology mismatch
             store.placement.require_leaf_of_disk(topo_planner.topology)
         self.topo_planner = topo_planner
-        self._plans = PlanMemo(_GroupPlan.of)
+        self._plans = PlanMemo()
         self._runner = ChunkRunner(workers, self._label)
 
     # ------------------------------------------------------------------

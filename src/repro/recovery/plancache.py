@@ -16,14 +16,18 @@ Two tiers:
   temp file + ``os.replace``) shared by every process pointed at the same
   path.  A corrupted or unreadable store is *ignored with a warning* — the
   cache silently degrades to cold, it never raises.
+  :meth:`~SchemePlanCache.put` only marks the store dirty;
+  :meth:`~SchemePlanCache.save` writes it, and a
+  :class:`~repro.recovery.planner.RecoveryPlanner` calls that once per
+  planning pass.
 
-Concurrent writers (sharded serving workers all warming per-row plans
-against one store path) are safe: :meth:`SchemePlanCache.save` takes an
-advisory ``flock`` on a ``<path>.lock`` sidecar, re-reads the store under
-the lock, and merges the on-disk plans with its own before the atomic
-replace — so two processes saving back-to-back union their entries
-instead of the last writer erasing the first one's.  Readers need no
-lock: ``os.replace`` guarantees they always see a complete store.
+Concurrent writers (several processes planning against one store path)
+are safe: :meth:`SchemePlanCache.save` takes an advisory ``flock`` on a
+``<path>.lock`` sidecar, re-reads the store under the lock, and merges
+the on-disk plans with its own before the atomic replace — so two
+processes saving back-to-back union their entries instead of the last
+writer erasing the first one's.  Readers need no lock: ``os.replace``
+guarantees they always see a complete store.
 
 Keys are content hashes, so a change to the code family, its geometry or
 its generator matrix changes the key and can never serve a stale plan;
@@ -114,7 +118,8 @@ def plan_key(
 
 
 def _scheme_record(scheme: RecoveryScheme) -> Dict[str, Any]:
-    """JSON-serialisable scheme payload (same shape as planner.save)."""
+    """JSON-serialisable scheme payload: every field of the scheme, its
+    search stats (in ``metadata``) included."""
     return {
         "failed_mask": scheme.failed_mask,
         "failed_eids": list(scheme.failed_eids),
@@ -154,22 +159,17 @@ class SchemePlanCache:
     max_entries:
         In-memory LRU bound.  The on-disk store is unbounded (plans are a
         few hundred bytes each).
-    autosave:
-        Write the store back after every :meth:`put`.  Turn off to batch
-        many puts and call :meth:`save` once.
     """
 
     def __init__(
         self,
         path: Optional[Union[str, Path]] = None,
         max_entries: int = 512,
-        autosave: bool = True,
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.path = Path(path) if path is not None else None
         self.max_entries = max_entries
-        self.autosave = autosave
         self._mem: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._disk: Dict[str, Dict[str, Any]] = {}
         self._dirty = False
@@ -286,7 +286,11 @@ class SchemePlanCache:
         scheme: RecoveryScheme,
         max_expansions: Optional[int] = None,
     ) -> str:
-        """Insert a freshly generated scheme; returns its key."""
+        """Insert a freshly generated scheme; returns its key.
+
+        With a path, the store is only marked dirty: :meth:`save` writes
+        it.
+        """
         key = plan_key(code, failed_disk, algorithm, depth, max_expansions)
         record = _scheme_record(scheme)
         self._remember(key, record)
@@ -295,8 +299,6 @@ class SchemePlanCache:
         if self.path is not None:
             self._disk[key] = record
             self._dirty = True
-            if self.autosave:
-                self.save()
         return key
 
     def _remember(self, key: str, record: Dict[str, Any]) -> None:

@@ -3,9 +3,11 @@
 "The number of different single disk failure situations is equal to the
 number of disks, so we can find the recovery schemes for each single disk
 failure situation ahead of time and directly use them whenever they are
-needed."  :class:`RecoveryPlanner` is that cache, with JSON round-tripping so
-plans survive process restarts — the schemes are deterministic, so a reload
-is byte-identical to a regeneration.
+needed."  :class:`RecoveryPlanner` is that cache.  Backed by a
+:class:`~repro.recovery.plancache.SchemePlanCache` (``plan_cache=``), plans
+survive process restarts — the schemes are deterministic, so a reload is
+byte-identical to a regeneration.  The planner writes the store back once
+per planning pass, never once per scheme.
 
 The per-disk searches are independent, and the search kernel is a
 :mod:`ctypes` call that releases the GIL, so
@@ -19,9 +21,7 @@ is the same as planning the disks one after another.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.codes.base import ErasureCode
@@ -68,6 +68,7 @@ class RecoveryPlanner:
             if scheme is None:
                 scheme = self._search(disk)
                 self._to_plan_cache(disk, scheme)
+                self._save_plan_cache()
             self._cache[disk] = scheme
         return self._cache[disk]
 
@@ -85,6 +86,11 @@ class RecoveryPlanner:
                 self.code, disk, self.algorithm, self.depth, scheme,
                 self.max_expansions,
             )
+
+    def _save_plan_cache(self) -> None:
+        """Write the plan cache's new schemes back (no-op without one)."""
+        if self.plan_cache is not None:
+            self.plan_cache.save()
 
     def _search(self, disk: int) -> RecoveryScheme:
         """Run the configured generator for one disk (no cache involved)."""
@@ -124,8 +130,9 @@ class RecoveryPlanner:
         """The schemes for ``disks``, searching the uncached ones in parallel.
 
         Plan-cache hits are resolved here, so only genuine searches reach
-        the kernel threads; their schemes are cached (and stored in the
-        plan cache) in disk order as they complete.
+        the kernel threads; their schemes are cached (and put in the plan
+        cache) in disk order as they complete, and the plan cache is
+        written back once at the end of the pass.
         """
         todo = []
         for d in disks:
@@ -142,6 +149,7 @@ class RecoveryPlanner:
             self._to_plan_cache(disk, scheme)
 
         _RUNNER.run(todo, self._search_on_worker, deliver)
+        self._save_plan_cache()
         return [self.scheme_for_disk(d) for d in disks]
 
     def all_data_disk_schemes(self) -> List[RecoveryScheme]:
@@ -151,62 +159,3 @@ class RecoveryPlanner:
     def all_disk_schemes(self) -> List[RecoveryScheme]:
         """Schemes for every disk, parity included."""
         return self._plan(range(self.code.layout.n_disks))
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def save(self, path: Union[str, Path]) -> None:
-        """Serialise the cached schemes to JSON."""
-        payload = {
-            "code": self.code.describe(),
-            "algorithm": self.algorithm,
-            "depth": self.depth,
-            "schemes": {
-                str(disk): {
-                    "failed_mask": s.failed_mask,
-                    "failed_eids": s.failed_eids,
-                    "equations": s.equations,
-                    "read_mask": s.read_mask,
-                    "exact": s.exact,
-                    "expanded_states": s.expanded_states,
-                    "metadata": s.metadata,
-                }
-                for disk, s in self._cache.items()
-            },
-        }
-        Path(path).write_text(json.dumps(payload, indent=2))
-
-    def load(self, path: Union[str, Path]) -> int:
-        """Load previously saved schemes; returns how many were restored."""
-        payload = json.loads(Path(path).read_text())
-        if payload["algorithm"] != self.algorithm:
-            raise ValueError(
-                f"plan file is for algorithm {payload['algorithm']!r}, "
-                f"planner uses {self.algorithm!r}"
-            )
-        file_code = payload.get("code")
-        if file_code is not None and file_code != self.code.describe():
-            raise ValueError(
-                f"plan file is for code {file_code!r}, "
-                f"planner uses {self.code.describe()!r}"
-            )
-        file_depth = payload.get("depth")
-        if file_depth is not None and file_depth != self.depth:
-            raise ValueError(
-                f"plan file was generated at depth {file_depth}, "
-                f"planner uses depth {self.depth}"
-            )
-        for disk_str, raw in payload["schemes"].items():
-            scheme = RecoveryScheme(
-                layout=self.code.layout,
-                failed_mask=raw["failed_mask"],
-                failed_eids=list(raw["failed_eids"]),
-                equations=list(raw["equations"]),
-                read_mask=raw["read_mask"],
-                algorithm=self.algorithm,
-                exact=raw["exact"],
-                expanded_states=raw["expanded_states"],
-                metadata=raw.get("metadata", {}),
-            )
-            self._cache[int(disk_str)] = scheme
-        return len(payload["schemes"])

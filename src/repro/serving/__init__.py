@@ -15,7 +15,8 @@ latency objective:
   shard runs: direct, patched and batched degraded reads, optionally
   through the resilient executor under a fault plan;
 * :class:`~repro.serving.plans.DegradedPlanCache` — search-free
-  per-element degraded plans, persistent via ``SchemePlanCache`` keying;
+  per-element degraded plans, sliced from the planner's whole-disk
+  schemes (persistent through its ``SchemePlanCache``);
 * :class:`~repro.serving.iomodel.SimulatedDisksIoModel` — deterministic
   per-spindle disk-time accounting for contention experiments;
 * :func:`~repro.serving.clients.build_workload_requests` — hotspot and

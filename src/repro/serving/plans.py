@@ -3,24 +3,21 @@
 Steady-state degraded reads must cost zero scheme search.  This cache gets
 there in two layers:
 
-* the whole-disk scheme is obtained once per logical role from a
-  :class:`~repro.recovery.planner.RecoveryPlanner` (itself optionally
+* every per-row plan is memoised under ``(disk, row)``;
+* a memo miss *slices* the plan out of the logical role's whole-disk
+  scheme with :func:`~repro.recovery.degraded_read.slice_degraded_plan` —
+  pure bitmask chasing, no search.  The whole-disk scheme comes from a
+  :class:`~repro.recovery.planner.RecoveryPlanner`, itself optionally
   backed by a persistent :class:`~repro.recovery.plancache.SchemePlanCache`,
-  so even the first read after a process restart can skip the search);
-* every per-row plan is *sliced* out of that scheme with
-  :func:`~repro.recovery.degraded_read.slice_degraded_plan` — pure bitmask
-  chasing — and memoised under ``(disk, row)``.  Sliced single-row plans
-  are additionally written through to the persistent store under a
-  ``degraded-<alg>-row<r>`` algorithm key (reusing ``SchemePlanCache``'s
-  content-hash keying), so a restarted server warms from disk.
+  so even the first read after a process restart can skip the search.
+  Sliced plans are derived, not searched, so they are never persisted.
 
 Cache traffic is published as ``serving.plan_hit`` / ``serving.plan_miss``
 obs counters; a benchmark asserting "warm cache, zero search" watches
 these plus the ``search.*`` family.
 
-:class:`~repro.codec.batch.CompiledPlanCache`, the memo of compiled
-plans a shard keeps next to this one, lives with the kernel it feeds and
-is re-exported here.
+:class:`~repro.codec.batch.CompiledPlanCache`, the fault ladder's memo of
+compiled plans, lives with the kernel it feeds and is re-exported here.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from repro import obs
 from repro.codec.batch import CompiledPlanCache
 from repro.codes.base import ErasureCode
 from repro.recovery.degraded_read import slice_degraded_plan
-from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.scheme import RecoveryScheme
 
@@ -50,10 +46,8 @@ class DegradedPlanCache:
         Whole-disk scheme search configuration (ignored when ``planner``
         is supplied).
     planner:
-        Optional shared planner; its in-memory disk schemes are reused.
-    store:
-        Optional persistent plan store for both the whole-disk schemes
-        (via the planner) and the sliced per-row plans.
+        Optional shared planner; its disk schemes (and its persistent
+        plan cache, if any) are reused.
     """
 
     def __init__(
@@ -62,18 +56,13 @@ class DegradedPlanCache:
         algorithm: str = "u",
         depth: int = 1,
         planner: Optional[RecoveryPlanner] = None,
-        store: Optional[SchemePlanCache] = None,
     ) -> None:
         self.code = code
         self.planner = planner or RecoveryPlanner(
-            code, algorithm=algorithm, depth=depth, plan_cache=store
+            code, algorithm=algorithm, depth=depth
         )
-        self.store = store if store is not None else self.planner.plan_cache
         self._plans: Dict[Tuple[int, int], RecoveryScheme] = {}
         self._lock = threading.Lock()
-
-    def _row_key(self, row: int) -> str:
-        return f"degraded-{self.planner.algorithm}-row{row}"
 
     def plan_for_element(self, disk: int, row: int) -> RecoveryScheme:
         """The degraded-read plan for one element of a failed disk."""
@@ -87,26 +76,7 @@ class DegradedPlanCache:
                 obs.count("serving.plan_hit")
                 return plan
             obs.count("serving.plan_miss")
-            if self.store is not None:
-                plan = self.store.get(
-                    self.code,
-                    disk,
-                    self._row_key(row),
-                    self.planner.depth,
-                    self.planner.max_expansions,
-                )
-            if plan is None:
-                disk_scheme = self.planner.scheme_for_disk(disk)
-                plan = slice_degraded_plan(disk_scheme, [row])
-                if self.store is not None:
-                    self.store.put(
-                        self.code,
-                        disk,
-                        self._row_key(row),
-                        self.planner.depth,
-                        plan,
-                        self.planner.max_expansions,
-                    )
+            plan = slice_degraded_plan(self.planner.scheme_for_disk(disk), [row])
             self._plans[(disk, row)] = plan
             return plan
 

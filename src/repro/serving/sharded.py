@@ -18,15 +18,19 @@ is:
   so a shard never serves a torn row).  The same pipe is what an idle
   shard waits on: one ``select`` until the next scheduled arrival,
   which a frontier message cuts short;
-* the degraded **plan map** as the persistent
-  :class:`~repro.recovery.plancache.SchemePlanCache` store, warmed by the
-  parent before forking so workers start search-free.
+* the degraded **plan map**: the parent warms every per-row plan any
+  shard can need before forking, so workers start search-free; under a
+  ``spawn`` start method they slice their plans from whole-disk schemes
+  read out of the persistent
+  :class:`~repro.recovery.plancache.SchemePlanCache` store instead.
 
 A shard drains every overdue request in one scoop and groups degraded
 reads by ``(logical role, row)``.  All stripes where the failed physical
 disk plays the same logical role share one rotation, hence one physical
 mapping — so the whole group is one entry of the shard's dense plan
-table and one batched-XOR kernel call
+table (a :class:`~repro.codec.batch.CompiledPlan`, checked like a
+rebuild's plan by :func:`~repro.codec.batch.check_plan`) and one
+batched-XOR kernel call
 (:meth:`~repro.codec.batch.BatchReconstructor.recover_batch_into`) that
 reads its stripes in place from the disk image.  With a
 :class:`~repro.faults.plan.FaultPlan`, a group runs through the
@@ -61,7 +65,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.codec.batch import BatchReconstructor, ColumnSet, CompiledPlanCache
+from repro.codec.batch import ColumnSet, CompiledPlan, PlanMemo
 from repro.codec.image import ArrayImageCodec
 from repro.disksim.workload import Request
 from repro.faults.plan import FaultPlan
@@ -243,10 +247,10 @@ class BoardThrottle:
 _PR_SET_TIMERSLACK = 29
 
 
-class _GroupPlan(NamedTuple):
-    """Everything a degraded ``(role, row)`` group needs, resolved once."""
+class _TableEntry(NamedTuple):
+    """A degraded ``(role, row)`` group's compiled plan, placed once."""
 
-    recon: BatchReconstructor
+    plan: CompiledPlan
     slot: int                   #: output slot of the requested element
     n_slots: int                #: elements the plan recovers
     rotation: int               #: stripe rotation where the role is failed
@@ -263,10 +267,13 @@ class ShardServer:
 
     Construction prepares the degraded path once: a dense ``(role, row)``
     table of compiled plans for every role the failed disk plays in the
-    range (each entry: reconstructor, output slot, rotation and per-disk
+    range (each entry: compiled plan, output slot, rotation and per-disk
     billing), and one prepared :class:`~repro.codec.batch.ColumnSet` per
     rotation over the disk image, so a degraded group is one table lookup
-    and one in-place ``recover_batch_into`` call.
+    and one in-place ``recover_batch_into`` call.  Every plan is compiled
+    through a :class:`~repro.codec.batch.PlanMemo`, so
+    :func:`~repro.codec.batch.check_plan` refuses (``ValueError``, at
+    construction) one that reads the dead role or misstates its loads.
 
     A non-empty ``fault_plan`` builds a
     :class:`~repro.faults.store.FaultyStripeStore` over the array's
@@ -305,7 +312,8 @@ class ShardServer:
         self.stripe_lo = stripe_lo
         self.stripe_hi = stripe_hi
         self.plans = plans or DegradedPlanCache(codec.code)
-        self.compiled = CompiledPlanCache()
+        #: the table's compiled, checked plans, one per distinct plan
+        self.compiled = PlanMemo()
         self.io = io if io is not None else NullIoModel()
         self.priority = priority
         self.max_batch = max_batch
@@ -331,7 +339,7 @@ class ShardServer:
                 fault_plan,
             )
         #: dense (role, row) plan table, indexed by role * k_rows + row
-        self._table: List[Optional[_GroupPlan]] = [None] * (n * k)
+        self._table: List[Optional[_TableEntry]] = [None] * (n * k)
         for s in range(stripe_lo, min(stripe_hi, stripe_lo + n)):
             role = codec.logical_role(failed_disk, s)
             for r in range(k):
@@ -344,20 +352,19 @@ class ShardServer:
         self.fault_counts = dict.fromkeys(FAULT_COUNTERS, 0)
         self.mismatches = 0
 
-    def _group_plan(self, key: int) -> _GroupPlan:
+    def _group_plan(self, key: int) -> _TableEntry:
         """Build and table the degraded plan of ``(role, row) = divmod(key, k)``."""
         role, r = divmod(key, self._k)
         lay = self.codec.code.layout
         plan = self.plans.plan_for_element(role, r)
-        recon = self.compiled.reconstructor(plan)
+        compiled = self.compiled(role, plan)
         rot = (self.failed_disk - role) % self._n
         billing = tuple(
-            ((ldisk + rot) % self._n, load)
-            for ldisk, load in enumerate(plan.loads)
-            if load
+            ((int(ldisk) + rot) % self._n, int(load))
+            for ldisk, load in zip(compiled.logicals, compiled.loads)
         )
-        entry = _GroupPlan(
-            recon,
+        entry = _TableEntry(
+            compiled,
             plan.failed_eids.index(lay.eid(role, r)),
             len(plan.failed_eids),
             rot,
@@ -454,7 +461,7 @@ class ShardServer:
         esz = self.codec.element_size
         for key, (idxs, stripes) in degraded.items():
             entry = self._table[key] or self._group_plan(key)
-            recon, slot, n_slots, rot, billing = entry
+            plan, slot, n_slots, rot, billing = entry
             count = len(idxs)
             self.io.read_elements(
                 {disk: load * count for disk, load in billing},
@@ -463,7 +470,7 @@ class ShardServer:
             ids = np.array(stripes, dtype=np.int64)
             if self.fault_store is None:
                 out = np.empty((count, n_slots, esz), dtype=np.uint8)
-                recon.recover_batch_into(self._colsets[rot], out, ids)
+                plan.recon.recover_batch_into(self._colsets[rot], out, ids)
                 answer = out[:, slot]
             else:
                 answer = self._recover_resilient(key, stripes)
@@ -692,13 +699,13 @@ def _shard_main(
         plans = cfg.get("plans")
         if plans is None:
             store_path = cfg.get("store_path")
-            store = SchemePlanCache(store_path) if store_path else None
-            plans = DegradedPlanCache(
+            planner = RecoveryPlanner(
                 codec.code,
                 algorithm=str(cfg.get("algorithm", "u")),
                 depth=int(cfg.get("depth", 1)),
-                store=store,
+                plan_cache=SchemePlanCache(store_path) if store_path else None,
             )
+            plans = DegradedPlanCache(codec.code, planner=planner)
         server = ShardServer(
             codec,
             state.disks,
@@ -718,8 +725,6 @@ def _shard_main(
         # no more frontier reads: later sends fail fast instead of filling
         # the pipe of a shard that has stopped listening
         ctrl.close()
-        if plans.store is not None:
-            plans.store.save()
         res["shard"] = shard_id
         if rec is not None:
             res["obs"] = rec.snapshot()
@@ -892,9 +897,7 @@ class ShardedServingEngine:
         self.planner = RecoveryPlanner(
             codec.code, algorithm=algorithm, depth=depth, plan_cache=store
         )
-        self.plans = DegradedPlanCache(
-            codec.code, planner=self.planner, store=store
-        )
+        self.plans = DegradedPlanCache(codec.code, planner=self.planner)
         self._k = lay.k_rows
 
     # ------------------------------------------------------------------
@@ -906,10 +909,7 @@ class ShardedServingEngine:
                 for s in range(self.codec.n_stripes)
             }
         )
-        count = self.plans.warm(roles)
-        if self.plans.store is not None:
-            self.plans.store.save()
-        return count
+        return self.plans.warm(roles)
 
     def serve_trace(
         self,

@@ -1,5 +1,8 @@
 """Tests for figure-series generation and aggregation."""
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import (
@@ -12,6 +15,11 @@ from repro.analysis import (
 )
 
 DISKS = range(7, 10)
+
+#: the scheme store the figure benches replay
+COMMITTED_STORE = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / ".scheme_cache" / "plans.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +44,43 @@ class TestSchemeCache:
         c2 = SchemeCache(depth=1, cache_dir=tmp_path)
         second = c2.schemes("evenodd", 7, "khan")
         assert [s.read_mask for s in first] == [s.read_mask for s in second]
-        assert (tmp_path / "evenodd_7_khan_d1.json").exists()
+        assert c2.store.hits == len(second)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "plans.json", "plans.json.lock"
+        ]
+
+    def test_committed_store_replays_the_figures_without_search(
+        self, tmp_path, monkeypatch
+    ):
+        """The figure benches replay ``benchmarks/.scheme_cache``; a store
+        gone cold would silently turn them into multi-minute searches."""
+        from repro import obs
+        from repro.codes.registry import PAPER_FIGURE_FAMILIES
+        from repro.recovery.planner import RecoveryPlanner
+
+        def no_search(planner, disk):
+            raise AssertionError(
+                f"searched {planner.code.describe()} disk {disk} "
+                f"({planner.algorithm})"
+            )
+
+        # fail at the first search instead of after minutes of them
+        monkeypatch.setattr(RecoveryPlanner, "_search", no_search)
+        # a copy, so a failing run never writes into the committed store
+        shutil.copy(COMMITTED_STORE, tmp_path / "plans.json")
+        cache = SchemeCache(depth=1, cache_dir=tmp_path)
+        disks = range(7, 17)
+        rec = obs.enable("replay")
+        try:
+            for family in PAPER_FIGURE_FAMILIES:
+                figure3_series(family, disks, cache=cache)
+                figure4_series(family, disks, cache=cache, stacks=2)
+        finally:
+            obs.disable()
+        generated = rec.counters.get("planner.schemes_generated")
+        assert generated is None or generated.value == 0
+        assert cache.store.misses == 0 and cache.store.stores == 0
+        assert cache.store.hits > 0
 
     def test_one_scheme_per_data_disk(self, cache):
         schemes = cache.schemes("rdp", 8, "c")

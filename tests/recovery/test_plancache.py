@@ -190,7 +190,9 @@ class TestConcurrentWriters:
         a = SchemePlanCache(store)   # both load the (empty) store now
         b = SchemePlanCache(store)
         a.put(code, 0, "u", 1, u_scheme(code, 0, depth=1))   # A saves disk 0
+        a.save()
         b.put(code, 1, "u", 1, u_scheme(code, 1, depth=1))   # B saves disk 1
+        b.save()
         merged = SchemePlanCache(store)
         assert merged.stats()["disk_entries"] == 2
         assert merged.get(code, 0, "u", 1) is not None
@@ -207,6 +209,7 @@ class TestConcurrentWriters:
         def writer(disk):
             cache = SchemePlanCache(store)
             cache.put(code, disk, "u", 1, schemes[disk])
+            cache.save()
 
         threads = [
             threading.Thread(target=writer, args=(d,)) for d in range(n_disks)
@@ -223,8 +226,8 @@ class TestConcurrentWriters:
     def test_save_merges_and_local_wins_collisions(self, tmp_path):
         code = make_code("rdp", 7)
         store = tmp_path / "plans.json"
-        a = SchemePlanCache(store, autosave=False)
-        b = SchemePlanCache(store, autosave=False)
+        a = SchemePlanCache(store)
+        b = SchemePlanCache(store)
         a.put(code, 0, "u", 1, u_scheme(code, 0, depth=1))
         b.put(code, 0, "u", 1, u_scheme(code, 0, depth=1))  # same key
         b.put(code, 2, "u", 1, u_scheme(code, 2, depth=1))
@@ -238,5 +241,61 @@ class TestConcurrentWriters:
         store = tmp_path / "plans.json"
         cache = SchemePlanCache(store)
         cache.put(code, 0, "u", 1, u_scheme(code, 0, depth=1))
+        cache.save()
         assert (tmp_path / "plans.json.lock").exists()
         assert SchemePlanCache(store).get(code, 0, "u", 1) is not None
+
+
+class TestWriteBack:
+    """``put`` only marks the store dirty; the planner writes it once per
+    planning pass, not once per scheme."""
+
+    def test_put_alone_writes_nothing(self, tmp_path):
+        code = make_code("rdp", 7)
+        store = tmp_path / "plans.json"
+        cache = SchemePlanCache(store)
+        cache.put(code, 0, "u", 1, u_scheme(code, 0, depth=1))
+        assert not store.exists()
+        cache.save()
+        assert SchemePlanCache(store).get(code, 0, "u", 1) is not None
+
+    def test_one_planning_pass_writes_the_store_once(
+        self, tmp_path, monkeypatch, threaded_runner
+    ):
+        from repro.recovery import plancache as plancache_mod
+
+        writes = []
+        real_lock = plancache_mod._store_lock
+
+        def counting_lock(path):
+            writes.append(path)  # every store write runs under the lock
+            return real_lock(path)
+
+        monkeypatch.setattr(plancache_mod, "_store_lock", counting_lock)
+        code = make_code("rdp", 7)
+        store = tmp_path / "plans.json"
+        cache = SchemePlanCache(store)
+        RecoveryPlanner(
+            code, algorithm="u", depth=1, plan_cache=cache
+        ).all_disk_schemes()
+        assert writes == [store]
+        assert cache.stores == code.layout.n_disks
+        assert SchemePlanCache(store).stats()["disk_entries"] == code.layout.n_disks
+        # a replay of the written store plans nothing and writes nothing
+        RecoveryPlanner(
+            code, algorithm="u", depth=1, plan_cache=SchemePlanCache(store)
+        ).all_disk_schemes()
+        assert writes == [store]
+
+    def test_no_store_attached_writes_nothing(self, monkeypatch):
+        from repro.recovery import plancache as plancache_mod
+
+        def no_write(path):
+            pytest.fail(f"a path-less plan cache wrote {path}")
+
+        monkeypatch.setattr(plancache_mod, "_store_lock", no_write)
+        code = make_code("rdp", 7)
+        RecoveryPlanner(code, algorithm="u", depth=1).all_disk_schemes()
+        RecoveryPlanner(
+            code, algorithm="u", depth=1, plan_cache=SchemePlanCache()
+        ).all_disk_schemes()

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import obs
 from repro.codes import RdpCode
-from repro.recovery import RecoveryPlanner
+from repro.recovery import RecoveryPlanner, SchemePlanCache
+from repro.recovery.ualgorithm import u_scheme
 
 
 @pytest.fixture
@@ -35,77 +37,81 @@ class TestPlanner:
             RecoveryPlanner(code, algorithm="bogus")
 
     def test_save_load_roundtrip(self, code, tmp_path):
-        planner = RecoveryPlanner(code, algorithm="c")
-        original = planner.all_data_disk_schemes()
         path = tmp_path / "plans.json"
-        planner.save(path)
+        planner = RecoveryPlanner(
+            code, algorithm="c", plan_cache=SchemePlanCache(path)
+        )
+        original = planner.all_data_disk_schemes()
 
-        fresh = RecoveryPlanner(code, algorithm="c")
-        assert fresh.load(path) == len(original)
+        store = SchemePlanCache(path)
+        fresh = RecoveryPlanner(code, algorithm="c", plan_cache=store)
         for d in code.layout.data_disks:
             a, b = original[d], fresh.scheme_for_disk(d)
             assert a.read_mask == b.read_mask
             assert a.equations == b.equations
+        assert store.hits == len(original) and store.misses == 0
+
+    @staticmethod
+    def _stored_then_fresh(path, stored, other, disk=0):
+        """Store ``stored``'s scheme for ``disk``; plan ``other`` over the
+        same store.  Returns ``other``'s scheme and its search count."""
+        stored.plan_cache = SchemePlanCache(path)
+        stored.scheme_for_disk(disk)
+        other.plan_cache = SchemePlanCache(path)
+        assert other.plan_cache.stats()["disk_entries"] == 1
+        rec = obs.enable("fresh")
+        try:
+            scheme = other.scheme_for_disk(disk)
+        finally:
+            obs.disable()
+        assert other.plan_cache.hits == 0
+        assert scheme.metadata.get("plan_cache") != "hit"
+        return scheme, rec.counters["planner.schemes_generated"].value
 
     def test_load_rejects_algorithm_mismatch(self, code, tmp_path):
-        planner = RecoveryPlanner(code, algorithm="c")
-        planner.scheme_for_disk(0)
-        path = tmp_path / "plans.json"
-        planner.save(path)
+        """A planner over a store holding another algorithm's scheme plans
+        its own, never the stored one."""
         other = RecoveryPlanner(code, algorithm="u")
-        with pytest.raises(ValueError, match="algorithm"):
-            other.load(path)
+        scheme, searched = self._stored_then_fresh(
+            tmp_path / "plans.json", RecoveryPlanner(code, algorithm="c"), other
+        )
+        assert searched == 1
+        assert scheme.algorithm == "u"
+        assert scheme.equations == u_scheme(code, 0, depth=2).equations
 
     def test_load_rejects_code_mismatch(self, code, tmp_path):
-        """A plan file saved for one code must not load into a planner for
-        a different geometry — the schemes would silently be wrong."""
-        planner = RecoveryPlanner(code, algorithm="u")
-        planner.scheme_for_disk(0)
-        path = tmp_path / "plans.json"
-        planner.save(path)
-
+        """A scheme stored for one code must never serve a planner for a
+        different geometry — it would silently be wrong."""
         other_code = RdpCode(7)
         other = RecoveryPlanner(other_code, algorithm="u")
-        with pytest.raises(ValueError) as exc:
-            other.load(path)
-        # the error names both geometries
-        assert code.describe() in str(exc.value)
-        assert other_code.describe() in str(exc.value)
+        scheme, searched = self._stored_then_fresh(
+            tmp_path / "plans.json", RecoveryPlanner(code, algorithm="u"), other
+        )
+        assert searched == 1
+        assert scheme.layout == other_code.layout
+        scheme.validate(other_code)
 
     def test_load_rejects_different_family_same_width(self, tmp_path):
         from repro.codes import EvenOddCode
 
-        a = RecoveryPlanner(RdpCode(7), algorithm="u")
-        a.scheme_for_disk(0)
-        path = tmp_path / "plans.json"
-        a.save(path)
-        b = RecoveryPlanner(EvenOddCode(7), algorithm="u")
-        with pytest.raises(ValueError, match="code"):
-            b.load(path)
+        b_code = EvenOddCode(7)
+        scheme, searched = self._stored_then_fresh(
+            tmp_path / "plans.json",
+            RecoveryPlanner(RdpCode(7), algorithm="u"),
+            RecoveryPlanner(b_code, algorithm="u"),
+        )
+        assert searched == 1
+        assert scheme.equations == u_scheme(b_code, 0, depth=2).equations
+        scheme.validate(b_code)
 
     def test_load_rejects_depth_mismatch(self, code, tmp_path):
-        planner = RecoveryPlanner(code, algorithm="u", depth=1)
-        planner.scheme_for_disk(0)
-        path = tmp_path / "plans.json"
-        planner.save(path)
-        other = RecoveryPlanner(code, algorithm="u", depth=2)
-        with pytest.raises(ValueError) as exc:
-            other.load(path)
-        assert "depth 1" in str(exc.value) and "depth 2" in str(exc.value)
-
-    def test_load_accepts_legacy_payload_without_geometry(self, code, tmp_path):
-        """Plan files from before the code/depth stamps still load."""
-        import json
-
-        planner = RecoveryPlanner(code, algorithm="u")
-        planner.scheme_for_disk(0)
-        path = tmp_path / "plans.json"
-        planner.save(path)
-        payload = json.loads(path.read_text())
-        del payload["code"], payload["depth"]
-        path.write_text(json.dumps(payload))
-        fresh = RecoveryPlanner(code, algorithm="u")
-        assert fresh.load(path) == 1
+        scheme, searched = self._stored_then_fresh(
+            tmp_path / "plans.json",
+            RecoveryPlanner(code, algorithm="u", depth=1),
+            RecoveryPlanner(code, algorithm="u", depth=2),
+        )
+        assert searched == 1
+        assert scheme.equations == u_scheme(code, 0, depth=2).equations
 
     def test_parallel_generation_matches_sequential(self, code, threaded_runner):
         seq = RecoveryPlanner(code, algorithm="u", depth=1)
@@ -174,11 +180,12 @@ class TestPlanner:
         ]
 
     def test_loaded_schemes_validate(self, code, tmp_path):
-        planner = RecoveryPlanner(code, algorithm="u")
-        planner.all_data_disk_schemes()
         path = tmp_path / "plans.json"
-        planner.save(path)
-        fresh = RecoveryPlanner(code, algorithm="u")
-        fresh.load(path)
+        RecoveryPlanner(
+            code, algorithm="u", plan_cache=SchemePlanCache(path)
+        ).all_data_disk_schemes()
+        store = SchemePlanCache(path)
+        fresh = RecoveryPlanner(code, algorithm="u", plan_cache=store)
         for d in code.layout.data_disks:
             fresh.scheme_for_disk(d).validate(code)
+        assert store.hits == code.layout.n_data

@@ -229,16 +229,19 @@ class TestSearchStatsMetadata:
         assert "expanded=10" in text and "pushed=20" in text
 
     def test_stats_serialise_with_plan(self, tmp_path):
+        from repro.recovery.plancache import SchemePlanCache
         from repro.recovery.planner import RecoveryPlanner
 
         code = RdpCode(5)
-        planner = RecoveryPlanner(code, "u", depth=1)
-        planner.scheme_for_disk(0)
         path = tmp_path / "plan.json"
-        planner.save(path)
-        fresh = RecoveryPlanner(code, "u", depth=1)
-        assert fresh.load(path) == 1
+        planner = RecoveryPlanner(
+            code, "u", depth=1, plan_cache=SchemePlanCache(path)
+        )
+        planner.scheme_for_disk(0)
+        store = SchemePlanCache(path)
+        fresh = RecoveryPlanner(code, "u", depth=1, plan_cache=store)
         assert fresh.scheme_for_disk(0).search_stats is not None
+        assert store.hits == 1
 
 
 #: effort counters the kernel reports and must agree on with the Python engine

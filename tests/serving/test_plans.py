@@ -53,13 +53,13 @@ class TestPersistentWarmRestart:
         # first process: populate the store (searches happen here)
         store = SchemePlanCache(store_path)
         planner = RecoveryPlanner(rdp7, algorithm="u", depth=1, plan_cache=store)
-        cache = DegradedPlanCache(rdp7, planner=planner, store=store)
+        cache = DegradedPlanCache(rdp7, planner=planner)
         cache.warm(range(rdp7.layout.n_disks))
 
         # second process: same store, fresh planner — warm must be free
         store2 = SchemePlanCache(store_path)
         planner2 = RecoveryPlanner(rdp7, algorithm="u", depth=1, plan_cache=store2)
-        cache2 = DegradedPlanCache(rdp7, planner=planner2, store=store2)
+        cache2 = DegradedPlanCache(rdp7, planner=planner2)
         rec = obs.enable(label="warm restart")
         try:
             cache2.warm(range(rdp7.layout.n_disks))
@@ -70,6 +70,18 @@ class TestPersistentWarmRestart:
         assert counters.get("search.expanded", 0) == 0
         assert counters.get("serving.plan_miss", 0) > 0  # memo was cold...
         # ...but every miss was answered from the store, search-free
+
+    def test_sliced_plans_are_not_persisted(self, rdp7, tmp_path):
+        store_path = tmp_path / "plans.json"
+        planner = RecoveryPlanner(
+            rdp7, algorithm="u", depth=1, plan_cache=SchemePlanCache(store_path)
+        )
+        cache = DegradedPlanCache(rdp7, planner=planner)
+        n = rdp7.layout.n_disks
+        assert cache.warm(range(n)) == n * rdp7.layout.k_rows
+        # the store holds the whole-disk schemes only: a slice needs no
+        # search, so it is rederived, never stored
+        assert SchemePlanCache(store_path).stats()["disk_entries"] == n
 
     def test_memo_hits_counted(self, rdp7):
         cache = DegradedPlanCache(rdp7)

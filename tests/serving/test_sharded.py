@@ -17,6 +17,8 @@ from repro.codec import ArrayImageCodec
 from repro.codes import make_code
 from repro.disksim.workload import Request
 from repro.pipeline.engine import RebuildPipeline
+from repro.recovery import RecoveryPlanner
+from repro.recovery.degraded_read import slice_degraded_plan
 from repro.recovery.plancache import SchemePlanCache
 from repro.serving import qos as qos_mod
 from repro.serving import sharded as sharded_mod
@@ -30,6 +32,11 @@ from repro.serving.shm import (
     BOARD_P99_MS,
     BOARD_SERVED,
     SharedServingState,
+)
+from tests.doctored import (
+    FixedRowPlans,
+    row_plan_reading_dead_row,
+    scheme_misstating_loads,
 )
 
 
@@ -178,6 +185,45 @@ class TestShardServer:
         assert res["direct"] + res["patched"] + res["degraded"] == n
         assert res["p99_ms"] >= res["p50_ms"]
         assert len(res["latencies"]) == n
+
+
+class TestServedPlanGuard:
+    """A served plan passes the same static guard as a rebuild plan: one
+    that reads another row of the dead role, or misstates its loads, is
+    refused when the shard is constructed, before any read is served.
+    (evenodd: unlike rdp's, some of its row plans depend on other rows.)"""
+
+    FAMILY = "evenodd"
+    ROLE = 2
+
+    def _server(self, row, plan):
+        codec, disks = build(self.FAMILY, n_stripes=8)
+        total_rows = codec.n_stripes * codec.code.layout.k_rows
+        patched = np.zeros((total_rows, codec.element_size), dtype=np.uint8)
+        plans = FixedRowPlans(codec.code, self.ROLE, row, plan)
+        return ShardServer(codec, disks, patched, failed_disk=3, stripe_lo=0,
+                           stripe_hi=codec.n_stripes, plans=plans)
+
+    def _disk_scheme(self, role):
+        code = make_code(self.FAMILY, 7)
+        return RecoveryPlanner(code, "u", depth=1).scheme_for_disk(role)
+
+    def test_plan_reading_another_dead_row_raises(self):
+        plan, row, dead_row = row_plan_reading_dead_row(
+            self._disk_scheme(self.ROLE), self.ROLE
+        )
+        with pytest.raises(
+            ValueError, match=f"role {self.ROLE} reads element {dead_row} "
+        ):
+            self._server(row, plan)
+
+    def test_plan_misstating_its_loads_raises(self):
+        real = slice_degraded_plan(self._disk_scheme(self.ROLE), [0])
+        plan, logical = scheme_misstating_loads(real)
+        with pytest.raises(
+            ValueError, match=f"role {self.ROLE} reads .* logical disk {logical}"
+        ):
+            self._server(0, plan)
 
 
 class TestWakePath:
