@@ -10,7 +10,7 @@ from conftest import STACKS, emit
 
 from repro.codes import make_code
 from repro.disksim import SAVVIO_10K3, simulate_stack_recovery
-from repro.recovery import recover_failure, u_scheme_for_mask
+from repro.recovery import recover_failure, scheme_for_mask
 
 
 def test_multifailure_star(benchmark, results_dir):
@@ -36,8 +36,8 @@ def test_heterogeneous_recovery(benchmark, results_dir):
     weights = [1.0 / s for s in speed]
     params = [SAVVIO_10K3.scaled(s) for s in speed]
 
-    weighted = benchmark(u_scheme_for_mask, code, failed, weights=weights)
-    uniform = u_scheme_for_mask(code, failed)
+    weighted = benchmark(scheme_for_mask, code, failed, "u", weights=weights)
+    uniform = scheme_for_mask(code, failed, "u")
 
     speeds = {
         name: simulate_stack_recovery(code, [s], stacks=STACKS, params=params).speed_mb_s

@@ -108,7 +108,7 @@ def run(args) -> Dict:
                 code,
                 scheme,
                 store,
-                algorithm="u" if alg == "c" else alg,
+                algorithm=alg,
                 depth=args.depth,
             )
             with obs.span("bench.fault_case", algorithm=alg, fault=name):

@@ -18,16 +18,16 @@ import pytest
 from conftest import emit
 
 from repro.codes import make_code
-from repro.recovery import c_scheme, khan_scheme, u_scheme
+from repro.recovery import scheme_for_disk
+from repro.recovery.ualgorithm import SEARCHED
 
 N_DISKS = 12
-ALGOS = {"khan": khan_scheme, "c": c_scheme, "u": u_scheme}
 
 
-@pytest.mark.parametrize("alg", list(ALGOS))
+@pytest.mark.parametrize("alg", SEARCHED)
 def test_generation_time(alg, benchmark):
     code = make_code("rdp", N_DISKS)
-    scheme = benchmark(ALGOS[alg], code, 0, depth=1)
+    scheme = benchmark(scheme_for_disk, code, 0, alg, depth=1)
     assert scheme.exact
 
 
@@ -37,10 +37,11 @@ def test_search_effort_comparison(benchmark, results_dir):
     code = make_code("rdp", N_DISKS)
 
     def collect():
-        effort = {name: [] for name in ALGOS}
+        effort = {name: [] for name in SEARCHED}
         for disk in code.layout.data_disks:
-            for name, fn in ALGOS.items():
-                effort[name].append(fn(code, disk, depth=1).expanded_states)
+            for name in SEARCHED:
+                scheme = scheme_for_disk(code, disk, name, depth=1)
+                effort[name].append(scheme.expanded_states)
         return effort
 
     effort = benchmark.pedantic(collect, rounds=1, iterations=1)

@@ -56,9 +56,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.codes import PAPER_FIGURE_FAMILIES, make_code  # noqa: E402
-from repro.recovery import c_scheme, khan_scheme, u_scheme  # noqa: E402
-
-ALGORITHMS = {"khan": khan_scheme, "c": c_scheme, "u": u_scheme}
+from repro.recovery import scheme_for_disk  # noqa: E402
+from repro.recovery.ualgorithm import SEARCHED  # noqa: E402
 
 FULL_GRID = dict(families=list(PAPER_FIGURE_FAMILIES), min_disks=7, max_disks=16)
 QUICK_GRID = dict(families=["rdp", "evenodd"], min_disks=7, max_disks=10)
@@ -80,12 +79,12 @@ def measure_grid(
                 code = make_code(family, n)
             except ValueError:
                 continue  # family has no instance at this width
-            for alg, fn in ALGORITHMS.items():
+            for alg in SEARCHED:
                 best = math.inf
                 scheme = None
                 for _ in range(repeats):
                     t0 = time.perf_counter()
-                    scheme = fn(code, 0, depth=depth)
+                    scheme = scheme_for_disk(code, 0, alg, depth=depth)
                     elapsed = time.perf_counter() - t0
                     best = min(best, elapsed)
                 point = {
@@ -138,8 +137,8 @@ def measure_stages(
                 continue
             clear_enumeration_caches()
             with obs.span("bench.point", family=family, n_disks=n):
-                for fn in ALGORITHMS.values():
-                    fn(code, 0, depth=depth)
+                for alg in SEARCHED:
+                    scheme_for_disk(code, 0, alg, depth=depth)
         if trace_out is not None:
             n_lines = obs.export_jsonl(rec, trace_out)
             print(f"stage trace: {trace_out} ({n_lines} lines)")
@@ -226,7 +225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (json.JSONDecodeError, OSError):
             payload = {}
     payload["grid"] = dict(
-        grid, algorithms=list(ALGORITHMS), depth=args.depth,
+        grid, algorithms=list(SEARCHED), depth=args.depth,
         repeats=args.repeats, quick=args.quick,
     )
     payload[("baseline" if args.as_baseline else "current")] = section

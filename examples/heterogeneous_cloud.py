@@ -12,7 +12,7 @@ Run:  python examples/heterogeneous_cloud.py
 """
 
 from repro import SAVVIO_10K3, make_code, simulate_stack_recovery
-from repro.recovery import u_scheme_for_mask
+from repro.recovery import scheme_for_mask
 
 
 def main() -> None:
@@ -28,8 +28,8 @@ def main() -> None:
     # read cost of one element on disk d is 1/speed
     weights = [1.0 / s for s in speed]
 
-    uniform = u_scheme_for_mask(code, failed)
-    weighted = u_scheme_for_mask(code, failed, weights=weights)
+    uniform = scheme_for_mask(code, failed, "u")
+    weighted = scheme_for_mask(code, failed, "u", weights=weights)
 
     print(code.describe())
     print(f"slow disks: {sorted(slow_disks)} (2x slower)\n")

@@ -68,7 +68,8 @@ from repro.analysis import (
 from repro.codec import verify_scheme_on_random_data
 from repro.codes import list_families, make_code
 from repro.disksim.recovery_sim import simulate_stack_recovery
-from repro.recovery import RecoveryPlanner, scheme_for_disk
+from repro.recovery import ALGORITHMS, RecoveryPlanner, scheme_for_disk
+from repro.recovery.ualgorithm import SEARCHED
 
 
 def _add_code_args(p: argparse.ArgumentParser) -> None:
@@ -95,8 +96,6 @@ def _cmd_scheme(args) -> int:
     code = make_code(args.family, args.disks)
     scheme = scheme_for_disk(
         code, args.failed_disk, algorithm=args.algorithm, depth=args.depth
-    ) if args.algorithm not in ("naive", "conventional") else scheme_for_disk(
-        code, args.failed_disk, algorithm=args.algorithm
     )
     print(code.describe())
     print(scheme.summary())
@@ -116,7 +115,7 @@ def _cmd_scheme(args) -> int:
 def _cmd_verify(args) -> int:
     code = make_code(args.family, args.disks)
     failures = 0
-    for alg in ("naive", "conventional", "khan", "c", "u"):
+    for alg in ALGORITHMS:
         for disk in range(code.layout.n_disks):
             try:
                 scheme = scheme_for_disk(code, disk, algorithm=alg)
@@ -136,7 +135,7 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     code = make_code(args.family, args.disks)
     print(code.describe())
-    for alg in ("naive", "conventional", "khan", "c", "u"):
+    for alg in ALGORITHMS:
         try:
             planner = RecoveryPlanner(code, algorithm=alg, depth=args.depth)
             schemes = planner.all_data_disk_schemes()
@@ -184,7 +183,7 @@ def _cmd_stats(args) -> int:
 
     code = make_code(args.family, args.disks)
     schemes = {}
-    for alg in ("naive", "conventional", "khan", "c", "u"):
+    for alg in ALGORITHMS:
         try:
             schemes[alg] = scheme_for_disk(code, args.failed_disk, algorithm=alg)
         except ValueError:
@@ -224,8 +223,6 @@ def _cmd_recover(args) -> int:
         return 2
     code = make_code(args.family, args.disks)
     scheme = scheme_for_disk(
-        code, args.failed_disk, algorithm=args.algorithm
-    ) if args.algorithm in ("naive", "conventional") else scheme_for_disk(
         code, args.failed_disk, algorithm=args.algorithm, depth=args.depth
     )
     rng = np.random.default_rng(args.seed)
@@ -237,7 +234,7 @@ def _cmd_recover(args) -> int:
         scheme,
         store,
         max_retries=args.max_retries,
-        algorithm=args.algorithm if args.algorithm in ("khan", "u") else "u",
+        algorithm=args.algorithm,
         depth=args.depth,
     )
     print(code.describe())
@@ -281,7 +278,7 @@ def _rebuild_pool(args) -> int:
             store_factory(name),
             chunk_stripes=args.chunk_stripes,
             plan_cache=plan_cache,
-            algorithm=args.algorithm if args.algorithm in ("khan", "u") else "u",
+            algorithm=args.algorithm,
             depth=args.depth,
             workers=args.workers,
         ).rebuild(args.failed_disk)
@@ -587,13 +584,9 @@ def _cmd_trace(args) -> int:
     )
     try:
         with obs.span("trace.pipeline"):
-            kwargs = (
-                {}
-                if args.algorithm in ("naive", "conventional")
-                else {"depth": args.depth}
-            )
             scheme = scheme_for_disk(
-                code, args.failed_disk, algorithm=args.algorithm, **kwargs
+                code, args.failed_disk, algorithm=args.algorithm,
+                depth=args.depth,
             )
             with obs.span("trace.verify"):
                 ok = verify_scheme_on_random_data(code, scheme, seed=0)
@@ -759,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scheme", help="show a recovery scheme")
     _add_code_args(p)
     p.add_argument("--failed-disk", type=int, default=0)
-    p.add_argument("--algorithm", default="u", choices=["naive", "conventional", "khan", "c", "u"])
+    p.add_argument("--algorithm", default="u", choices=list(ALGORITHMS))
     p.add_argument("--depth", type=int, default=2)
 
     p = sub.add_parser("verify", help="byte-exact recovery round trip")
@@ -798,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_code_args(p)
     p.add_argument("--failed-disk", type=int, default=0)
-    p.add_argument("--algorithm", default="u", choices=["naive", "conventional", "khan", "c", "u"])
+    p.add_argument("--algorithm", default="u", choices=list(ALGORITHMS))
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--stripes", type=int, default=4)
     p.add_argument("--element-size", type=int, default=64)
@@ -819,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p)
     p.add_argument("--failed-disk", type=int, default=0,
                    help="failed *physical* disk")
-    p.add_argument("--algorithm", default="u", choices=["naive", "conventional", "khan", "c", "u"])
+    p.add_argument("--algorithm", default="u", choices=list(ALGORITHMS))
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--stripes", type=int, default=64)
     p.add_argument("--element-size", type=int, default=512)
@@ -855,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p)
     p.add_argument("--failed-disk", type=int, default=0,
                    help="failed *physical* disk")
-    p.add_argument("--algorithm", default="u", choices=["khan", "c", "u"])
+    p.add_argument("--algorithm", default="u", choices=list(SEARCHED))
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--stripes", type=int, default=64)
     p.add_argument("--element-size", type=int, default=64)
@@ -901,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_code_args(p)
     p.add_argument("--failed-disk", type=int, default=0)
-    p.add_argument("--algorithm", default="u", choices=["naive", "conventional", "khan", "c", "u"])
+    p.add_argument("--algorithm", default="u", choices=list(ALGORITHMS))
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--stacks", type=int, default=4)
     p.add_argument("--out", default="trace.jsonl", help="JSONL output path")

@@ -9,8 +9,9 @@ A degraded read targets a *subset* of the failed disk's elements — usually
 one or a few rows — so its plan differs from whole-disk recovery: only the
 requested elements (plus whatever intermediate failed elements the chosen
 equations consume) need recovering.  We plan it as a failure mask containing
-exactly the requested elements and cost it with the U key, minimizing the
-most-loaded disk touched by this single request.
+exactly the requested elements and cost it with the algorithm's key (U by
+default, and for a baseline), minimizing the most-loaded disk touched by
+this single request.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from repro.codes.base import ErasureCode
 from repro.equations.enumerate import get_recovery_equations
 from repro.recovery.planner import RecoveryPlanner
 from repro.recovery.scheme import RecoveryScheme
-from repro.recovery.search import generate_scheme, khan_cost, unconditional_cost
+from repro.recovery.search import generate_scheme
+from repro.recovery.ualgorithm import search_key
 
 
 def degraded_read_scheme(
@@ -40,6 +42,7 @@ def degraded_read_scheme(
     in the read set).
     """
     lay = code.layout
+    cost, label = search_key(algorithm, lay, baselines=True)
     rows = sorted(set(rows))
     if not rows:
         raise ValueError("no rows requested")
@@ -80,11 +83,9 @@ def degraded_read_scheme(
     rec_eqs.options = pruned_options
     rec_eqs.failed_mask = target_mask
 
-    cost = unconditional_cost(lay) if algorithm == "u" else khan_cost(lay)
-    scheme = generate_scheme(
-        rec_eqs, cost, algorithm=f"degraded_{algorithm}", max_expansions=max_expansions
+    return generate_scheme(
+        rec_eqs, cost, algorithm=f"degraded_{label}", max_expansions=max_expansions
     )
-    return scheme
 
 
 def slice_degraded_plan(

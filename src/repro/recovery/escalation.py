@@ -34,11 +34,8 @@ from repro.equations.enumerate import (
 )
 from repro.recovery.multifailure import UnrecoverableError
 from repro.recovery.scheme import RecoveryScheme
-from repro.recovery.search import (
-    generate_scheme,
-    khan_cost,
-    unconditional_cost,
-)
+from repro.recovery.search import generate_scheme
+from repro.recovery.ualgorithm import search_key
 
 #: the fault ladder's compiled plans, shared by every executor
 _COMPILED = CompiledPlanCache()
@@ -64,12 +61,16 @@ def escalated_scheme(
         cost).
     secondary_disk:
         The newly failed disk.
+    algorithm:
+        Any name of :data:`~repro.recovery.ualgorithm.ALGORITHMS`; a
+        baseline's continuation is searched with the key the table gives it.
 
     Returns a scheme over the *entire* failed element set; slots whose
     element was already recovered carry the sentinel equation ``1 << eid``
     (recognisable by :func:`execute_escalated`).
     """
     lay = code.layout
+    cost, label = search_key(algorithm, lay, baselines=True)
     if primary_disk == secondary_disk:
         raise ValueError("primary and secondary disks must differ")
     recovered_rows = sorted(set(recovered_rows))
@@ -95,11 +96,9 @@ def escalated_scheme(
         if (free_mask >> f) & 1:
             rec.options[i] = [EquationOption(0, 1 << f)]
 
-    cost = unconditional_cost(lay) if algorithm == "u" else khan_cost(lay)
-    scheme = generate_scheme(
-        rec, cost, algorithm=f"escalated_{algorithm}", max_expansions=max_expansions
+    return generate_scheme(
+        rec, cost, algorithm=f"escalated_{label}", max_expansions=max_expansions
     )
-    return scheme
 
 
 def execute_escalated(

@@ -20,7 +20,8 @@ from typing import List, Optional, Tuple
 from repro.codes.base import ErasureCode
 from repro.equations.enumerate import RecoveryEquations, get_recovery_equations
 from repro.recovery.scheme import RecoveryScheme
-from repro.recovery.search import CostFn, conditional_cost, khan_cost, unconditional_cost
+from repro.recovery.search import CostFn
+from repro.recovery.ualgorithm import search_key
 
 
 def _greedy_pass(
@@ -50,15 +51,7 @@ def greedy_scheme_for_mask(
     the best pass wins.  Quality is not guaranteed (use the exact
     generators when it matters); validity always is.
     """
-    if algorithm == "khan":
-        factory = khan_cost
-    elif algorithm == "c":
-        factory = conditional_cost
-    elif algorithm == "u":
-        factory = unconditional_cost
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    cost_fn = factory(code.layout)
+    cost_fn, _ = search_key(algorithm, code.layout)
 
     rec_eqs = get_recovery_equations(
         code, failed_mask, depth=depth, ensure_complete=True

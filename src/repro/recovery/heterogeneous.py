@@ -2,7 +2,8 @@
 
 "Each disk has a weight value to identify the cost of reading an element
 from this disk."  The weighted U-Algorithm itself lives in
-:func:`repro.recovery.ualgorithm.u_scheme_for_mask` (pass ``weights``);
+:func:`repro.recovery.ualgorithm.scheme_for_mask` (``algorithm="u"`` with
+``weights``);
 this module provides the weight models that connect scheme generation with
 the disk simulator so both sides agree on what "slow" means.
 """
@@ -14,7 +15,7 @@ from typing import List, Sequence
 from repro.codes.base import ErasureCode
 from repro.disksim.disk import DiskParams
 from repro.recovery.scheme import RecoveryScheme
-from repro.recovery.ualgorithm import u_scheme_for_mask
+from repro.recovery.ualgorithm import scheme_for_disk
 
 
 def weights_from_disk_params(params: Sequence[DiskParams]) -> List[float]:
@@ -48,6 +49,4 @@ def heterogeneous_u_scheme(
             f"need {code.layout.n_disks} DiskParams, got {len(params)}"
         )
     weights = weights_from_disk_params(params)
-    return u_scheme_for_mask(
-        code, code.layout.disk_mask(failed_disk), depth=depth, weights=weights
-    )
+    return scheme_for_disk(code, failed_disk, "u", depth=depth, weights=weights)

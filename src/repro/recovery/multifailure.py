@@ -16,13 +16,8 @@ from typing import Optional, Sequence
 from repro.codes.base import ErasureCode
 from repro.equations.enumerate import get_recovery_equations
 from repro.recovery.scheme import RecoveryScheme
-from repro.recovery.search import (
-    conditional_cost,
-    generate_scheme,
-    khan_cost,
-    unconditional_cost,
-    weighted_cost,
-)
+from repro.recovery.search import generate_scheme
+from repro.recovery.ualgorithm import search_key
 
 
 class UnrecoverableError(ValueError):
@@ -50,7 +45,8 @@ def recover_failure(
     algorithm:
         ``"khan"``, ``"c"`` or ``"u"``.
     weights:
-        Optional per-disk read costs; only meaningful for ``"u"``.
+        Optional per-disk read costs; ``"u"`` only (any other name raises
+        :class:`ValueError`).
     """
     if failed_mask == 0:
         raise ValueError("failed_mask is empty")
@@ -58,16 +54,7 @@ def recover_failure(
         raise UnrecoverableError(
             f"failure mask {failed_mask:#x} is not recoverable by {code.name}"
         )
-    lay = code.layout
-    if algorithm == "khan":
-        cost = khan_cost(lay)
-    elif algorithm == "c":
-        cost = conditional_cost(lay)
-    elif algorithm == "u":
-        cost = weighted_cost(lay, weights) if weights else unconditional_cost(lay)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-
+    cost, label = search_key(algorithm, code.layout, weights)
     for d in range(depth, max_depth + 1):
         rec_eqs = get_recovery_equations(code, failed_mask, depth=d)
         if rec_eqs.is_complete():
@@ -79,5 +66,5 @@ def recover_failure(
             code, failed_mask, depth=max_depth, ensure_complete=True
         )
     return generate_scheme(
-        rec_eqs, cost, algorithm=algorithm, max_expansions=max_expansions
+        rec_eqs, cost, algorithm=label, max_expansions=max_expansions
     )

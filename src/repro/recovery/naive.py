@@ -9,7 +9,7 @@ every optimized scheme is measured against.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.codes.base import ErasureCode
 from repro.recovery.scheme import RecoveryScheme
@@ -20,14 +20,17 @@ def naive_scheme(code: ErasureCode, failed_disk: int) -> RecoveryScheme:
     return naive_scheme_for_mask(code, code.layout.disk_mask(failed_disk))
 
 
-def naive_scheme_for_mask(code: ErasureCode, failed_mask: int) -> RecoveryScheme:
+def naive_scheme_for_mask(
+    code: ErasureCode, failed_mask: int, failed_disk: Optional[int] = None
+) -> RecoveryScheme:
     """Naive recovery of an arbitrary failed-element set.
 
     Processes failed elements in ascending order; each must appear in some
     original equation whose other failed members are already recovered.
     Raises :class:`ValueError` when single-equation recovery is impossible
     (e.g. two failed elements sharing every equation) — the naive scheme
-    simply does not exist then.
+    simply does not exist then.  ``failed_disk`` is ignored; it keeps the
+    signature of :func:`~repro.recovery.conventional.conventional_scheme_for_mask`.
     """
     lay = code.layout
     failed_eids = sorted(

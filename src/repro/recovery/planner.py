@@ -25,13 +25,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.codes.base import ErasureCode
-from repro.recovery.calgorithm import c_scheme
-from repro.recovery.conventional import conventional_scheme
-from repro.recovery.khan import khan_scheme
-from repro.recovery.naive import naive_scheme
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.scheme import RecoveryScheme
-from repro.recovery.ualgorithm import u_scheme
+from repro.recovery.ualgorithm import algorithm_row, scheme_for_disk, u_scheme
 from repro.runner import ChunkRunner, usable_cpus
 
 #: kernel threads shared by every planner, one per CPU the process may
@@ -51,8 +47,7 @@ class RecoveryPlanner:
         max_expansions: Optional[int] = 2_000_000,
         plan_cache: Optional[SchemePlanCache] = None,
     ) -> None:
-        if algorithm not in ("naive", "conventional", "khan", "c", "u"):
-            raise ValueError(f"unknown algorithm {algorithm!r}")
+        algorithm_row(algorithm)  # an unknown name fails here, not per disk
         self.code = code
         self.algorithm = algorithm
         self.depth = depth
@@ -96,26 +91,18 @@ class RecoveryPlanner:
         """Run the configured generator for one disk (no cache involved)."""
         with obs.span("planner.generate", disk=disk, algorithm=self.algorithm):
             obs.count("planner.schemes_generated")
-            if self.algorithm == "naive":
-                scheme = naive_scheme(self.code, disk)
-            elif self.algorithm == "conventional":
-                scheme = conventional_scheme(self.code, disk)
-            elif self.algorithm == "khan":
-                scheme = khan_scheme(
+            # U is called through this module's ``u_scheme``: the repo
+            # benchmark's tracer (bench/tracer.py) times U searches by
+            # patching that name
+            if self.algorithm == "u":
+                return u_scheme(
                     self.code, disk, depth=self.depth,
                     max_expansions=self.max_expansions,
                 )
-            elif self.algorithm == "c":
-                scheme = c_scheme(
-                    self.code, disk, depth=self.depth,
-                    max_expansions=self.max_expansions,
-                )
-            else:
-                scheme = u_scheme(
-                    self.code, disk, depth=self.depth,
-                    max_expansions=self.max_expansions,
-                )
-        return scheme
+            return scheme_for_disk(
+                self.code, disk, self.algorithm, self.depth,
+                self.max_expansions,
+            )
 
     def _search_on_worker(self, disk: int) -> RecoveryScheme:
         """:meth:`_search`, with a failure naming the disk it was for."""

@@ -500,7 +500,7 @@ class ShardServer:
             self.codec.code,
             self.plans.plan_for_element(role, r),
             self.fault_store,
-            algorithm=planner.algorithm if planner.algorithm in ("khan", "u") else "u",
+            algorithm=planner.algorithm,
             depth=max(planner.depth, 2),
         )
         eid = self.codec.code.layout.eid(role, r)

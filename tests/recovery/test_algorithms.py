@@ -136,16 +136,16 @@ class TestDispatch:
 class TestHeterogeneous:
     def test_weighted_u_avoids_slow_disk(self):
         """A very expensive disk should carry fewer reads under weighting."""
-        from repro.recovery import u_scheme_for_mask
+        from repro.recovery import scheme_for_mask
 
         code = RdpCode(7)
         lay = code.layout
         failed = lay.disk_mask(0)
-        uniform = u_scheme_for_mask(code, failed)
+        uniform = scheme_for_mask(code, failed, "u")
         # make disk 3 10x slower
         weights = [1.0] * lay.n_disks
         weights[3] = 10.0
-        weighted = u_scheme_for_mask(code, failed, weights=weights)
+        weighted = scheme_for_mask(code, failed, "u", weights=weights)
         assert lay.load_of_disk(weighted.read_mask, 3) <= lay.load_of_disk(
             uniform.read_mask, 3
         )
@@ -154,11 +154,11 @@ class TestHeterogeneous:
         )
 
     def test_uniform_weights_match_plain_u(self):
-        from repro.recovery import u_scheme_for_mask
+        from repro.recovery import scheme_for_mask
 
         code = RdpCode(5)
         failed = code.layout.disk_mask(1)
-        plain = u_scheme_for_mask(code, failed)
-        ones = u_scheme_for_mask(code, failed, weights=[1.0] * code.layout.n_disks)
+        plain = scheme_for_mask(code, failed, "u")
+        ones = scheme_for_mask(code, failed, "u", weights=[1.0] * code.layout.n_disks)
         assert plain.max_load == ones.max_load
         assert plain.total_reads == ones.total_reads

@@ -64,7 +64,7 @@ class TestMaskVariant:
 
 class TestIntegration:
     def test_registered_in_algorithms(self):
-        assert ALGORITHMS["conventional"] is conventional_scheme
+        assert ALGORITHMS["conventional"].baseline is conventional_scheme_for_mask
 
     def test_scheme_for_disk_dispatch(self):
         code = make_code("rdp", 8)

@@ -15,12 +15,11 @@ from pathlib import Path
 import pytest
 
 from repro.codes import make_code
-from repro.recovery import c_scheme, khan_scheme, u_scheme
+from repro.recovery import scheme_for_disk
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_schemes.json").read_text()
 )
-ALGORITHMS = {"khan": khan_scheme, "c": c_scheme, "u": u_scheme}
 
 
 def _point_id(rec):
@@ -32,7 +31,7 @@ def _point_id(rec):
 )
 def test_scheme_matches_seed_engine(rec):
     code = make_code(rec["family"], rec["n_disks"])
-    scheme = ALGORITHMS[rec["algorithm"]](code, 0, depth=1)
+    scheme = scheme_for_disk(code, 0, rec["algorithm"], depth=1)
     # the optimality contract: identical cost keys everywhere
     assert scheme.total_reads == rec["total_reads"]
     assert scheme.max_load == rec["max_load"]

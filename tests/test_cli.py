@@ -239,6 +239,45 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.count("byte-exact") == 1  # no comparison row
 
+    def test_rebuild_pool_honours_algorithm(self, capsys, monkeypatch):
+        """``--placement`` rebuilds with the named algorithm, not always U:
+        on liberation@8, where C and U read different disks, the CLI's
+        pool reads equal a direct ``PoolRebuild(algorithm="c")``'s."""
+        import numpy as np
+
+        import repro.pipeline
+        from repro.codes import make_code
+        from repro.pipeline import PoolRebuild
+        from repro.placement import PoolStore, make_placement
+
+        results = []
+
+        class Recording(PoolRebuild):
+            def rebuild(self, dead_disk):
+                results.append(super().rebuild(dead_disk))
+                return results[-1]
+
+        monkeypatch.setattr(repro.pipeline, "PoolRebuild", Recording)
+        assert main(["rebuild", "--family", "liberation", "--disks", "8",
+                     "--placement", "declustered", "--pool-disks", "24",
+                     "--stripes", "48", "--element-size", "16",
+                     "--chunk-stripes", "16", "--workers", "1",
+                     "--algorithm", "c"]) == 0
+        assert "MISMATCH" not in capsys.readouterr().out
+
+        def direct(algorithm):
+            code = make_code("liberation", 8)
+            pm = make_placement("declustered", 24, 48, code.layout.n_disks,
+                                seed=0)
+            store = PoolStore(code, pm, element_size=16)
+            store.encode_random(np.random.default_rng(0))
+            return PoolRebuild(store, chunk_stripes=16, algorithm=algorithm,
+                               depth=1, workers=1).rebuild(0).reads_per_disk
+
+        c_reads, u_reads = direct("c"), direct("u")
+        assert c_reads.tolist() != u_reads.tolist()  # C and U differ here
+        assert results[-1].reads_per_disk.tolist() == c_reads.tolist()
+
     def test_serve_placement_aligns_shard_bounds(self, capsys):
         assert main(["serve", "--family", "rdp", "--disks", "7",
                      "--stripes", "28", "--element-size", "16",
