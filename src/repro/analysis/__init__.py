@@ -1,4 +1,4 @@
-"""Metrics, stack methodology, and experiment-series generators.
+"""Metrics and experiment-series generators.
 
 :mod:`repro.analysis.experiments` regenerates the paper's Figure 3 (average
 parallel read accesses) and Figure 4 (average recovery speed) series and the
@@ -10,7 +10,6 @@ from repro.analysis.metrics import (
     load_balance_ratio,
     parallel_read_accesses,
 )
-from repro.analysis.stack import rotate_disk, rotation_schedule
 from repro.analysis.experiments import (
     FIGURE_ALGORITHMS,
     FIGURE_DISK_RANGE,
@@ -65,6 +64,4 @@ __all__ = [
     "load_balance_ratio",
     "parallel_read_accesses",
     "render_series_table",
-    "rotate_disk",
-    "rotation_schedule",
 ]

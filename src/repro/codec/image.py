@@ -3,10 +3,16 @@
 Real arrays store many stripes and rotate the logical-to-physical disk
 mapping from stripe to stripe (the stack layout of Hafner et al. [15] the
 paper's evaluation uses), so parity traffic — and recovery load — spreads
-over all spindles.  This module provides that layout at byte granularity:
+over all spindles.  That layout is the one-group pool
+:func:`~repro.placement.FlatPlacement` with ``n_pool = n_disks``
+(:attr:`ArrayImageCodec.placement`): every role-to-disk lookup of the
+array goes through it.  This module provides the layout at byte
+granularity:
 
 * :meth:`ArrayImageCodec.encode_image` turns a flat user buffer into
   per-disk images (``n_disks x (n_stripes*k) x element_size`` bytes);
+* :meth:`ArrayImageCodec.rotation_columns` gives the batched engines a
+  stripe's logical columns as in-place views of the disk image;
 * :meth:`ArrayImageCodec.recover_disk` rebuilds a *physical* disk after
   failure, stripe by stripe, picking the right logical scheme per rotation
   — the byte-level realisation of the paper's experiment loop.
@@ -14,13 +20,15 @@ over all spindles.  This module provides that layout at byte granularity:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
+from repro.codec.batch import ColumnSet
 from repro.codec.encoder import StripeCodec
 from repro.codec.reconstructor import execute_scheme
 from repro.codes.base import ErasureCode
+from repro.placement.map import FlatPlacement
 from repro.recovery.planner import RecoveryPlanner
 
 
@@ -57,6 +65,9 @@ class ArrayImageCodec:
         self.n_stripes = n_stripes if n_stripes is not None else lay.n_disks
         if self.n_stripes < 1:
             raise ValueError("n_stripes must be >= 1")
+        #: the array layout: role ``l`` of stripe ``s`` on disk ``(l + s) % n``
+        self.placement = FlatPlacement(lay.n_disks, self.n_stripes, lay.n_disks)
+        self._roles = np.arange(lay.n_disks)  # every logical role, in order
 
     # ------------------------------------------------------------------
     @property
@@ -67,19 +78,39 @@ class ArrayImageCodec:
     def total_data_bytes(self) -> int:
         return self.n_stripes * self.data_bytes_per_stripe
 
-    def rotation_of_stripe(self, stripe: int) -> int:
-        """Rotation applied to this stripe's logical-to-physical mapping."""
-        return stripe % self.code.layout.n_disks
+    def view_image(self, disks: np.ndarray) -> np.ndarray:
+        """``disks`` as a ``(disk, stripe, row, byte)`` view, after checking
+        that it is this array's ``uint8`` image (:class:`ValueError`)."""
+        lay = self.code.layout
+        expect = (lay.n_disks, self.n_stripes * lay.k_rows, self.element_size)
+        if disks.shape != expect:
+            raise ValueError(f"disks shape {disks.shape} != {expect}")
+        if disks.dtype != np.uint8:
+            raise ValueError(f"disks dtype {disks.dtype} != uint8")
+        return disks.reshape(lay.n_disks, self.n_stripes, lay.k_rows, -1)
 
-    def physical_disk(self, logical: int, stripe: int) -> int:
-        """Physical disk hosting a logical role in a given stripe."""
-        n = self.code.layout.n_disks
-        return (logical + self.rotation_of_stripe(stripe)) % n
+    def rotation_columns(self, disks: np.ndarray, stripe: int) -> ColumnSet:
+        """The logical columns of ``stripe``'s rotation class.
 
-    def logical_role(self, physical: int, stripe: int) -> int:
-        """Logical role a physical disk plays in a given stripe."""
-        n = self.code.layout.n_disks
-        return (physical - self.rotation_of_stripe(stripe)) % n
+        Column ``l`` is the whole-disk view of the disk hosting role ``l``
+        in ``stripe``, so the set serves, in place and by stripe id, every
+        stripe with the same rotation — the ``(n_stripes, k, element_size)``
+        columns the batch kernel reads.
+        """
+        disks4 = self.view_image(disks)
+        hosts = self.placement.disk_of_role(stripe, self._roles)
+        return ColumnSet([disks4[d] for d in hosts])
+
+    def logical_stripes(
+        self, disks: np.ndarray, stripes: Iterable[int]
+    ) -> np.ndarray:
+        """Stripes in logical element order, ``(m, n_elements, esz)``: one
+        gather of each stripe's rows over the placement."""
+        ids = np.asarray(stripes, dtype=np.int64)[:, None]
+        hosts = self.placement.disk_of_role(ids, self._roles)
+        return self.view_image(disks)[hosts, ids].reshape(
+            len(ids), -1, self.element_size
+        )
 
     # ------------------------------------------------------------------
     def random_image(self, rng: Optional[np.random.Generator] = None) -> np.ndarray:
@@ -99,55 +130,23 @@ class ArrayImageCodec:
                 f"data must be a flat buffer of {self.total_data_bytes} bytes"
             )
         lay = self.code.layout
-        disks = np.zeros(
-            (lay.n_disks, self.n_stripes * lay.k_rows, self.element_size),
-            dtype=np.uint8,
-        )
-        per_stripe = self.data_bytes_per_stripe
+        n, k, esz = lay.n_disks, lay.k_rows, self.element_size
+        disks = np.zeros((n, self.n_stripes * k, esz), dtype=np.uint8)
+        disks4 = disks.reshape(n, self.n_stripes, k, esz)
+        chunks = data.reshape(self.n_stripes, lay.n_data_elements, esz)
         for s in range(self.n_stripes):
-            chunk = data[s * per_stripe : (s + 1) * per_stripe].reshape(
-                lay.n_data_elements, self.element_size
-            )
-            stripe = self.codec.encode(chunk)
-            for logical in range(lay.n_disks):
-                phys = self.physical_disk(logical, s)
-                for row in range(lay.k_rows):
-                    disks[phys, s * lay.k_rows + row] = stripe[lay.eid(logical, row)]
+            stripe = self.codec.encode(chunks[s])
+            hosts = self.placement.disk_of_role(s, self._roles)
+            disks4[hosts, s] = stripe.reshape(n, k, esz)
         return disks
 
     def decode_image(self, disks: np.ndarray) -> np.ndarray:
         """Read the user data back out of the per-disk images."""
-        lay = self.code.layout
-        out = np.empty(self.total_data_bytes, dtype=np.uint8)
-        per_stripe = self.data_bytes_per_stripe
-        for s in range(self.n_stripes):
-            view = out[s * per_stripe : (s + 1) * per_stripe].reshape(
-                lay.n_data_elements, self.element_size
-            )
-            for logical in range(lay.n_data):
-                phys = self.physical_disk(logical, s)
-                for row in range(lay.k_rows):
-                    view[lay.eid(logical, row)] = disks[phys, s * lay.k_rows + row]
-        return out
+        s = np.arange(self.n_stripes)[:, None]
+        hosts = self.placement.disk_of_role(s, self._roles[: self.code.layout.n_data])
+        return self.view_image(disks)[hosts, s].reshape(-1)
 
     # ------------------------------------------------------------------
-    def _logical_stripe(self, disks: np.ndarray, s: int) -> np.ndarray:
-        """Assemble stripe ``s`` in logical element order.
-
-        One slice per logical disk: stripe ``s`` occupies rows
-        ``s*k .. s*k + k - 1`` of every physical disk, and logical disk
-        ``l`` lives on physical disk ``(l + rotation) % n_disks``.
-        """
-        lay = self.code.layout
-        n, k = lay.n_disks, lay.k_rows
-        rot = self.rotation_of_stripe(s)
-        stripe = np.empty((lay.n_elements, self.element_size), dtype=np.uint8)
-        for logical in range(n):
-            stripe[logical * k : (logical + 1) * k] = disks[
-                (logical + rot) % n, s * k : (s + 1) * k
-            ]
-        return stripe
-
     def recover_disk(
         self,
         disks: np.ndarray,
@@ -173,17 +172,17 @@ class ArrayImageCodec:
         rebuilt = np.zeros((self.n_stripes * k, self.element_size), dtype=np.uint8)
         reads_per_disk = [0] * n
         plans = {}  # logical failed role -> (scheme, its per-disk loads)
-        for s in range(self.n_stripes):
-            rot = self.rotation_of_stripe(s)
-            role = (failed_physical - rot) % n
+        stripes, roles = self.placement.roles_of_disk(failed_physical)
+        for s, role in zip(stripes.tolist(), roles.tolist()):
             if role not in plans:
                 scheme = planner.scheme_for_disk(role)
                 plans[role] = (scheme, scheme.loads)
             scheme, loads = plans[role]
             # account reads against *physical* disks
-            for logical, load in enumerate(loads):
-                reads_per_disk[(logical + rot) % n] += load
-            recovered = execute_scheme(scheme, self._logical_stripe(disks, s))
+            hosts = self.placement.disk_of_role(s, self._roles)
+            for disk, load in zip(hosts.tolist(), loads):
+                reads_per_disk[disk] += load
+            recovered = execute_scheme(scheme, self.logical_stripes(disks, [s])[0])
             for eid, payload in recovered.items():
                 rebuilt[s * k + eid % k] = payload
         return {"image": rebuilt, "reads_per_disk": reads_per_disk}

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.codes.base import ErasureCode
-from repro.disksim.array import DiskArraySimulator
 from repro.disksim.disk import SAVVIO_10K3, DiskParams
+from repro.disksim.recovery_sim import simulate_stack_recovery
 from repro.recovery.scheme import RecoveryScheme
 
 
@@ -50,34 +50,28 @@ def simulate_rebuild(
 ) -> RebuildTiming:
     """Pipelined rebuild of one failed disk onto a hot spare.
 
-    Per stripe the reads (parallel, max over disks) and the spare's ``k``
+    The read side is :func:`~repro.disksim.recovery_sim.simulate_stack_recovery`
+    (so ``read_limited_s`` is its ``recovery_time_s``).  Per stripe the
+    reads (parallel, max over disks) and the spare's ``k``
     sequential element writes overlap; each stage of the pipeline advances
     at the slower of the two, and the spare drains one stripe after the
     last read completes.
     """
-    if not schemes:
-        raise ValueError("need at least one scheme")
-    lay = code.layout
-    array = DiskArraySimulator(lay.n_disks, params)
-
-    read_total = 0.0
+    reads = simulate_stack_recovery(code, schemes, stacks, params)
     write_total = 0.0
     pipeline = 0.0
     last_write = 0.0
-    for scheme in schemes:
-        read_t = array.stripe_recovery_time(lay, scheme.read_mask)
+    for read_t, scheme in zip(reads.stripe_times_s, schemes):
         write_t = spare.positioning_s + len(scheme.failed_eids) * spare.element_write_s
-        read_total += read_t
         write_total += write_t
         pipeline += max(read_t, write_t)
         last_write = write_t
-    read_total *= stacks
     write_total *= stacks
     makespan = pipeline * stacks + last_write  # final drain
 
     return RebuildTiming(
-        read_limited_s=read_total,
+        read_limited_s=reads.recovery_time_s,
         write_limited_s=write_total,
         makespan_s=makespan,
-        read_is_critical=read_total >= write_total,
+        read_is_critical=reads.recovery_time_s >= write_total,
     )

@@ -15,7 +15,7 @@ window that :mod:`repro.fleet` prices in data-loss probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from repro.codes.base import ErasureCode
 from repro.disksim.array import DiskArraySimulator
@@ -30,6 +30,10 @@ class RecoveryResult:
     recovery_time_s: float
     data_recovered_mb: float
     n_stripes: int
+    #: one stack's per-stripe read times, one per logical situation, in
+    #: scheme order (what :func:`~repro.disksim.rebuild.simulate_rebuild`
+    #: pipelines against the spare's writes)
+    stripe_times_s: Tuple[float, ...] = ()
 
     @property
     def speed_mb_s(self) -> float:
@@ -85,15 +89,18 @@ def simulate_stack_recovery(
     array = DiskArraySimulator(lay.n_disks, params)
     elem_mb = array.disks[0].element_mb
 
+    times = []
     time_per_stack = 0.0
     recovered_per_stack_mb = 0.0
     for scheme in schemes:
-        time_per_stack += array.stripe_recovery_time(lay, scheme.read_mask)
+        times.append(array.stripe_recovery_time(lay, scheme.read_mask))
+        time_per_stack += times[-1]
         recovered_per_stack_mb += len(scheme.failed_eids) * elem_mb
 
     return RecoveryResult(
         recovery_time_s=time_per_stack * stacks,
         data_recovered_mb=recovered_per_stack_mb * stacks,
         n_stripes=len(schemes) * stacks,
+        stripe_times_s=tuple(times),
     )
 

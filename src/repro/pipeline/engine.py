@@ -5,12 +5,13 @@ A rotated array (:class:`~repro.codec.image.ArrayImageCodec`) puts role
 :func:`~repro.placement.FlatPlacement` with ``n_pool = w``.  So
 :class:`RebuildPipeline` is the pool engine
 (:class:`~repro.pipeline.pool.PoolRebuild`) over that placement: the
-same grouping, chunks, kernel pass, in-pass verification and billing.
+same grouping, chunks, kernel pass, in-pass verification and billing,
+over the codec's own :attr:`~repro.codec.image.ArrayImageCodec.placement`.
 Only the storage differs.  The engine reads the disk image **in place**:
-the stripes in which the failed disk plays role ``l`` form one rotation
-class ``r = (failed - l) mod n``, and their columns are the whole-disk
-views ``disks[(j + r) % n]`` for logical disk ``j``, so nothing is
-gathered, staged or copied; each chunk's kernel call picks its stripes
+the stripes in which the failed disk plays one role form one rotation
+class, whose columns are whole-disk views
+(:meth:`~repro.codec.image.ArrayImageCodec.rotation_columns`), so nothing
+is gathered, staged or copied; each chunk's kernel call picks its stripes
 out of them by id, writes the rebuilt rows into their place in the
 rebuilt image, and compares each with the failed disk's stored row
 while it is still in cache (``mismatches`` counts the stripes that
@@ -26,10 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.codec.batch import ColumnSet
 from repro.codec.image import ArrayImageCodec
 from repro.pipeline.pool import PoolRebuild, RebuildChunk, RebuildResult
-from repro.placement.map import FlatPlacement
 from repro.placement.pool import PoolStore
 from repro.recovery.plancache import SchemePlanCache
 from repro.recovery.planner import RecoveryPlanner
@@ -63,11 +62,8 @@ class RebuildPipeline(PoolRebuild):
         throttle: Optional[Callable[[RebuildChunk], None]] = None,
         on_chunk: Optional[Callable[[RebuildChunk, np.ndarray], None]] = None,
     ) -> None:
-        n = codec.code.layout.n_disks
         # the geometry only: the bytes are the disk image given to rebuild
-        array = PoolStore(
-            codec.code, FlatPlacement(n, codec.n_stripes, n), codec.element_size
-        )
+        array = PoolStore(codec.code, codec.placement, codec.element_size)
         super().__init__(
             array,
             chunk_stripes=chunk_stripes,
@@ -93,23 +89,13 @@ class RebuildPipeline(PoolRebuild):
         ``patch=True`` additionally writes the rebuilt rows back into
         ``disks`` in place (hot-spare semantics).
         """
-        lay = self.codec.code.layout
-        n, k = lay.n_disks, lay.k_rows
-        ns, esz = self.codec.n_stripes, self.codec.element_size
-        if not 0 <= failed_physical < n:
+        codec = self.codec
+        codec.view_image(disks)
+        if not 0 <= failed_physical < codec.code.layout.n_disks:
             raise IndexError(f"physical disk {failed_physical} out of range")
-        if disks.shape != (n, ns * k, esz):
-            raise ValueError(f"disks shape {disks.shape} != {(n, ns * k, esz)}")
-        if disks.dtype != np.uint8:
-            raise ValueError(f"disks dtype {disks.dtype} != uint8")
-        # views only: a C-contiguous image reshapes without a copy
-        disks4 = disks.reshape(n, ns, k, esz)
-
-        def rotation_class(role: int) -> ColumnSet:
-            r = (failed_physical - role) % n
-            return ColumnSet([disks4[(logical + r) % n] for logical in range(n)])
-
-        result = self._rebuild(failed_physical, rotation_class)
+        result = self._rebuild(
+            failed_physical, lambda ids: codec.rotation_columns(disks, ids[0])
+        )
         if patch:
             disks[failed_physical] = result.image
         return result

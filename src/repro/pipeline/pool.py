@@ -227,16 +227,17 @@ class PoolRebuild:
         if self.store.stripes is None:
             raise RuntimeError("pool store is empty — call encode_random() first")
         stripes = ColumnSet(self.store.stripes)  # marshalled once per rebuild
-        return self._rebuild(dead_disk, lambda role: stripes)
+        return self._rebuild(dead_disk, lambda stripe_ids: stripes)
 
     def _rebuild(
-        self, dead_disk: int, columns_of: Callable[[int], ColumnSet]
+        self, dead_disk: int, columns_of: Callable[[np.ndarray], ColumnSet]
     ) -> RebuildResult:
         """The rebuild both entry points run.
 
-        ``columns_of(role)`` is the :class:`~repro.codec.batch.ColumnSet`
-        a group whose dead role is ``role`` reads: the only thing the
-        engine needs to know about how the bytes are stored.
+        ``columns_of(stripe_ids)`` is the
+        :class:`~repro.codec.batch.ColumnSet` one execution group's
+        stripes are read from: the only thing the engine needs to know
+        about how the bytes are stored.
         """
         store = self.store
         placement = store.placement
@@ -257,7 +258,7 @@ class PoolRebuild:
         for role, group_ids, plan in groups:
             group_ids = np.ascontiguousarray(group_ids, dtype=np.int64)
             rows_at = np.searchsorted(all_stripes, group_ids)
-            columns = columns_of(role)
+            columns = columns_of(group_ids)
             for lo in range(0, len(group_ids), self.chunk_stripes):
                 hi = min(lo + self.chunk_stripes, len(group_ids))
                 chunks.append(RebuildChunk(

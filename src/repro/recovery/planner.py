@@ -135,7 +135,13 @@ class RecoveryPlanner:
             self._cache[disk] = scheme
             self._to_plan_cache(disk, scheme)
 
-        _RUNNER.run(todo, self._search_on_worker, deliver)
+        if algorithm_row(self.algorithm).baseline is None:
+            _RUNNER.run(todo, self._search_on_worker, deliver)
+        else:
+            # a baseline is a pure-Python construction, not a kernel call:
+            # built on this thread, its ValueError reaches the caller as is
+            for d in todo:
+                deliver(d, self._search(d))
         self._save_plan_cache()
         return [self.scheme_for_disk(d) for d in disks]
 

@@ -253,7 +253,7 @@ class _TableEntry(NamedTuple):
     plan: CompiledPlan
     slot: int                   #: output slot of the requested element
     n_slots: int                #: elements the plan recovers
-    rotation: int               #: stripe rotation where the role is failed
+    columns: ColumnSet          #: the rotation class's logical columns
     billing: Tuple[Tuple[int, int], ...]  #: (physical disk, reads per stripe)
 
 
@@ -267,11 +267,12 @@ class ShardServer:
 
     Construction prepares the degraded path once: a dense ``(role, row)``
     table of compiled plans for every role the failed disk plays in the
-    range (each entry: compiled plan, output slot, rotation and per-disk
-    billing), and one prepared :class:`~repro.codec.batch.ColumnSet` per
-    rotation over the disk image, so a degraded group is one table lookup
-    and one in-place ``recover_batch_into`` call.  Every plan is compiled
-    through a :class:`~repro.codec.batch.PlanMemo`, so
+    range (each entry: compiled plan, output slot, the rotation class's
+    :class:`~repro.codec.batch.ColumnSet` over the disk image from
+    :meth:`~repro.codec.image.ArrayImageCodec.rotation_columns`, and the
+    per-disk billing through the codec's placement), so a degraded group
+    is one table lookup and one in-place ``recover_batch_into`` call.
+    Every plan is compiled through a :class:`~repro.codec.batch.PlanMemo`, so
     :func:`~repro.codec.batch.check_plan` refuses (``ValueError``, at
     construction) one that reads the dead role or misstates its loads.
 
@@ -318,32 +319,31 @@ class ShardServer:
         self.priority = priority
         self.max_batch = max_batch
         self._k = k = lay.k_rows
-        self._n = n = lay.n_disks
+        n = lay.n_disks
         self._rebuilt = np.zeros(codec.n_stripes, dtype=bool)
-        # the disk image as (disk, stripe, row, byte): one column set per
-        # rotation, read in place by stripe id; the failed disk's true
-        # rows are the oracle every answer is checked against
-        disks4 = disks.reshape(n, codec.n_stripes, k, codec.element_size)
-        self._colsets = [
-            ColumnSet([disks4[(ldisk + rot) % n] for ldisk in range(n)])
-            for rot in range(n)
-        ]
-        self._truth = disks4[failed_disk]
+        # the failed disk's true rows: the oracle every answer is checked
+        # against
+        self._truth = codec.view_image(disks)[failed_disk]
+        _, roles = codec.placement.roles_of_disk(failed_disk)
+        #: the failed disk's role in each stripe (an array disk is in
+        #: every stripe, and the inverse map lists them in stripe order)
+        self._role_of: List[int] = roles.tolist()
         #: logical stripes behind the fault plan; ``None`` keeps every
         #: degraded group on the kernel
         self.fault_store: Optional[FaultyStripeStore] = None
         if fault_plan:
             self.fault_store = FaultyStripeStore(
-                lay,
-                [codec._logical_stripe(disks, s) for s in range(codec.n_stripes)],
+                lay, codec.logical_stripes(disks, range(codec.n_stripes)),
                 fault_plan,
             )
+        #: one column set per role the failed disk plays, read in place
+        self._columns: Dict[int, ColumnSet] = {}
         #: dense (role, row) plan table, indexed by role * k_rows + row
         self._table: List[Optional[_TableEntry]] = [None] * (n * k)
-        for s in range(stripe_lo, min(stripe_hi, stripe_lo + n)):
-            role = codec.logical_role(failed_disk, s)
-            for r in range(k):
-                self._group_plan(role * k + r)
+        for s, role in enumerate(self._role_of[stripe_lo:stripe_hi], stripe_lo):
+            if self._table[role * k] is None:
+                for r in range(k):
+                    self._group_plan(role * k + r, s)
         self.n_direct = 0
         self.n_patched = 0
         self.n_degraded = 0
@@ -352,22 +352,27 @@ class ShardServer:
         self.fault_counts = dict.fromkeys(FAULT_COUNTERS, 0)
         self.mismatches = 0
 
-    def _group_plan(self, key: int) -> _TableEntry:
-        """Build and table the degraded plan of ``(role, row) = divmod(key, k)``."""
+    def _group_plan(self, key: int, stripe: int) -> _TableEntry:
+        """Build and table the degraded plan of ``(role, row) = divmod(key, k)``,
+        placed as in ``stripe`` (one where the failed disk plays ``role``)."""
         role, r = divmod(key, self._k)
-        lay = self.codec.code.layout
+        codec = self.codec
         plan = self.plans.plan_for_element(role, r)
         compiled = self.compiled(role, plan)
-        rot = (self.failed_disk - role) % self._n
+        columns = self._columns.get(role)
+        if columns is None:
+            columns = self._columns[role] = codec.rotation_columns(
+                self.disks, stripe
+            )
+        hosts = codec.placement.disk_of_role(stripe, compiled.logicals)
         billing = tuple(
-            ((int(ldisk) + rot) % self._n, int(load))
-            for ldisk, load in zip(compiled.logicals, compiled.loads)
+            (disk, int(load)) for disk, load in zip(hosts.tolist(), compiled.loads)
         )
         entry = _TableEntry(
             compiled,
-            plan.failed_eids.index(lay.eid(role, r)),
+            plan.failed_eids.index(codec.code.layout.eid(role, r)),
             len(plan.failed_eids),
-            rot,
+            columns,
             billing,
         )
         self._table[key] = entry
@@ -411,6 +416,7 @@ class ShardServer:
         )
         k = self._k
         failed = self.failed_disk
+        role_of = self._role_of
         direct_idx: List[int] = []
         patched_idx: List[int] = []
         #: role * k + row -> (request indices, stripe ids)
@@ -423,7 +429,7 @@ class ShardServer:
             if self._rebuilt[s]:
                 patched_idx.append(t)
                 continue
-            key = self.codec.logical_role(failed, s) * k + r
+            key = role_of[s] * k + r
             group = degraded.get(key)
             if group is None:
                 group = degraded[key] = ([], [])
@@ -460,8 +466,8 @@ class ShardServer:
 
         esz = self.codec.element_size
         for key, (idxs, stripes) in degraded.items():
-            entry = self._table[key] or self._group_plan(key)
-            plan, slot, n_slots, rot, billing = entry
+            entry = self._table[key] or self._group_plan(key, stripes[0])
+            plan, slot, n_slots, columns, billing = entry
             count = len(idxs)
             self.io.read_elements(
                 {disk: load * count for disk, load in billing},
@@ -470,7 +476,7 @@ class ShardServer:
             ids = np.array(stripes, dtype=np.int64)
             if self.fault_store is None:
                 out = np.empty((count, n_slots, esz), dtype=np.uint8)
-                plan.recon.recover_batch_into(self._colsets[rot], out, ids)
+                plan.recon.recover_batch_into(columns, out, ids)
                 answer = out[:, slot]
             else:
                 answer = self._recover_resilient(key, stripes)
@@ -866,9 +872,7 @@ class ShardedServingEngine:
         lay = codec.code.layout
         if not 0 <= failed_disk < lay.n_disks:
             raise IndexError(f"physical disk {failed_disk} out of range")
-        expect = (lay.n_disks, codec.n_stripes * lay.k_rows, codec.element_size)
-        if disks.shape != expect:
-            raise ValueError(f"disks shape {disks.shape} != {expect}")
+        codec.view_image(disks)
         self.codec = codec
         self.disks = disks
         self.failed_disk = failed_disk
@@ -899,17 +903,14 @@ class ShardedServingEngine:
         )
         self.plans = DegradedPlanCache(codec.code, planner=self.planner)
         self._k = lay.k_rows
+        #: the logical roles the failed disk plays, ascending
+        _, roles = codec.placement.roles_of_disk(failed_disk)
+        self._failed_roles = np.unique(roles).tolist()
 
     # ------------------------------------------------------------------
     def warm_plans(self) -> int:
         """Precompute every degraded plan any shard can need (pre-fork)."""
-        roles = sorted(
-            {
-                self.codec.logical_role(self.failed_disk, s)
-                for s in range(self.codec.n_stripes)
-            }
-        )
-        return self.plans.warm(roles)
+        return self.plans.warm(self._failed_roles)
 
     def serve_trace(
         self,
@@ -1118,7 +1119,9 @@ class ShardedServingEngine:
             # a chunk is one rotation class: each logical disk its plan
             # reads sits on one physical disk for every stripe in it
             plan = chunk.plan
-            hosts = self.codec.physical_disk(plan.logicals, int(chunk.stripe_ids[0]))
+            hosts = self.codec.placement.disk_of_role(
+                chunk.stripe_ids[0], plan.logicals
+            )
             for shard in np.unique(shard_of):
                 ids = chunk.stripe_ids[shard_of == shard]
                 per_disk = {

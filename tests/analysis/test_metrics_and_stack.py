@@ -1,5 +1,6 @@
-"""Tests for analysis metrics and stack helpers."""
+"""Tests for analysis metrics and the stack layout they average over."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.metrics import (
@@ -9,8 +10,8 @@ from repro.analysis.metrics import (
     parallel_read_accesses,
     total_read_elements,
 )
-from repro.analysis.stack import logical_role, rotate_disk, rotation_schedule
 from repro.codes import RdpCode
+from repro.placement import FlatPlacement
 from repro.recovery import RecoveryPlanner, naive_scheme, u_scheme
 
 
@@ -60,32 +61,42 @@ class TestMetrics:
 
 
 class TestStack:
+    """A stack is the rotated array's layout: ``FlatPlacement(n, n, n)``,
+    one stripe per rotation."""
+
     def test_rotation_roundtrip(self):
         n = 8
+        stack = FlatPlacement(n, n, n)
         for r in range(n):
             for ld in range(n):
-                p = rotate_disk(ld, r, n)
-                assert logical_role(p, r, n) == ld
+                p = int(stack.disk_of_role(r, ld))
+                stripes, roles = stack.roles_of_disk(p)
+                assert roles[stripes == r].tolist() == [ld]
 
     def test_schedule_is_latin_square(self):
         n = 5
-        sched = rotation_schedule(n)
-        assert len(sched) == n
-        for row in sched:
+        sched = FlatPlacement(n, n, n).disk_of_role(
+            np.arange(n)[:, None], np.arange(n)[None, :]
+        )
+        assert sched.shape == (n, n)
+        for row in sched.tolist():
             assert sorted(row) == list(range(n))
-        for col in range(n):
-            assert sorted(sched[r][col] for r in range(n)) == list(range(n))
+        for col in sched.T.tolist():
+            assert sorted(col) == list(range(n))
 
     def test_each_physical_plays_each_role_once(self):
         """The equal-occurrence property the paper's averaging relies on."""
         n = 6
-        sched = rotation_schedule(n)
+        stack = FlatPlacement(n, n, n)
         for phys in range(n):
-            roles = [logical_role(phys, r, n) for r in range(n)]
-            assert sorted(roles) == list(range(n))
+            _, roles = stack.roles_of_disk(phys)
+            assert sorted(roles.tolist()) == list(range(n))
 
     def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            rotate_disk(5, 0, 5)
-        with pytest.raises(ValueError):
-            logical_role(-1, 0, 5)
+        stack = FlatPlacement(5, 5, 5)
+        with pytest.raises(IndexError):
+            stack.roles_of_disk(5)
+        with pytest.raises(IndexError):
+            stack.roles_of_disk(-1)
+        with pytest.raises(IndexError):
+            stack.disk_of_role(5, 0)

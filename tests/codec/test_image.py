@@ -25,19 +25,42 @@ def image_and_disks(codec):
 
 
 class TestLayout:
+    @pytest.mark.parametrize("n_stripes", [1, 3, 5, 12])
+    def test_rotation_convention(self, rdp5, n_stripes):
+        """Role ``l`` of stripe ``s`` sits on disk ``(l + s) % n``, in the
+        placement and in the encoded bytes, also for fewer stripes than
+        disks and for a stripe count that is not a multiple of them."""
+        codec = ArrayImageCodec(rdp5, element_size=8, n_stripes=n_stripes)
+        lay = rdp5.layout
+        n, k = lay.n_disks, lay.k_rows
+        data = codec.random_image(np.random.default_rng(n_stripes))
+        disks = codec.encode_image(data)
+        chunks = data.reshape(n_stripes, lay.n_data_elements, 8)
+        for s in range(n_stripes):
+            stripe = codec.codec.encode(chunks[s])
+            for role in range(n):
+                assert codec.placement.disk_of_role(s, role) == (role + s) % n
+                assert np.array_equal(
+                    disks[(role + s) % n, s * k : (s + 1) * k],
+                    stripe[role * k : (role + 1) * k],
+                )
+
     def test_rotation_roundtrip(self, codec):
         lay = codec.code.layout
-        for s in range(codec.n_stripes):
-            for logical in range(lay.n_disks):
-                phys = codec.physical_disk(logical, s)
-                assert codec.logical_role(phys, s) == logical
+        for phys in range(lay.n_disks):
+            stripes, roles = codec.placement.roles_of_disk(phys)
+            assert stripes.tolist() == list(range(codec.n_stripes))
+            for s, role in zip(stripes, roles):
+                assert codec.placement.disk_of_role(s, role) == phys
 
     def test_full_stack_covers_all_roles(self, codec):
         """Across one stack, each physical disk plays every logical role."""
         lay = codec.code.layout
         for phys in range(lay.n_disks):
-            roles = {codec.logical_role(phys, s) for s in range(lay.n_disks)}
-            assert roles == set(range(lay.n_disks))
+            stripes, roles = codec.placement.roles_of_disk(phys)
+            assert set(roles[stripes < lay.n_disks].tolist()) == set(
+                range(lay.n_disks)
+            )
 
     def test_bad_stripe_count(self, rdp5):
         with pytest.raises(ValueError):
@@ -64,8 +87,7 @@ class TestEncodeDecode:
 
     def test_each_logical_stripe_is_codeword(self, codec, image_and_disks):
         _, disks = image_and_disks
-        for s in range(codec.n_stripes):
-            stripe = codec._logical_stripe(disks, s)
+        for stripe in codec.logical_stripes(disks, range(codec.n_stripes)):
             assert codec.codec.check_stripe(stripe)
 
 

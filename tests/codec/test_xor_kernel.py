@@ -610,16 +610,14 @@ class TestPreparedColumns:
         n, k = lay.n_disks, lay.k_rows
         codec = ArrayImageCodec(code, element_size=16, n_stripes=2 * n)
         image = codec.encode_image(codec.random_image(np.random.default_rng(5)))
-        disks4 = image.reshape(n, codec.n_stripes, k, 16)
-        truth = disks4[3].copy()
-        prepared = [
-            ColumnSet([disks4[(l + rot) % n] for l in range(n)]) for rot in range(n)
-        ]
-        del image, disks4  # the sets keep their views (and the image) alive
+        truth = codec.view_image(image)[3].copy()
+        role_of = codec.placement.roles_of_disk(3)[1].tolist()
+        # one prepared set per rotation, keyed by the role disk 3 plays
+        prepared = {role_of[s]: codec.rotation_columns(image, s) for s in range(n)}
+        del image  # the sets keep their views (and the image) alive
         with leg_context(leg):
             for s in range(codec.n_stripes):
-                role = codec.logical_role(3, s)
-                rot = codec.rotation_of_stripe(s)
+                role = role_of[s]
                 ids = np.asarray([s, s], dtype=np.int64)
                 for r in range(k):
                     recon = BatchReconstructor(
@@ -630,9 +628,9 @@ class TestPreparedColumns:
                     first, again, listed = (
                         np.empty(shape, np.uint8) for _ in range(3)
                     )
-                    recon.recover_batch_into(prepared[rot], first, ids)
-                    recon.recover_batch_into(prepared[rot], again, ids)
-                    recon.recover_batch_into(list(prepared[rot].cols), listed, ids)
+                    recon.recover_batch_into(prepared[role], first, ids)
+                    recon.recover_batch_into(prepared[role], again, ids)
+                    recon.recover_batch_into(list(prepared[role].cols), listed, ids)
                     assert np.array_equal(first, again)
                     assert np.array_equal(first, listed)
                     assert np.array_equal(first[:, slot], truth[ids, r])

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.analysis.stack import logical_role
 from repro.codes import RdpCode, make_code
 from repro.disksim import (
     SAVVIO_10K3,
     DiskArraySimulator,
     simulate_stack_recovery,
 )
+from repro.placement import FlatPlacement
 from repro.recovery import RecoveryPlanner, naive_scheme, u_scheme
 
 
@@ -155,19 +155,23 @@ class TestRotationVsFlat:
         return code, schemes, stack.recovery_time_s, flat
 
     def test_logical_role_offsets_by_rotation(self):
-        """Stripe *s* puts logical disk *l* on physical disk ``(l + s) % n``."""
+        """Each stripe rotates the array by one more disk: the role a
+        physical disk plays drops by one (mod ``n``) from stripe to stripe."""
         n = 6
-        for s in range(n):
-            for phys in range(n):
-                assert (logical_role(phys, s, n) + s) % n == phys
+        stack = FlatPlacement(n, 2 * n, n)
+        for phys in range(n):
+            stripes, roles = stack.roles_of_disk(phys)
+            assert stripes.tolist() == list(range(2 * n))
+            assert ((roles[1:] - roles[:-1]) % n == n - 1).all()
 
     def test_rotation_equalizes(self, rotation):
         """Each physical disk, walked through one rotation, recovers in the
         one-stack time."""
         code, schemes, stack_s, _ = rotation
         n = code.layout.n_disks
+        stack = FlatPlacement(n, n, n)
         for phys in range(n):
-            walk = [schemes[logical_role(phys, s, n)] for s in range(n)]
+            walk = [schemes[role] for role in stack.roles_of_disk(phys)[1]]
             r = simulate_stack_recovery(code, walk, stacks=1)
             assert r.recovery_time_s == pytest.approx(stack_s)
 

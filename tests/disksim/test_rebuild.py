@@ -1,11 +1,21 @@
 """Tests for the pipelined rebuild (write-back) model."""
 
+import shutil
+from pathlib import Path
+
 import pytest
 
-from repro.codes import RdpCode
-from repro.disksim import DiskParams
+from repro.analysis import FIGURE_ALGORITHMS, FIGURE_DISK_RANGE, SchemeCache
+from repro.codes import RdpCode, make_code
+from repro.codes.registry import PAPER_FIGURE_FAMILIES
+from repro.disksim import DiskParams, simulate_stack_recovery
 from repro.disksim.rebuild import simulate_rebuild
 from repro.recovery import RecoveryPlanner
+
+#: the scheme store the figure benches replay
+COMMITTED_STORE = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / ".scheme_cache" / "plans.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +67,22 @@ class TestRebuild:
             simulate_rebuild(code, u).makespan_s
             < simulate_rebuild(code, naive).makespan_s
         )
+
+    def test_read_side_is_the_stack_recovery_time(self, tmp_path):
+        """On every paper-grid point the rebuild's read-limited time is the
+        stack recovery time, exactly: both come from one stack walk."""
+        # a copy, so the replay never writes into the committed store
+        shutil.copy(COMMITTED_STORE, tmp_path / "plans.json")
+        cache = SchemeCache(depth=1, cache_dir=tmp_path)
+        points = 0
+        for family in PAPER_FIGURE_FAMILIES:
+            for n_disks in FIGURE_DISK_RANGE:
+                code = make_code(family, n_disks)
+                for alg in FIGURE_ALGORITHMS:
+                    schemes = cache.schemes(family, n_disks, alg)
+                    stack = simulate_stack_recovery(code, schemes, stacks=3)
+                    rebuild = simulate_rebuild(code, schemes, stacks=3)
+                    assert rebuild.read_limited_s == stack.recovery_time_s
+                points += 1
+        assert points == 50
+        assert cache.store.misses == 0

@@ -34,8 +34,8 @@ def array_chunks(n_stripes, failed, chunk_stripes):
     seen = []
     codec, disks, pipe = array_pipe(n_stripes, chunk_stripes, seen)
     result = pipe.rebuild(disks, failed)
-    roles = {s: codec.logical_role(failed, s) for s in range(n_stripes)}
-    return seen, result, roles
+    stripes, roles = codec.placement.roles_of_disk(failed)
+    return seen, result, dict(zip(stripes.tolist(), roles.tolist()))
 
 
 def pool_store(placement=None):

@@ -52,9 +52,10 @@ def test_engine_matches_pristine_and_direct_plan(code, data):
 
     # direct execution of a dedicated (non-sliced) degraded-read scheme
     # over the same stripe must agree byte-for-byte
-    logical = codec.logical_role(failed, stripe_i)
+    stripes, roles = codec.placement.roles_of_disk(failed)
+    logical = int(roles[stripes == stripe_i][0])
     scheme = degraded_read_scheme(code, logical, rows=[row], algorithm="u")
-    stripe = codec._logical_stripe(original, stripe_i)
+    stripe = codec.logical_stripes(original, [stripe_i])[0]
     masked = stripe.copy()
     for _, lrow in lay.iter_elements(lay.disk_mask(logical)):
         masked[lay.eid(logical, lrow)] = 0

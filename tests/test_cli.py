@@ -43,6 +43,21 @@ class TestCommands:
         assert "MB/s" in out
         assert "khan" in out
 
+    def test_simulate_dense_code_has_no_naive_scheme(self, capsys):
+        """A dense code has no single-equation naive scheme: the row says
+        so and the other algorithms still run."""
+        assert main(["simulate", "--family", "cauchy_rs", "--disks", "8",
+                     "--stacks", "2"]) == 0
+        rows = {
+            alg.strip(): speed.strip()
+            for alg, speed in (
+                line.split(":", 1)
+                for line in capsys.readouterr().out.splitlines()[1:]
+            )
+        }
+        assert rows["naive"] == "n/a"
+        assert rows["u"].endswith("MB/s")
+
     def test_figure3_small_range(self, capsys, tmp_path):
         assert main(["figure3", "--family", "evenodd", "--min-disks", "7",
                      "--max-disks", "8", "--cache-dir", str(tmp_path)]) == 0
